@@ -21,8 +21,9 @@ import (
 // admitted set, same key order, same float operation order.
 //
 // Reads during the fan-out are all safe concurrently: snapshots are
-// immutable, DenseFloats reads don't mutate, and the lens memo table is
-// a sync.Map shared across queries of the epoch.
+// immutable, DenseFloats reads don't mutate, and the lens memo — dense
+// per-snapshot slabs shared across queries of the epoch — is read and
+// filled with atomic loads and stores.
 
 const (
 	// expandParMinFrontier is the frontier size below which a round runs

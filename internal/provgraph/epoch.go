@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"browserprov/internal/graph"
@@ -107,12 +108,24 @@ func (ep *sealedEpoch) nodeAt(id NodeID) (Node, bool) {
 	return n, n.Kind != 0
 }
 
-// kindAt returns the kind of the node with the given ID (0 for gaps).
-func (ep *sealedEpoch) kindAt(id NodeID) NodeKind {
+// kindPageAt returns the kind and page link of the node with the given
+// ID (which must be <= maxID); ok is false for gaps.
+func (ep *sealedEpoch) kindPageAt(id NodeID) (NodeKind, NodeID, bool) {
 	if ep.cols != nil {
-		return ep.cols.kind(id)
+		return ep.cols.kindPage(id)
 	}
-	return ep.nodes[id].Kind
+	n := &ep.nodes[id]
+	return n.Kind, n.Page, n.Kind != 0
+}
+
+// openCloseAt returns the open and close times of the node with the
+// given ID (which must be <= maxID); ok is false for gaps.
+func (ep *sealedEpoch) openCloseAt(id NodeID) (open, close time.Time, ok bool) {
+	if ep.cols != nil {
+		return ep.cols.openClose(id)
+	}
+	n := &ep.nodes[id]
+	return n.Open, n.Close, n.Kind != 0
 }
 
 // ensureMaps builds the kind-derived lookup maps of a column-backed
@@ -626,6 +639,37 @@ func (sn *Snapshot) NodeByID(id NodeID) (Node, bool) {
 	return Node{}, false
 }
 
+// KindPage returns the kind and page link of node id, following the same
+// tail -> base -> sealed chain as NodeByID but reading only those two
+// fields: no strings or times are decoded, and nothing is allocated.
+func (sn *Snapshot) KindPage(id NodeID) (NodeKind, NodeID, bool) {
+	if n, ok := sn.tailNodes[id]; ok {
+		return n.Kind, n.Page, true
+	}
+	if sn.base != nil {
+		return sn.base.KindPage(id)
+	}
+	if sn.sealed != nil && id <= sn.sealed.maxID {
+		return sn.sealed.kindPageAt(id)
+	}
+	return 0, 0, false
+}
+
+// OpenClose returns the open and close times of node id, following the
+// same chain as NodeByID without decoding the node's strings.
+func (sn *Snapshot) OpenClose(id NodeID) (open, close time.Time, ok bool) {
+	if n, ok := sn.tailNodes[id]; ok {
+		return n.Open, n.Close, true
+	}
+	if sn.base != nil {
+		return sn.base.OpenClose(id)
+	}
+	if sn.sealed != nil && id <= sn.sealed.maxID {
+		return sn.sealed.openCloseAt(id)
+	}
+	return time.Time{}, time.Time{}, false
+}
+
 // NodesSince streams every node with ID > watermark in ID order,
 // stopping early if fn returns false. This is the incremental-indexing
 // hook: consumers remember MaxNodeID as their watermark and only ever
@@ -853,54 +897,90 @@ var _ graph.Bounded = (*Snapshot)(nil)
 
 // SnapLens is the redirect-splicing personalisation lens (§3.2) over an
 // immutable snapshot. Unlike the store Lens it takes no locks and its
-// redirect-resolution memo table is shared by every query on the same
-// epoch: chains are resolved once per generation, not once per query.
+// redirect-resolution memo is shared by every query on the same epoch:
+// chains are resolved once per generation, not once per query.
+//
+// The memo is two dense slabs indexed by NodeID, allocated once per
+// snapshot (12 B per node) and filled lazily with atomic loads and
+// stores, so parallel expansion workers can share it. Racing workers
+// resolving the same node compute and store the same value. The memo is
+// per snapshot, never carried over from the sealed epoch: a tail
+// redirect added to a sealed node changes that node's chain ends.
 // It is safe for concurrent use.
 type SnapLens struct {
-	sn       *Snapshot
-	resolved sync.Map // NodeID -> NodeID
+	sn *Snapshot
+	// end[n] is resolve(n), or 0 while n is unresolved (node IDs start
+	// at 1, so 0 is never a chain end).
+	end []atomic.Uint64
+	// splice[n] is spliced(n): spliceUnknown until first asked.
+	splice []atomic.Uint32
 }
 
+// splice memo states.
+const (
+	spliceUnknown uint32 = iota
+	spliceNo
+	spliceYes
+)
+
 // Lens returns the snapshot's personalisation lens, building it on
-// first use. The same lens (and memo table) is returned for the
-// snapshot's whole lifetime.
+// first use. The same lens (and memo) is returned for the snapshot's
+// whole lifetime.
 func (sn *Snapshot) Lens() *SnapLens {
-	sn.lensOnce.Do(func() { sn.lens = &SnapLens{sn: sn} })
+	sn.lensOnce.Do(func() {
+		sn.lens = &SnapLens{
+			sn:     sn,
+			end:    make([]atomic.Uint64, sn.maxID+1),
+			splice: make([]atomic.Uint32, sn.maxID+1),
+		}
+	})
 	return sn.lens
 }
 
-// spliced reports whether n is removed from the unified view: a node
-// from which a redirect occurs.
-func (l *SnapLens) spliced(n NodeID) bool {
-	for _, e := range l.sn.OutEdges(n) {
+// redirectTarget returns the target of the first redirect among es, or
+// 0 when none redirects.
+func redirectTarget(es []Edge) NodeID {
+	for _, e := range es {
 		if e.Kind == EdgeRedirectPermanent || e.Kind == EdgeRedirectTemporary {
-			return true
+			return e.To
 		}
 	}
+	return 0
+}
+
+// spliced reports whether n is removed from the unified view: a node
+// from which a redirect occurs. Memoised per epoch.
+func (l *SnapLens) spliced(n NodeID) bool {
+	switch l.splice[n].Load() {
+	case spliceNo:
+		return false
+	case spliceYes:
+		return true
+	}
+	if redirectTarget(l.sn.OutEdges(n)) != 0 {
+		l.splice[n].Store(spliceYes)
+		return true
+	}
+	l.splice[n].Store(spliceNo)
 	return false
 }
 
 // resolve follows redirect out-edges from n to the final
-// non-redirecting node, memoised per epoch.
+// non-redirecting node (at most 32 hops, so cycles end), memoised per
+// epoch.
 func (l *SnapLens) resolve(n NodeID) NodeID {
-	if r, ok := l.resolved.Load(n); ok {
-		return r.(NodeID)
+	if r := l.end[n].Load(); r != 0 {
+		return NodeID(r)
 	}
 	cur := n
 	for hops := 0; hops < 32; hops++ {
-		next := NodeID(0)
-		for _, e := range l.sn.OutEdges(cur) {
-			if e.Kind == EdgeRedirectPermanent || e.Kind == EdgeRedirectTemporary {
-				next = e.To
-				break
-			}
-		}
+		next := redirectTarget(l.sn.OutEdges(cur))
 		if next == 0 {
 			break
 		}
 		cur = next
 	}
-	l.resolved.Store(n, cur)
+	l.end[n].Store(uint64(cur))
 	return cur
 }
 

@@ -3,6 +3,7 @@ package provgraph
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 	"unsafe"
 )
 
@@ -189,6 +190,28 @@ func (c *nodeCols) node(id NodeID) (Node, bool) {
 		n.Close = microTime(c.closeUS[id])
 	}
 	return n, true
+}
+
+// kindPage reads the kind and page columns of id: node's answer for those
+// two fields, with no string or time decoded.
+func (c *nodeCols) kindPage(id NodeID) (NodeKind, NodeID, bool) {
+	f := c.flags[id]
+	if f == 0 {
+		return 0, 0, false
+	}
+	return NodeKind(f & nfKindMask), c.page[id], true
+}
+
+// openClose reads the open and close columns of id, as node does.
+func (c *nodeCols) openClose(id NodeID) (open, close time.Time, ok bool) {
+	f := c.flags[id]
+	if f == 0 {
+		return time.Time{}, time.Time{}, false
+	}
+	if f&nfClose != 0 {
+		close = microTime(c.closeUS[id])
+	}
+	return microTime(c.openUS[id]), close, true
 }
 
 func (c *nodeCols) kind(id NodeID) NodeKind {

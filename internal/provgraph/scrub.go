@@ -81,11 +81,15 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 		deadline = time.Now().Add(budget)
 	}
 
-	// Section phase, only for mapped checkpoint views (an unmapped view
-	// is re-read from disk in the completion phase below). The pin taken
+	// Section phase, only while the mapped load-time view is still the
+	// current checkpoint: s.sect is set when a checkpoint is loaded, so
+	// after a live Checkpoint it maps a superseded file, and rot in the
+	// current one would go unseen. Anything else (an unmapped view, or a
+	// newer checkpoint) is re-read from disk by path below. The pin taken
 	// above keeps s.sect alive and stable for the whole step.
 	sect := s.sect
-	if sect != nil && sect.Mapped() {
+	path := s.snapshotPathLocked()
+	if sect != nil && sect.Mapped() && sect.Path() == path {
 		if s.scrubCur.sect != sect {
 			s.scrubCur = scrubCursor{sect: sect, tags: sect.Tags()}
 		}
@@ -103,7 +107,7 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 		}
 	} else {
 		s.scrubCur = scrubCursor{}
-		if path := s.snapshotPathLocked(); path != "" {
+		if path != "" {
 			if err := verifySnapshotIgnoringSupersede(path); err != nil {
 				s.scrubFailLocked(err)
 				return false, err

@@ -127,6 +127,39 @@ func TestScrubDetectsMappedCheckpointBitRot(t *testing.T) {
 	}
 }
 
+// TestScrubVerifiesCheckpointWrittenLive: a store opened from mapped
+// gen 1 that checkpoints gen 2 while running must scrub gen 2, not the
+// superseded gen-1 mapping it loaded from.
+func TestScrubVerifiesCheckpointWrittenLive(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	fillStore(t, s, 300)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenWith(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	mustApply(t, s2, visit(1, "http://gen2.example/", "Gen 2", "", event.TransTyped, t0.Add(24*time.Hour)))
+	if err := s2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	flipSectionByte(t, storage.SnapshotFilePath(dir, "provgraph", 2))
+
+	if err := s2.Scrub(0, 0); !errors.Is(err, storage.ErrSectionCorrupt) {
+		t.Fatalf("scrub err = %v, want ErrSectionCorrupt", err)
+	}
+	if st := s2.ScrubStatus(); st.Corruptions != 1 {
+		t.Fatalf("status = %+v, want one corruption", st)
+	}
+}
+
 func TestScrubDetectsWALCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)

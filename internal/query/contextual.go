@@ -74,11 +74,11 @@ func (r *Run) contextualSearch(q string, k int) []PageHit {
 	textScore.Reset(nCap)
 	for _, h := range textHits {
 		id := provgraph.NodeID(h.Doc)
-		n, ok := sn.NodeByID(id)
+		kind, _, ok := sn.KindPage(id)
 		if !ok {
 			continue
 		}
-		switch n.Kind {
+		switch kind {
 		case provgraph.KindPage:
 			textScore.Set(id, h.Score)
 			// Seed the page's visit instances: provenance lives on the
@@ -112,20 +112,21 @@ func (r *Run) contextualSearch(q string, k int) []PageHit {
 		_, auths = graph.HITSArenaPar(g, a, sub, 20, 1e-6, r.opts.parallelism())
 	}
 
-	// Stage 3: fold instance scores back onto page identities.
+	// Stage 3: fold instance scores back onto page identities. The fold
+	// reads only each node's kind and page link (flat column reads); the
+	// strings are decoded below for the ranked survivors alone.
 	pageProv := &a.PageB
 	pageProv.Reset(nCap)
 	for _, id := range scores.Keys() {
-		n, ok := sn.NodeByID(id)
+		kind, page, ok := sn.KindPage(id)
 		if !ok {
 			continue
 		}
-		var page provgraph.NodeID
-		switch n.Kind {
+		switch kind {
 		case provgraph.KindVisit:
-			page = n.Page
+			// page is the visit's page link.
 		case provgraph.KindPage:
-			page = n.ID
+			page = id
 		default:
 			continue // object nodes don't surface as history results
 		}
@@ -143,19 +144,24 @@ func (r *Run) contextualSearch(q string, k int) []PageHit {
 
 	hits := make([]PageHit, 0, pageProv.Len())
 	for _, page := range pageProv.Keys() {
-		n, ok := sn.NodeByID(page)
-		if !ok {
+		if _, _, ok := sn.KindPage(page); !ok {
 			continue
 		}
 		ts := textScore.Get(page)
 		prov := pageProv.Get(page)
 		hits = append(hits, PageHit{
-			Page: page, URL: n.URL, Title: n.Title,
-			TextScore: ts, ProvScore: prov,
+			Page: page, TextScore: ts, ProvScore: prov,
 			Score: wText*ts + wProv*prov,
 		})
 	}
-	return topHits(hits, k)
+	// Ranking reads only Score and Page, so URL and Title can wait until
+	// the cut.
+	hits = topHits(hits, k)
+	for i := range hits {
+		n, _ := sn.NodeByID(hits[i].Page)
+		hits[i].URL, hits[i].Title = n.URL, n.Title
+	}
+	return hits
 }
 
 // topHits ranks hits by descending score (page ID as the stable

@@ -1,7 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -78,11 +80,11 @@ func (v *View) TimeContextualSearch(ctx context.Context, q, anchor string, k int
 		}
 		overlap := 0.0
 		for _, vid := range sn.VisitsOfPage(qp.page) {
-			n, ok := sn.NodeByID(vid)
+			open, close, ok := sn.OpenClose(vid)
 			if !ok {
 				continue
 			}
-			overlap += timelineOverlap(timeline, visitSpan(n, 0))
+			overlap += timelineOverlap(timeline, visitSpan(open, close, 0))
 		}
 		if overlap <= 0 {
 			continue
@@ -103,11 +105,10 @@ func (v *View) TimeContextualSearch(ctx context.Context, q, anchor string, k int
 	return hits, r.Finish(), nil
 }
 
-// visitSpan returns a visit's display interval padded by pad on both
-// sides, with assumedDwell substituted for a missing close.
-func visitSpan(n provgraph.Node, pad time.Duration) span {
-	open := n.Open
-	close := n.Close
+// visitSpan returns the display interval of a visit opened and closed at
+// the given times, padded by pad on both sides, with assumedDwell
+// substituted for a missing close.
+func visitSpan(open, close time.Time, pad time.Duration) span {
 	if close.IsZero() || close.Before(open) {
 		close = open.Add(assumedDwell)
 	}
@@ -126,17 +127,19 @@ func anchorTimeline(sn *provgraph.Snapshot, aPages []pageMatch) []span {
 	var spans []span
 	for _, ap := range aPages {
 		for _, v := range sn.VisitsOfPage(ap.page) {
-			n, ok := sn.NodeByID(v)
+			open, close, ok := sn.OpenClose(v)
 			if !ok {
 				continue
 			}
-			spans = append(spans, visitSpan(n, sessionSlack))
+			spans = append(spans, visitSpan(open, close, sessionSlack))
 		}
 	}
 	if len(spans) == 0 {
 		return nil
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
+	// Spans with equal starts merge to the same timeline in any order, so
+	// an unstable sort suffices.
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.start, b.start) })
 	merged := spans[:1]
 	for _, s := range spans[1:] {
 		last := &merged[len(merged)-1]
@@ -198,7 +201,7 @@ func (r *Run) matchPages(q string, limit int) []pageMatch {
 	var out []pageMatch
 	for _, h := range r.searchIndex(q, 0) {
 		id := provgraph.NodeID(h.Doc)
-		if n, ok := sn.NodeByID(id); ok && n.Kind == provgraph.KindPage {
+		if kind, _, ok := sn.KindPage(id); ok && kind == provgraph.KindPage {
 			out = append(out, pageMatch{page: id, score: h.Score})
 			if limit > 0 && len(out) >= limit {
 				break

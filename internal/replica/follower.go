@@ -225,7 +225,6 @@ func (f *Follower) Run(ctx context.Context) error {
 		case err == nil:
 			f.maybeCheckpoint()
 		case errors.Is(err, errNeedBootstrap):
-			f.rebootstraps.Add(1)
 			st, berr := f.bootstrap(ctx)
 			if berr != nil {
 				if ctx.Err() != nil {
@@ -240,6 +239,9 @@ func (f *Follower) Run(ctx context.Context) error {
 			if f.opts.OnSwap != nil {
 				f.opts.OnSwap(old, st)
 			}
+			// Counted only once the new store serves, so a reader that
+			// sees the count also sees the swap.
+			f.rebootstraps.Add(1)
 		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 			if ctx.Err() != nil {
 				return ctx.Err()
