@@ -933,11 +933,18 @@ func (s *Store) originFor(ev *event.Event) NodeID {
 	if cur != 0 && s.nodes[cur].URL == ev.Referrer {
 		return cur
 	}
-	// Another tab may hold the referrer (e.g. "open in new tab").
+	// Another tab may hold the referrer (e.g. "open in new tab"). When
+	// several do, the most recent visit wins: tabCur is a map, and
+	// taking whichever its iteration yields first would make replaying
+	// the same events (recovery, a follower) build a different graph.
+	var best NodeID
 	for _, v := range s.tabCur {
-		if v != 0 && s.nodes[v].URL == ev.Referrer {
-			return v
+		if v > best && s.nodes[v].URL == ev.Referrer {
+			best = v
 		}
+	}
+	if best != 0 {
+		return best
 	}
 	return s.lastVisitByURL[ev.Referrer]
 }
