@@ -84,13 +84,14 @@ func benchTerms(eng *query.Engine) []string {
 // BenchmarkE2aContextualSearch is the §2.1 query on the 25k-node store;
 // the paper bounds it below 200 ms.
 func BenchmarkE2aContextualSearch(b *testing.B) {
+	ctx := context.Background()
 	_, eng := workload(b)
 	terms := benchTerms(eng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var under int
 	for i := 0; i < b.N; i++ {
-		_, meta := eng.ContextualSearch(terms[i%len(terms)], 20)
+		_, meta, _ := eng.View().Search(ctx, terms[i%len(terms)], 20)
 		if meta.Elapsed < experiment.PaperQueryBound {
 			under++
 		}
@@ -100,13 +101,14 @@ func BenchmarkE2aContextualSearch(b *testing.B) {
 
 // BenchmarkE2bPersonalize is the §2.2 term-analysis query.
 func BenchmarkE2bPersonalize(b *testing.B) {
+	ctx := context.Background()
 	_, eng := workload(b)
 	terms := benchTerms(eng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var under int
 	for i := 0; i < b.N; i++ {
-		_, meta := eng.Personalize(terms[i%len(terms)], 5)
+		_, meta, _ := eng.View().Personalize(ctx, terms[i%len(terms)], 5)
 		if meta.Elapsed < experiment.PaperQueryBound {
 			under++
 		}
@@ -116,13 +118,14 @@ func BenchmarkE2bPersonalize(b *testing.B) {
 
 // BenchmarkE2cTimeContext is the §2.3 interval-overlap query.
 func BenchmarkE2cTimeContext(b *testing.B) {
+	ctx := context.Background()
 	_, eng := workload(b)
 	terms := benchTerms(eng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var under int
 	for i := 0; i < b.N; i++ {
-		_, meta := eng.TimeContextualSearch(terms[i%len(terms)], terms[(i+7)%len(terms)], 20)
+		_, meta, _ := eng.View().TimeContextualSearch(ctx, terms[i%len(terms)], terms[(i+7)%len(terms)], 20)
 		if meta.Elapsed < experiment.PaperQueryBound {
 			under++
 		}
@@ -132,6 +135,7 @@ func BenchmarkE2cTimeContext(b *testing.B) {
 
 // BenchmarkE2dLineage is the §2.4 ancestor BFS.
 func BenchmarkE2dLineage(b *testing.B) {
+	ctx := context.Background()
 	w, eng := workload(b)
 	downloads := w.Prov.Downloads()
 	if len(downloads) == 0 {
@@ -141,7 +145,7 @@ func BenchmarkE2dLineage(b *testing.B) {
 	b.ResetTimer()
 	var under int
 	for i := 0; i < b.N; i++ {
-		_, meta := eng.DownloadLineage(downloads[i%len(downloads)])
+		_, meta, _ := eng.View().DownloadLineage(ctx, downloads[i%len(downloads)])
 		if meta.Elapsed < experiment.PaperQueryBound {
 			under++
 		}
@@ -227,6 +231,7 @@ func BenchmarkE5Ablation(b *testing.B) {
 // BenchmarkPublicAPISearch exercises the facade end to end (index
 // maintenance included) on a small history.
 func BenchmarkPublicAPISearch(b *testing.B) {
+	ctx := context.Background()
 	h, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -246,7 +251,7 @@ func BenchmarkPublicAPISearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Search("bench", 10)
+		h.View().Search(ctx, "bench", 10)
 	}
 }
 
@@ -254,6 +259,7 @@ func BenchmarkPublicAPISearch(b *testing.B) {
 // read-path benchmarks. 30k visit events yield ~60k nodes (page + visit
 // per distinct URL, visit-only for repeats).
 func buildParallelHistory() *History {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "browserprov-par-*")
 	if err != nil {
 		panic(err)
@@ -283,7 +289,7 @@ func buildParallelHistory() *History {
 	// steady-state queries, not first-call indexing or seal churn.
 	h.Graph().ForceReseal()
 	h.Graph().WaitReseal()
-	h.Search("topic", 10)
+	h.View().Search(ctx, "topic", 10)
 	return h
 }
 
@@ -316,6 +322,7 @@ func contendedWorkload(b *testing.B) *History {
 // lock-free on immutable views, so throughput should scale with cores
 // instead of serialising on a global engine mutex.
 func BenchmarkParallelSearch(b *testing.B) {
+	ctx := context.Background()
 	h := parallelWorkload(b)
 	terms := []string{"topic", "article", "42", "s3", "17 article"}
 	b.ReportAllocs()
@@ -323,7 +330,7 @@ func BenchmarkParallelSearch(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			h.Search(terms[i%len(terms)], 10)
+			h.View().Search(ctx, terms[i%len(terms)], 10)
 			i++
 		}
 	})
@@ -334,6 +341,7 @@ func BenchmarkParallelSearch(b *testing.B) {
 // rate than real browsing), so generation bumps keep forcing snapshot
 // refreshes on the read path.
 func BenchmarkParallelSearchContended(b *testing.B) {
+	ctx := context.Background()
 	h := contendedWorkload(b)
 	terms := []string{"topic", "article", "42", "s3", "17 article"}
 	stop := make(chan struct{})
@@ -363,7 +371,7 @@ func BenchmarkParallelSearchContended(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			h.Search(terms[i%len(terms)], 10)
+			h.View().Search(ctx, terms[i%len(terms)], 10)
 			i++
 		}
 	})
@@ -375,36 +383,13 @@ func BenchmarkParallelSearchContended(b *testing.B) {
 // BenchmarkSingleSearch is the single-threaded latency guard for the
 // same workload: the snapshot refactor must not regress it.
 func BenchmarkSingleSearch(b *testing.B) {
+	ctx := context.Background()
 	h := parallelWorkload(b)
 	terms := []string{"topic", "article", "42", "s3", "17 article"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Search(terms[i%len(terms)], 10)
-	}
-}
-
-// BenchmarkExpandParallelism measures one heavy contextual search (deep
-// expansion over the ~60k-node history, HITS on) at fixed intra-query
-// worker counts. par1 is the serial baseline; the others show what the
-// parallel frontier gather buys on this machine. Results are
-// byte-identical across rows by construction — only wall-clock moves.
-func BenchmarkExpandParallelism(b *testing.B) {
-	h := parallelWorkload(b)
-	ctx := context.Background()
-	v := h.View()
-	for _, par := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, _, err := v.Search(ctx, "topic article", 10,
-					WithDepth(4), WithMaxNodes(100000), WithHITS(true),
-					WithParallelism(par), WithBudget(-1))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		h.View().Search(ctx, terms[i%len(terms)], 10)
 	}
 }
 

@@ -132,7 +132,6 @@ var (
 	WithHITS               = query.WithHITS
 	WithRawGraph           = query.WithRawGraph
 	WithRecognizableVisits = query.WithRecognizableVisits
-	WithParallelism        = query.WithParallelism
 )
 
 // Sentinel errors, matchable with errors.Is.
@@ -288,87 +287,11 @@ func QueryOn(ctx context.Context, v *View, src string, opts ...Option) (QueryRes
 	return pql.Eval(ctx, v, src, opts...)
 }
 
-// ---- deprecated convenience wrappers ----
-//
-// The pre-View API: each call pins a fresh View, runs with
-// context.Background() and the history's base options. Kept working so
-// callers migrate incrementally; new code should hold a View.
-
-// Search runs the contextual history search (§2.1 of the paper):
-// a textual match re-ranked and extended through provenance neighbors.
-//
-// Deprecated: use View().Search(ctx, q, k, opts...).
-func (h *History) Search(q string, k int) ([]PageHit, Meta) {
-	hits, meta, _ := h.View().Search(context.Background(), q, k)
-	return hits, meta
-}
-
-// TextualSearch is the provenance-unaware baseline search. Unlike the
-// other deprecated wrappers it returns the unified (result, Meta,
-// error) shape — its old bare-slice form reported nothing.
-//
-// Deprecated: use View().TextualSearch(ctx, q, k, opts...).
-func (h *History) TextualSearch(q string, k int) ([]PageHit, Meta, error) {
-	return h.View().TextualSearch(context.Background(), q, k)
-}
-
-// Personalize returns history-derived terms associated with q (§2.2).
-//
-// Deprecated: use View().Personalize(ctx, q, n, opts...).
-func (h *History) Personalize(q string, n int) ([]TermSuggestion, Meta) {
-	s, meta, _ := h.View().Personalize(context.Background(), q, n)
-	return s, meta
-}
-
-// AugmentQuery returns q extended with the strongest associated term —
-// the string a provenance-aware browser would send to a web engine.
-//
-// Deprecated: use View().AugmentQuery(ctx, q, minWeight, opts...).
-func (h *History) AugmentQuery(q string, minWeight float64) (string, Meta) {
-	out, meta, _ := h.View().AugmentQuery(context.Background(), q, minWeight)
-	return out, meta
-}
-
-// TimeContextualSearch ranks pages matching q by co-display with pages
-// matching anchor (§2.3).
-//
-// Deprecated: use View().TimeContextualSearch(ctx, q, anchor, k, opts...).
-func (h *History) TimeContextualSearch(q, anchor string, k int) ([]TimeHit, Meta) {
-	hits, meta, _ := h.View().TimeContextualSearch(context.Background(), q, anchor, k)
-	return hits, meta
-}
-
 // DownloadBySavePath finds the download node saved at path via the
 // store's save-path index (O(1); the most recent download wins when
 // several share a path).
 func (h *History) DownloadBySavePath(path string) (Node, bool) {
 	return h.store.DownloadBySavePath(path)
-}
-
-// DownloadLineage answers "how did I get this file?" (§2.4) for the
-// download saved at path. A path with no download fails with
-// ErrNoSuchDownload.
-//
-// Deprecated: use View().DownloadLineageByPath(ctx, path, opts...).
-func (h *History) DownloadLineage(path string) (Lineage, Meta, error) {
-	return h.View().DownloadLineageByPath(context.Background(), path)
-}
-
-// DescendantDownloads lists everything downloaded, directly or
-// transitively, from the page at url (§2.4).
-//
-// Deprecated: use View().DescendantDownloads(ctx, url, opts...).
-func (h *History) DescendantDownloads(url string) ([]Node, Meta) {
-	dls, meta, _ := h.View().DescendantDownloads(context.Background(), url)
-	return dls, meta
-}
-
-// Query evaluates a PQL provenance path query on a fresh View.
-//
-// Deprecated: use QueryOn(ctx, h.View(), src, opts...).
-func (h *History) Query(src string) (QueryResult, error) {
-	res, _, err := QueryOn(context.Background(), h.View(), src)
-	return res, err
 }
 
 // VerifyDAG checks the acyclicity invariant, returning a violating cycle
@@ -419,23 +342,6 @@ type Session = query.Session
 
 // SessionSummary describes a session for display.
 type SessionSummary = query.SessionSummary
-
-// Sessions reconstructs the history's sittings (visits separated by
-// less than 30 minutes) in chronological order.
-//
-// Deprecated: use View().Sessions(ctx, opts...).
-func (h *History) Sessions() []Session {
-	s, _, _ := h.View().Sessions(context.Background())
-	return s
-}
-
-// RecentSessions summarises the latest n sessions, newest first.
-//
-// Deprecated: use View().SummarizeSessions(ctx, n, opts...).
-func (h *History) RecentSessions(n int) []SessionSummary {
-	s, _, _ := h.View().SummarizeSessions(context.Background(), n)
-	return s
-}
 
 // ExportOptions selects what graph exports include.
 type ExportOptions = export.Options

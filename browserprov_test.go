@@ -1,6 +1,7 @@
 package browserprov
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -40,9 +41,10 @@ func feedRosebud(t *testing.T, h *History) {
 }
 
 func TestPublicAPISearch(t *testing.T) {
+	ctx := context.Background()
 	h := openHistory(t)
 	feedRosebud(t, h)
-	hits, meta := h.Search("rosebud", 10)
+	hits, meta, _ := h.View().Search(ctx, "rosebud", 10)
 	found := false
 	for _, hit := range hits {
 		if strings.Contains(hit.URL, "citizen-kane") {
@@ -56,7 +58,7 @@ func TestPublicAPISearch(t *testing.T) {
 		t.Fatal("no latency recorded")
 	}
 	// Baseline misses it — and now reports Meta like every other query.
-	base, bmeta, err := h.TextualSearch("rosebud", 10)
+	base, bmeta, err := h.View().TextualSearch(ctx, "rosebud", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,17 +73,18 @@ func TestPublicAPISearch(t *testing.T) {
 }
 
 func TestPublicAPIIncrementalIndex(t *testing.T) {
+	ctx := context.Background()
 	h := openHistory(t)
 	feedRosebud(t, h)
 	// First query builds the index.
-	if hits, _ := h.Search("rosebud", 10); len(hits) == 0 {
+	if hits, _, _ := h.View().Search(ctx, "rosebud", 10); len(hits) == 0 {
 		t.Fatal("no hits")
 	}
 	// New activity after the engine exists must become searchable.
 	if err := h.Apply(&Event{Time: t0.Add(time.Hour), Type: TypeVisit, Tab: 2, URL: "http://xylophone.example/", Title: "Xylophone lessons", Transition: TransTyped}); err != nil {
 		t.Fatal(err)
 	}
-	hits, _, err := h.TextualSearch("xylophone", 10)
+	hits, _, err := h.View().TextualSearch(ctx, "xylophone", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,39 +94,42 @@ func TestPublicAPIIncrementalIndex(t *testing.T) {
 }
 
 func TestPublicAPILineage(t *testing.T) {
+	ctx := context.Background()
 	h := openHistory(t)
 	feedRosebud(t, h)
-	lin, _, err := h.DownloadLineage("/downloads/kane-poster.jpg")
+	lin, _, err := h.View().DownloadLineageByPath(ctx, "/downloads/kane-poster.jpg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lin.Path) < 2 {
 		t.Fatalf("path = %+v", lin.Path)
 	}
-	if _, _, err := h.DownloadLineage("/nope"); !errors.Is(err, ErrNoSuchDownload) {
+	if _, _, err := h.View().DownloadLineageByPath(ctx, "/nope"); !errors.Is(err, ErrNoSuchDownload) {
 		t.Fatalf("missing download err = %v, want ErrNoSuchDownload", err)
 	}
 }
 
 func TestPublicAPIPQL(t *testing.T) {
+	ctx := context.Background()
 	h := openHistory(t)
 	feedRosebud(t, h)
-	res, err := h.Query(`descendants(term("rosebud")) where kind = download`)
+	res, _, err := QueryOn(ctx, h.View(), `descendants(term("rosebud")) where kind = download`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Nodes) != 1 || res.Nodes[0].Text != "/downloads/kane-poster.jpg" {
 		t.Fatalf("PQL result = %+v", res.Nodes)
 	}
-	if _, err := h.Query(`this is not pql`); !errors.Is(err, ErrBadQuery) {
+	if _, _, err := QueryOn(ctx, h.View(), `this is not pql`); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("bad query err = %v, want ErrBadQuery", err)
 	}
 }
 
 func TestPublicAPIDescendantDownloads(t *testing.T) {
+	ctx := context.Background()
 	h := openHistory(t)
 	feedRosebud(t, h)
-	dls, _ := h.DescendantDownloads("http://search.example/?q=rosebud")
+	dls, _, _ := h.View().DescendantDownloads(ctx, "http://search.example/?q=rosebud")
 	if len(dls) != 1 {
 		t.Fatalf("descendant downloads = %+v", dls)
 	}
@@ -165,6 +171,7 @@ func TestPublicAPIDAGInvariant(t *testing.T) {
 }
 
 func TestPublicAPISessions(t *testing.T) {
+	ctx := context.Background()
 	h := openHistory(t)
 	feedRosebud(t, h)
 	// A second sitting hours later.
@@ -172,11 +179,11 @@ func TestPublicAPISessions(t *testing.T) {
 	if err := h.Apply(&Event{Time: late, Type: TypeVisit, Tab: 2, URL: "http://late.example/", Title: "Late", Transition: TransTyped}); err != nil {
 		t.Fatal(err)
 	}
-	sessions := h.Sessions()
+	sessions, _, _ := h.View().Sessions(ctx)
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(sessions))
 	}
-	recents := h.RecentSessions(1)
+	recents, _, _ := h.View().SummarizeSessions(ctx, 1)
 	if len(recents) != 1 || recents[0].Visits != 1 {
 		t.Fatalf("recents = %+v", recents)
 	}

@@ -15,6 +15,7 @@ import (
 // TestConcurrentApplyAndQuery hammers the public API from concurrent
 // writers and readers; run with -race to validate the locking story.
 func TestConcurrentApplyAndQuery(t *testing.T) {
+	ctx := context.Background()
 	h := openHistory(t)
 	feedRosebud(t, h)
 
@@ -53,13 +54,13 @@ func TestConcurrentApplyAndQuery(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				switch i % 4 {
 				case 0:
-					h.Search("rosebud", 5)
+					h.View().Search(ctx, "rosebud", 5)
 				case 1:
-					h.TextualSearch("concurrent", 5)
+					h.View().TextualSearch(ctx, "concurrent", 5)
 				case 2:
 					h.Stats()
 				case 3:
-					h.TimeContextualSearch("concurrent", "rosebud", 3)
+					h.View().TimeContextualSearch(ctx, "concurrent", "rosebud", 3)
 				}
 			}
 		}(r)
@@ -88,6 +89,7 @@ func TestConcurrentApplyAndQuery(t *testing.T) {
 // index catch-up happens on the first read after every generation
 // bump, so stale-index misses past the watermark are bugs.
 func TestConcurrentSnapshotReadsNoStaleMisses(t *testing.T) {
+	ctx := context.Background()
 	h := openHistory(t)
 	feedRosebud(t, h)
 
@@ -144,7 +146,7 @@ func TestConcurrentSnapshotReadsNoStaleMisses(t *testing.T) {
 				case 0:
 					term := fmt.Sprintf("sentinelw%d", w)
 					wantURL := fmt.Sprintf("http://wm.example/p%d", w)
-					hits, _ := h.Search(term, 5)
+					hits, _, _ := h.View().Search(ctx, term, 5)
 					found := false
 					for _, hit := range hits {
 						if hit.URL == wantURL {
@@ -157,10 +159,10 @@ func TestConcurrentSnapshotReadsNoStaleMisses(t *testing.T) {
 						return
 					}
 				case 1:
-					h.Personalize("rosebud", 3)
+					h.View().Personalize(ctx, "rosebud", 3)
 				case 2:
 					path := fmt.Sprintf("/dl/wm-%d.bin", (w/10)*10)
-					if _, _, err := h.DownloadLineage(path); errors.Is(err, ErrNoSuchDownload) {
+					if _, _, err := h.View().DownloadLineageByPath(ctx, path); errors.Is(err, ErrNoSuchDownload) {
 						errCh <- fmt.Errorf("reader %d: stale save-path index past watermark %d: %v", r, w, err)
 						return
 					}
@@ -217,6 +219,7 @@ func TestConcurrentCheckpoint(t *testing.T) {
 // TestPublicAPIExpireBefore covers retention through the facade,
 // including index rebuild after expiration.
 func TestPublicAPIExpireBefore(t *testing.T) {
+	ctx := context.Background()
 	h := openHistory(t)
 	feedRosebud(t, h)
 	// An old page outside the download's ancestor closure — the only
@@ -227,7 +230,7 @@ func TestPublicAPIExpireBefore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime the engine.
-	if hits, _ := h.Search("rosebud", 5); len(hits) == 0 {
+	if hits, _, _ := h.View().Search(ctx, "rosebud", 5); len(hits) == 0 {
 		t.Fatal("no hits before expiration")
 	}
 	// Add recent unrelated history far in the future.
@@ -244,12 +247,12 @@ func TestPublicAPIExpireBefore(t *testing.T) {
 		t.Fatal("nothing expired")
 	}
 	// The download and its lineage survive (pinned).
-	if _, _, err := h.DownloadLineage("/downloads/kane-poster.jpg"); err != nil {
+	if _, _, err := h.View().DownloadLineageByPath(ctx, "/downloads/kane-poster.jpg"); err != nil {
 		t.Fatalf("download lineage lost: %v", err)
 	}
 	// The rebuilt index serves fresh content and drops expired-only
 	// pages from textual search.
-	if hits, _, _ := h.TextualSearch("zebra", 5); len(hits) != 1 {
+	if hits, _, _ := h.View().TextualSearch(ctx, "zebra", 5); len(hits) != 1 {
 		t.Fatalf("fresh page not searchable after expire: %+v", hits)
 	}
 }
@@ -348,7 +351,7 @@ func TestViewPinnedUnderConcurrentWriter(t *testing.T) {
 			// Touch fresh views so the engine keeps re-snapshotting (and
 			// re-indexing) underneath the pinned one.
 			if i%25 == 0 {
-				h.Search("churn", 3)
+				h.View().Search(ctx, "churn", 3)
 			}
 		}
 	}()

@@ -131,6 +131,7 @@ func BenchmarkIngest(b *testing.B) {
 // GOMAXPROCS readers run contextual searches. ns/op is the reader-side
 // latency; the writer's sustained rate is reported as a metric.
 func BenchmarkIngestParallelReaders(b *testing.B) {
+	ctx := context.Background()
 	h, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -148,7 +149,7 @@ func BenchmarkIngestParallelReaders(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	h.Search("topic", 10) // prime engine + index
+	h.View().Search(ctx, "topic", 10) // prime engine + index
 
 	// The writer streams a 512-event batch every 20 ms (~25k events/sec
 	// sustained — orders of magnitude past real browsing, but paced so
@@ -187,7 +188,7 @@ func BenchmarkIngestParallelReaders(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			h.Search(terms[i%len(terms)], 10)
+			h.View().Search(ctx, terms[i%len(terms)], 10)
 			i++
 		}
 	})

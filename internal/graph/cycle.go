@@ -1,64 +1,10 @@
 package graph
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrCycle is returned by TopoSort when the node set contains a directed
-// cycle. Provenance is acyclic by definition (§3.1 of the paper), so a
-// cycle in the provenance store is an invariant violation.
-var ErrCycle = errors.New("graph: cycle detected")
-
-// TopoSort returns the nodes of the induced subgraph over nodes in a
-// topological order (every edge u->v within the set has u before v).
-// Edges leaving the set are ignored.
-func TopoSort(g Graph, nodes []NodeID) ([]NodeID, error) {
-	inSet := make(map[NodeID]bool, len(nodes))
-	for _, n := range nodes {
-		inSet[n] = true
-	}
-	indeg := make(map[NodeID]int, len(nodes))
-	for _, n := range nodes {
-		indeg[n] = 0
-	}
-	for _, n := range nodes {
-		for _, m := range g.Out(n) {
-			if inSet[m] {
-				indeg[m]++
-			}
-		}
-	}
-	queue := make([]NodeID, 0, len(nodes))
-	for _, n := range nodes {
-		if indeg[n] == 0 {
-			queue = append(queue, n)
-		}
-	}
-	order := make([]NodeID, 0, len(nodes))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, m := range g.Out(n) {
-			if !inSet[m] {
-				continue
-			}
-			indeg[m]--
-			if indeg[m] == 0 {
-				queue = append(queue, m)
-			}
-		}
-	}
-	if len(order) != len(nodes) {
-		return nil, fmt.Errorf("%w: %d of %d nodes unsortable", ErrCycle, len(nodes)-len(order), len(nodes))
-	}
-	return order, nil
-}
-
 // FindCycle returns one directed cycle within the induced subgraph over
 // nodes, or nil if the subgraph is acyclic. The cycle is returned as a
 // node sequence c0 -> c1 -> ... -> c0 (first node repeated at the end).
+// Provenance is acyclic by definition (§3.1 of the paper), so a cycle in
+// the provenance store is an invariant violation.
 func FindCycle(g Graph, nodes []NodeID) []NodeID {
 	const (
 		white = 0 // unvisited
@@ -122,9 +68,4 @@ func FindCycle(g Graph, nodes []NodeID) []NodeID {
 		}
 	}
 	return nil
-}
-
-// IsDAG reports whether the induced subgraph over nodes is acyclic.
-func IsDAG(g Graph, nodes []NodeID) bool {
-	return FindCycle(g, nodes) == nil
 }

@@ -338,14 +338,22 @@ func (a *Arena) SeedExpand(id NodeID, w float64) {
 	a.frontA.Set(id, w)
 }
 
-// ExpandArena is Expand on the arena's dense slabs: seeds must have
-// been loaded with ResetExpand/SeedExpand, and the scored neighborhood
-// is left in a.Scores (keys in deterministic discovery order). The
-// semantics match Expand exactly — same decay, same round structure,
-// same maxNodes admission rule — but where the map version's frontier
-// iteration order (and therefore its node-cap cutoff) varied run to
-// run, the dense version processes frontiers in discovery order, so a
-// capped expansion is deterministic for a pinned snapshot.
+// ExpandArena performs weighted neighborhood expansion on the arena's
+// dense slabs. Seeds must have been loaded with ResetExpand/SeedExpand.
+// Each round propagates every frontier node's weight, times decay, to
+// its neighbors in direction dir, accumulating additively; rounds run
+// breadth-first up to maxDepth, and at most maxNodes distinct nodes are
+// scored (seeds included). The stop callback, if non-nil, is polled
+// between rounds so callers can impose a time budget.
+//
+// The scored neighborhood is left in a.Scores, keys in discovery order.
+// Frontiers are processed in that order too, so which nodes clear the
+// maxNodes cap is deterministic for a pinned snapshot.
+//
+// This is the core of the paper's contextual search: "the algorithm
+// performs a textual search and then reorders results by the relevance
+// of their provenance neighbors", with first-generation descendants of
+// a seed receiving "substantial weight".
 func ExpandArena(g Graph, a *Arena, dir Dir, decay float64, maxDepth, maxNodes int, stop func() bool) {
 	ap := appenderOf(g)
 	scores := &a.Scores
@@ -375,12 +383,28 @@ func ExpandArena(g Graph, a *Arena, dir Dir, decay float64, maxDepth, maxNodes i
 	}
 }
 
-// HITSArena is HITS on index-compacted slices: node i of sub maps to
-// slot i of the returned hub and authority slices (L2-normalised, same
-// update schedule and convergence rule as HITS). sub's nodes must be
+// ExpandArenaPar is ExpandArena; par is ignored.
+//
+// Deprecated: intra-query parallel expansion was removed because it
+// showed no end-to-end speed-up. The forwarder stays only for the
+// benchmark harness's layer replay (perfbench/layers.go), which calls
+// it by this name; it goes when that call does.
+func ExpandArenaPar(g Graph, a *Arena, dir Dir, decay float64, maxDepth, maxNodes, par int, stop func() bool) {
+	ExpandArena(g, a, dir, decay, maxDepth, maxNodes, stop)
+}
+
+// HITSArena runs Kleinberg's hubs-and-authorities algorithm on the
+// subgraph induced by sub, for iters iterations or until the hub scores
+// move less than tol. Node i of sub maps to slot i of the returned hub
+// and authority slices, which are L2-normalised. sub's nodes must be
 // distinct. The returned slices are arena-owned and valid until the
-// next HITSArena call or Release; a.Idx maps NodeID -> slot for
-// callers that need to look scores up by node.
+// next HITSArena call or Release; a.Idx maps NodeID -> slot for callers
+// that need to look scores up by node.
+//
+// The paper implements contextual history search "as a graph
+// neighborhood expansion algorithm, similar to web search algorithms
+// such as Kleinberg's HITS"; the query layer runs it over the expanded
+// neighborhood to rank it.
 func HITSArena(g Graph, a *Arena, sub []NodeID, iters int, tol float64) (hubs, auths []float64) {
 	ap := appenderOf(g)
 	n := len(sub)

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,7 +30,7 @@ func TestExpandArenaMatchesReference(t *testing.T) {
 			seeds[id] = w
 			a.SeedExpand(id, w)
 		}
-		want := Expand(g, seeds, Undirected, 0.5, 3, 1<<30, nil)
+		want := refExpand(g, seeds, Undirected, 0.5, 3, 1<<30)
 		ExpandArena(g, a, Undirected, 0.5, 3, 1<<30, nil)
 		if a.Scores.Len() != len(want) {
 			t.Fatalf("seed %d: arena scored %d nodes, reference %d", seed, a.Scores.Len(), len(want))
@@ -81,13 +82,39 @@ func TestExpandArenaDeterministicUnderCap(t *testing.T) {
 	}
 }
 
+// TestExpandArenaParMatchesSerial: the deprecated forwarder must give
+// ExpandArena's exact result whatever par it is passed.
+func TestExpandArenaParMatchesSerial(t *testing.T) {
+	g, ids := benchGraph(3000, 4, 5)
+	run := func(expand func(a *Arena)) ([]NodeID, []float64) {
+		a := GetArena(int(g.MaxNodeID()) + 1)
+		defer a.Release()
+		a.ResetExpand(a.NodeCap())
+		for i := 0; i < 40; i++ {
+			a.SeedExpand(ids[70*i+3], 1)
+		}
+		expand(a)
+		keys := append([]NodeID(nil), a.Scores.Keys()...)
+		vals := make([]float64, len(keys))
+		for i, id := range keys {
+			vals[i] = a.Scores.Get(id)
+		}
+		return keys, vals
+	}
+	wantK, wantV := run(func(a *Arena) { ExpandArena(g, a, Undirected, 0.5, 3, 2000, nil) })
+	gotK, gotV := run(func(a *Arena) { ExpandArenaPar(g, a, Undirected, 0.5, 3, 2000, 4, nil) })
+	if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
+		t.Fatalf("forwarder scored %d nodes, ExpandArena %d, or scores differ", len(gotK), len(wantK))
+	}
+}
+
 // TestHITSArenaMatchesReference compares the index-compacted HITS with
 // the map reference on random subgraphs.
 func TestHITSArenaMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g, ids := benchGraph(2000, 3, seed)
 		sub := ids[700 : 700+150]
-		wantHubs, wantAuths := HITS(g, sub, 20, 1e-6)
+		wantHubs, wantAuths := refHITS(g, sub, 20, 1e-6)
 		a := GetArena(int(g.MaxNodeID()) + 1)
 		hubs, auths := HITSArena(g, a, sub, 20, 1e-6)
 		for i, n := range sub {

@@ -1,11 +1,11 @@
 // Package graph provides the graph algorithms the provenance queries are
-// built from: breadth-first traversal, shortest provenance paths,
-// topological sorting and cycle detection, Kleinberg's HITS, PageRank,
-// and weighted neighborhood expansion.
+// built from: breadth-first traversal, shortest provenance paths, cycle
+// detection, weighted neighborhood expansion and Kleinberg's HITS (the
+// last two on the dense scratch arenas of dense.go).
 //
 // The algorithms operate on the minimal Graph interface so they can run
-// over the provenance store, over in-memory test fixtures, or over
-// synthetic web graphs without copying.
+// over the provenance store or over in-memory test fixtures without
+// copying.
 package graph
 
 // NodeID identifies a node. The provenance store and the synthetic web
@@ -114,20 +114,6 @@ func BFS(g Graph, start []NodeID, dir Dir, visit func(n NodeID, depth int) bool)
 	}
 }
 
-// Reach returns every node reachable from start within maxDepth hops in
-// direction dir, mapped to its BFS depth. maxDepth < 0 means unbounded.
-func Reach(g Graph, start NodeID, dir Dir, maxDepth int) map[NodeID]int {
-	out := make(map[NodeID]int)
-	BFS(g, []NodeID{start}, dir, func(n NodeID, depth int) bool {
-		if maxDepth >= 0 && depth > maxDepth {
-			return false // BFS is depth-ordered, so we can stop outright
-		}
-		out[n] = depth
-		return true
-	})
-	return out
-}
-
 // FindFirst runs a BFS from start in direction dir and returns the
 // shortest path (as a node sequence beginning with start) to the nearest
 // node satisfying pred, excluding start itself unless includeStart is
@@ -180,21 +166,4 @@ func FindFirst(g Graph, start NodeID, dir Dir, includeStart bool, pred func(Node
 
 func neighborsAlloc(g Graph, n NodeID, d Dir) []NodeID {
 	return neighbors(g, n, d, nil)
-}
-
-// Collect gathers every node within maxDepth of start in direction dir
-// that satisfies pred (start excluded). It is the paper's "find all
-// descendants of this page that are downloads" query shape.
-func Collect(g Graph, start NodeID, dir Dir, maxDepth int, pred func(NodeID) bool) []NodeID {
-	var out []NodeID
-	BFS(g, []NodeID{start}, dir, func(n NodeID, depth int) bool {
-		if maxDepth >= 0 && depth > maxDepth {
-			return false
-		}
-		if n != start && pred(n) {
-			out = append(out, n)
-		}
-		return true
-	})
-	return out
 }

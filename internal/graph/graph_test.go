@@ -44,7 +44,8 @@ func TestBFSDepthOrder(t *testing.T) {
 
 func TestBFSBackward(t *testing.T) {
 	g := chain(5)
-	got := Reach(g, 4, Backward, -1)
+	got := map[NodeID]int{}
+	BFS(g, []NodeID{4}, Backward, func(n NodeID, d int) bool { got[n] = d; return true })
 	if len(got) != 5 {
 		t.Fatalf("backward reach = %d nodes, want 5", len(got))
 	}
@@ -57,7 +58,8 @@ func TestBFSUndirected(t *testing.T) {
 	g := NewMem()
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 1) // only reachable undirected from 0
-	got := Reach(g, 0, Undirected, -1)
+	got := map[NodeID]int{}
+	BFS(g, []NodeID{0}, Undirected, func(n NodeID, d int) bool { got[n] = d; return true })
 	if len(got) != 3 {
 		t.Fatalf("undirected reach = %v, want 3 nodes", got)
 	}
@@ -87,11 +89,20 @@ func TestBFSDuplicateStarts(t *testing.T) {
 	}
 }
 
+// TestReachDepthLimit: BFS is depth-ordered, so stopping at the first
+// node past a depth bound yields exactly the nodes within it.
 func TestReachDepthLimit(t *testing.T) {
 	g := chain(10)
-	got := Reach(g, 0, Forward, 3)
-	if len(got) != 4 { // depths 0..3
-		t.Fatalf("Reach depth 3 = %d nodes, want 4", len(got))
+	got := 0
+	BFS(g, []NodeID{0}, Forward, func(n NodeID, d int) bool {
+		if d > 3 {
+			return false
+		}
+		got++
+		return true
+	})
+	if got != 4 { // depths 0..3
+		t.Fatalf("reach within depth 3 = %d nodes, want 4", got)
 	}
 }
 
@@ -151,61 +162,6 @@ func TestFindFirstAncestors(t *testing.T) {
 	}
 }
 
-func TestCollect(t *testing.T) {
-	g := NewMem()
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 4)
-	downloads := map[NodeID]bool{3: true, 4: true}
-	got := Collect(g, 0, Forward, -1, func(n NodeID) bool { return downloads[n] })
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if !reflect.DeepEqual(got, []NodeID{3, 4}) {
-		t.Fatalf("Collect = %v, want [3 4]", got)
-	}
-}
-
-func TestTopoSortChain(t *testing.T) {
-	g := chain(10)
-	nodes := make([]NodeID, 10)
-	for i := range nodes {
-		nodes[i] = NodeID(9 - i) // reversed input order
-	}
-	order, err := TopoSort(g, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range order {
-		if n != NodeID(i) {
-			t.Fatalf("order[%d] = %d", i, n)
-		}
-	}
-}
-
-func TestTopoSortDetectsCycle(t *testing.T) {
-	g := NewMem()
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	if _, err := TopoSort(g, []NodeID{0, 1, 2}); err == nil {
-		t.Fatal("cycle not detected")
-	}
-}
-
-func TestTopoSortIgnoresEdgesOutsideSet(t *testing.T) {
-	g := NewMem()
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 99) // 99 outside the set
-	g.AddEdge(99, 0) // would form a cycle if included
-	order, err := TopoSort(g, []NodeID{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
-		t.Fatalf("order = %v", order)
-	}
-}
-
 func TestFindCycleReturnsRealCycle(t *testing.T) {
 	g := NewMem()
 	g.AddEdge(0, 1)
@@ -240,17 +196,17 @@ func TestIsDAG(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = NodeID(i)
 	}
-	if !IsDAG(g, nodes) {
+	if FindCycle(g, nodes) != nil {
 		t.Fatal("chain reported cyclic")
 	}
 	g.AddEdge(19, 0)
-	if IsDAG(g, nodes) {
+	if FindCycle(g, nodes) == nil {
 		t.Fatal("cycle not reported")
 	}
 }
 
 // TestIsDAGPropertyRandomDAGs: generating edges only from lower to higher
-// IDs guarantees acyclicity; IsDAG must agree, and adding one back edge
+// IDs guarantees acyclicity; FindCycle must agree, and adding one back edge
 // along a path must break it.
 func TestIsDAGPropertyRandomDAGs(t *testing.T) {
 	f := func(seed int64) bool {
@@ -268,7 +224,7 @@ func TestIsDAGPropertyRandomDAGs(t *testing.T) {
 			v := u + 1 + rng.Intn(n-u-1)
 			g.AddEdge(NodeID(u), NodeID(v))
 		}
-		if !IsDAG(g, nodes) {
+		if FindCycle(g, nodes) != nil {
 			return false
 		}
 		// A forward edge u->v exists iff edges>0; add the reverse of a
@@ -279,7 +235,7 @@ func TestIsDAGPropertyRandomDAGs(t *testing.T) {
 				outs := g.Out(NodeID(u))
 				if len(outs) > 0 {
 					g.AddEdge(outs[0], NodeID(u))
-					return !IsDAG(g, nodes)
+					return FindCycle(g, nodes) != nil
 				}
 			}
 		}
@@ -299,9 +255,11 @@ func TestHITSRanksAuthority(t *testing.T) {
 	}
 	g.AddEdge(0, 11)
 	nodes := []NodeID{0, 1, 2, 10, 11}
-	hubs, auths := HITS(g, nodes, 50, 1e-9)
-	if auths[10] <= auths[11] {
-		t.Fatalf("auth(10)=%f <= auth(11)=%f", auths[10], auths[11])
+	a := GetArena(int(g.MaxNodeID()) + 1)
+	defer a.Release()
+	hubs, auths := HITSArena(g, a, nodes, 50, 1e-9)
+	if auths[3] <= auths[4] {
+		t.Fatalf("auth(10)=%f <= auth(11)=%f", auths[3], auths[4])
 	}
 	if hubs[0] <= hubs[1] {
 		t.Fatalf("hub(0)=%f <= hub(1)=%f; 0 points at more authorities", hubs[0], hubs[1])
@@ -309,48 +267,34 @@ func TestHITSRanksAuthority(t *testing.T) {
 }
 
 func TestHITSEmpty(t *testing.T) {
-	g := NewMem()
-	hubs, auths := HITS(g, nil, 10, 1e-9)
+	a := GetArena(1)
+	defer a.Release()
+	hubs, auths := HITSArena(NewMem(), a, nil, 10, 1e-9)
 	if len(hubs) != 0 || len(auths) != 0 {
 		t.Fatal("nonempty scores for empty node set")
 	}
 }
 
-func TestPageRankSums(t *testing.T) {
-	g := NewMem()
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(3, 0) // 3 is dangling-in, 0 gets extra mass
-	nodes := []NodeID{0, 1, 2, 3}
-	pr := PageRank(g, nodes, 0.85, 100, 1e-12)
-	sum := 0.0
-	for _, v := range pr {
-		sum += v
+// expand runs ExpandArena from seeds and returns the scored
+// neighborhood as a map.
+func expand(g *Mem, seeds map[NodeID]float64, dir Dir, decay float64, maxDepth, maxNodes int, stop func() bool) map[NodeID]float64 {
+	a := GetArena(int(g.MaxNodeID()) + 1)
+	defer a.Release()
+	a.ResetExpand(a.NodeCap())
+	for n, w := range seeds {
+		a.SeedExpand(n, w)
 	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("PageRank sum = %f, want 1", sum)
+	ExpandArena(g, a, dir, decay, maxDepth, maxNodes, stop)
+	scores := make(map[NodeID]float64, a.Scores.Len())
+	for _, n := range a.Scores.Keys() {
+		scores[n] = a.Scores.Get(n)
 	}
-	if pr[0] <= pr[3] {
-		t.Fatalf("pr(0)=%f <= pr(3)=%f; 0 has an extra inlink", pr[0], pr[3])
-	}
-}
-
-func TestPageRankDanglingMass(t *testing.T) {
-	// Node 1 has no outlinks: its mass must be redistributed, not lost.
-	g := NewMem()
-	g.AddEdge(0, 1)
-	g.AddNode(1)
-	pr := PageRank(g, []NodeID{0, 1}, 0.85, 100, 1e-12)
-	sum := pr[0] + pr[1]
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("sum with dangling node = %f, want 1", sum)
-	}
+	return scores
 }
 
 func TestExpandDecay(t *testing.T) {
 	g := chain(4) // 0->1->2->3
-	scores := Expand(g, map[NodeID]float64{0: 1.0}, Forward, 0.5, 3, 100, nil)
+	scores := expand(g, map[NodeID]float64{0: 1.0}, Forward, 0.5, 3, 100, nil)
 	want := map[NodeID]float64{0: 1.0, 1: 0.5, 2: 0.25, 3: 0.125}
 	for n, w := range want {
 		if got := scores[n]; got != w {
@@ -364,7 +308,7 @@ func TestExpandAccumulates(t *testing.T) {
 	g := NewMem()
 	g.AddEdge(0, 2)
 	g.AddEdge(1, 2)
-	scores := Expand(g, map[NodeID]float64{0: 1, 1: 1}, Forward, 0.5, 1, 100, nil)
+	scores := expand(g, map[NodeID]float64{0: 1, 1: 1}, Forward, 0.5, 1, 100, nil)
 	if scores[2] != 1.0 { // 0.5 + 0.5
 		t.Fatalf("score[2] = %f, want 1.0", scores[2])
 	}
@@ -372,7 +316,7 @@ func TestExpandAccumulates(t *testing.T) {
 
 func TestExpandMaxDepth(t *testing.T) {
 	g := chain(10)
-	scores := Expand(g, map[NodeID]float64{0: 1}, Forward, 0.9, 2, 100, nil)
+	scores := expand(g, map[NodeID]float64{0: 1}, Forward, 0.9, 2, 100, nil)
 	if _, ok := scores[3]; ok {
 		t.Fatal("node beyond maxDepth scored")
 	}
@@ -387,7 +331,7 @@ func TestExpandMaxNodes(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		g.AddEdge(0, NodeID(i))
 	}
-	scores := Expand(g, map[NodeID]float64{0: 1}, Forward, 0.5, 1, 10, nil)
+	scores := expand(g, map[NodeID]float64{0: 1}, Forward, 0.5, 1, 10, nil)
 	if len(scores) > 10 {
 		t.Fatalf("scored %d nodes, cap was 10", len(scores))
 	}
@@ -396,7 +340,7 @@ func TestExpandMaxNodes(t *testing.T) {
 func TestExpandStopCallback(t *testing.T) {
 	g := chain(100)
 	calls := 0
-	scores := Expand(g, map[NodeID]float64{0: 1}, Forward, 0.99, 99, 1000, func() bool {
+	scores := expand(g, map[NodeID]float64{0: 1}, Forward, 0.99, 99, 1000, func() bool {
 		calls++
 		return calls > 3
 	})
@@ -408,22 +352,8 @@ func TestExpandStopCallback(t *testing.T) {
 
 func TestExpandBackward(t *testing.T) {
 	g := chain(4)
-	scores := Expand(g, map[NodeID]float64{3: 1}, Backward, 0.5, 3, 100, nil)
+	scores := expand(g, map[NodeID]float64{3: 1}, Backward, 0.5, 3, 100, nil)
 	if scores[0] != 0.125 {
 		t.Fatalf("backward score[0] = %f, want 0.125", scores[0])
-	}
-}
-
-func TestMemGraphNodes(t *testing.T) {
-	g := NewMem()
-	g.AddEdge(1, 2)
-	g.AddNode(3)
-	nodes := g.Nodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	if !reflect.DeepEqual(nodes, []NodeID{1, 2, 3}) {
-		t.Fatalf("Nodes = %v", nodes)
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d", g.NumEdges())
 	}
 }

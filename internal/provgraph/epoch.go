@@ -2,6 +2,7 @@ package provgraph
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -896,14 +897,17 @@ var _ graph.Bounded = (*Snapshot)(nil)
 // ---- snapshot lens ----
 
 // SnapLens is the redirect-splicing personalisation lens (§3.2) over an
-// immutable snapshot. Unlike the store Lens it takes no locks and its
-// redirect-resolution memo is shared by every query on the same epoch:
-// chains are resolved once per generation, not once per query.
+// immutable snapshot: redirect chains are spliced out ("unify edges by
+// ignoring nodes from which a redirect or inner content link occurs")
+// and embedded/inner-content edges are dropped. Lineage queries use the
+// raw snapshot; ranking queries use the lens. It takes no locks, and
+// its redirect-resolution memo is shared by every query on the same
+// epoch: chains are resolved once per generation, not once per query.
 //
 // The memo is two dense slabs indexed by NodeID, allocated once per
 // snapshot (12 B per node) and filled lazily with atomic loads and
-// stores, so parallel expansion workers can share it. Racing workers
-// resolving the same node compute and store the same value. The memo is
+// stores, so concurrent queries can share it. Racing queries resolving
+// the same node compute and store the same value. The memo is
 // per snapshot, never carried over from the sealed epoch: a tail
 // redirect added to a sealed node changes that node's chain ends.
 // It is safe for concurrent use.
@@ -1009,26 +1013,46 @@ func (l *SnapLens) AppendOut(n NodeID, buf []NodeID) []NodeID {
 // predecessors, transitively.
 func (l *SnapLens) In(n NodeID) []NodeID { return l.AppendIn(n, nil) }
 
+// maxSpliceDepth bounds how deep In recurses through spliced
+// predecessors.
+const maxSpliceDepth = 32
+
 // AppendIn implements graph.Appender.
 func (l *SnapLens) AppendIn(n NodeID, buf []NodeID) []NodeID {
-	return l.appendIn(n, buf, 0)
+	buf, _ = l.appendIn(n, buf, nil, 0)
+	return buf
 }
 
-func (l *SnapLens) appendIn(n NodeID, buf []NodeID, depth int) []NodeID {
-	if depth > 32 {
-		return buf
+// appendIn appends n's lens predecessors to buf, recursing through
+// spliced ones. entered lists the nodes this In call has expanded (its
+// root first; nil until the first spliced predecessor), and none is
+// expanded twice. When edges, not nodes, carry versions, redirects
+// form cycles, often over parallel edges, and without that rule In
+// walked every path through them to depth 32; on a dozen pages a pass
+// over the nodes ran for minutes. In a node-versioned history (a DAG) a
+// spliced node reaches n along one route unless it also links to a
+// second spliced node that does, so there the rule leaves In as it was.
+func (l *SnapLens) appendIn(n NodeID, buf, entered []NodeID, depth int) ([]NodeID, []NodeID) {
+	if depth > maxSpliceDepth {
+		return buf, entered
 	}
 	for _, e := range l.sn.InEdges(n) {
 		if e.Kind == EdgeEmbed || e.Kind == EdgeFramedLink {
 			continue
 		}
-		if l.spliced(e.From) {
-			buf = l.appendIn(e.From, buf, depth+1)
+		if !l.spliced(e.From) {
+			buf = append(buf, e.From)
 			continue
 		}
-		buf = append(buf, e.From)
+		if entered == nil {
+			entered = append(make([]NodeID, 0, 8), n) // n is the root
+		}
+		if !slices.Contains(entered, e.From) {
+			entered = append(entered, e.From)
+			buf, entered = l.appendIn(e.From, buf, entered, depth+1)
+		}
 	}
-	return buf
+	return buf, entered
 }
 
 // MaxNodeID implements graph.Bounded: the lens spans the same dense ID

@@ -366,25 +366,3 @@ func TestSnapshotVersionEdgesMode(t *testing.T) {
 		t.Fatalf("mode = %v", sn.Mode())
 	}
 }
-
-// TestSnapshotLensMatchesStoreLens checks the per-epoch lens against
-// the store's per-query lens.
-func TestSnapshotLensMatchesStoreLens(t *testing.T) {
-	s := openStore(t, t.TempDir())
-	defer s.Close()
-	feedMixed(t, s, 150, t0)
-	sn := s.Snapshot()
-	sl := sn.Lens()
-	ll := s.NewLens()
-	for _, id := range s.AllNodeIDs() {
-		if got, want := sl.Out(id), ll.Out(id); !sameIDs(got, want) {
-			t.Fatalf("lens Out(%d) = %v, want %v", id, got, want)
-		}
-		if got, want := sl.In(id), ll.In(id); !sameIDs(got, want) {
-			t.Fatalf("lens In(%d) = %v, want %v", id, got, want)
-		}
-	}
-	if sn.Lens() != sl {
-		t.Fatal("lens must be cached per snapshot")
-	}
-}

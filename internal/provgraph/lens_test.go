@@ -29,7 +29,7 @@ func nodeURL(s *Store, id NodeID) string {
 
 func TestLensSplicesRedirects(t *testing.T) {
 	s := buildRedirectChain(t)
-	lens := s.NewLens()
+	lens := s.Snapshot().Lens()
 	pa, _ := s.PageByURL("http://a.example/")
 	va := s.VisitsOfPage(pa.ID)[0]
 	outs := lens.Out(va)
@@ -44,11 +44,15 @@ func TestLensSplicesRedirects(t *testing.T) {
 	if len(raw) != 1 || nodeURL(s, raw[0]) != "http://short.example/r" {
 		t.Fatalf("raw successor = %v", raw)
 	}
+	// One lens, and one memo, per snapshot.
+	if sn := s.Snapshot(); sn.Lens() != sn.Lens() {
+		t.Fatal("lens must be cached per snapshot")
+	}
 }
 
 func TestLensInSplicesRedirectSources(t *testing.T) {
 	s := buildRedirectChain(t)
-	lens := s.NewLens()
+	lens := s.Snapshot().Lens()
 	pt, _ := s.PageByURL("http://target.example/")
 	vt := s.VisitsOfPage(pt.ID)[0]
 	ins := lens.In(vt)
@@ -62,7 +66,7 @@ func TestLensInSplicesRedirectSources(t *testing.T) {
 
 func TestLensDropsEmbeds(t *testing.T) {
 	s := buildRedirectChain(t)
-	lens := s.NewLens()
+	lens := s.Snapshot().Lens()
 	pt, _ := s.PageByURL("http://target.example/")
 	vt := s.VisitsOfPage(pt.ID)[0]
 	for _, m := range lens.Out(vt) {
@@ -91,7 +95,7 @@ func TestLensMultiHopRedirect(t *testing.T) {
 		visit(1, "http://r2.example/", "", "http://r1.example/", event.TransRedirectPermanent, t0.Add(time.Minute+time.Second)),
 		visit(1, "http://final.example/", "Final", "http://r2.example/", event.TransRedirectTemporary, t0.Add(time.Minute+2*time.Second)),
 	)
-	lens := s.NewLens()
+	lens := s.Snapshot().Lens()
 	pa, _ := s.PageByURL("http://a.example/")
 	va := s.VisitsOfPage(pa.ID)[0]
 	outs := lens.Out(va)
@@ -121,7 +125,7 @@ func TestLensNoRedirectsIsIdentity(t *testing.T) {
 		visit(1, "http://a.example/", "A", "", event.TransTyped, t0),
 		visit(1, "http://b.example/", "B", "http://a.example/", event.TransLink, t0.Add(time.Minute)),
 	)
-	lens := s.NewLens()
+	lens := s.Snapshot().Lens()
 	pa, _ := s.PageByURL("http://a.example/")
 	va := s.VisitsOfPage(pa.ID)[0]
 	raw, lensed := s.Out(va), lens.Out(va)

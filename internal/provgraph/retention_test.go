@@ -143,8 +143,7 @@ func TestExpireSplicesConnectivity(t *testing.T) {
 		t.Fatal("recent page expired")
 	}
 	rv := s.VisitsOfPage(recentPage.ID)[0]
-	reach := graph.Reach(s, ov, graph.Forward, -1)
-	if _, ok := reach[rv]; !ok {
+	if !reaches(s, ov, rv) {
 		t.Fatal("connectivity lost: no splice edge bridged the expired middle")
 	}
 	// The splice edge is marked as such.

@@ -54,9 +54,13 @@ func (l naiveLens) Out(n NodeID) []NodeID {
 	return out
 }
 
-func (l naiveLens) In(n NodeID) []NodeID { return l.appendIn(n, nil, 0) }
+func (l naiveLens) In(n NodeID) []NodeID {
+	return l.appendIn(n, nil, map[NodeID]bool{n: true}, 0)
+}
 
-func (l naiveLens) appendIn(n NodeID, buf []NodeID, depth int) []NodeID {
+// appendIn recurses through spliced predecessors at most 32 deep,
+// expanding each node at most once per In call (entered).
+func (l naiveLens) appendIn(n NodeID, buf []NodeID, entered map[NodeID]bool, depth int) []NodeID {
 	if depth > 32 {
 		return buf
 	}
@@ -64,11 +68,12 @@ func (l naiveLens) appendIn(n NodeID, buf []NodeID, depth int) []NodeID {
 		if e.Kind == EdgeEmbed || e.Kind == EdgeFramedLink {
 			continue
 		}
-		if l.spliced(e.From) {
-			buf = l.appendIn(e.From, buf, depth+1)
-			continue
+		if !l.spliced(e.From) {
+			buf = append(buf, e.From)
+		} else if !entered[e.From] {
+			entered[e.From] = true
+			buf = l.appendIn(e.From, buf, entered, depth+1)
 		}
-		buf = append(buf, e.From)
 	}
 	return buf
 }
@@ -130,9 +135,9 @@ func feedRedirectChain(t *testing.T, s *Store, prefix string, at time.Time) {
 }
 
 func TestSnapLensMatchesNaiveOnRandomGraphs(t *testing.T) {
-	// Page-level versioning makes the graph cyclic. Its URL pool is
-	// wider so spliced predecessors rarely branch around a cycle, where
-	// the lens's In (like its reference) grows exponentially to depth 32.
+	// Page-level versioning makes the graph cyclic; its URL pool is
+	// wider so the naive reference stays quick.
+	// TestSnapLensRedirectCycleBranching covers the narrow pool.
 	urls := map[VersioningMode]int{VersionNodes: 12, VersionEdges: 1000}
 	for _, mode := range []VersioningMode{VersionNodes, VersionEdges} {
 		urls := urls[mode]
@@ -332,4 +337,23 @@ func TestSnapshotFieldAccessors(t *testing.T) {
 	// overrides them.
 	feedMixed(t, s2, 30, t0.Add(600*time.Minute))
 	t.Run("columns+tail", columns)
+}
+
+// TestSnapLensRedirectCycleBranching: with edges carrying versions, 550
+// visits over 12 URLs make every page spliced, each with about thirty
+// spliced in-edges from ten others. In must stay cheap there: each
+// spliced node is expanded once per call, instead of once per path.
+func TestSnapLensRedirectCycleBranching(t *testing.T) {
+	s, err := OpenWith(t.TempDir(), Options{Mode: VersionEdges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	feedRandomLinks(t, s, rng, 550, 12, t0)
+	start := time.Now()
+	lensMustMatchNaive(t, s.Snapshot(), rng)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("lens over a branching redirect cycle took %v, want < 2s", d)
+	}
 }

@@ -55,8 +55,8 @@ func (v *View) Search(ctx context.Context, q string, k int, opts ...Option) ([]P
 // the page fold — lives in the Run's dense scratch arena instead of
 // hash maps: node IDs are dense integers, so each "map" is a flat slab
 // indexed by ID with a generation stamp, recycled across queries
-// through the arena pool. The reference map implementation survives in
-// graph.Expand/graph.HITS; equivalence is tested.
+// through the arena pool. dense_equiv_test.go keeps the map-based
+// pipeline this replaced and checks the two agree.
 func (r *Run) contextualSearch(q string, k int) []PageHit {
 	if r.Stop() {
 		return nil
@@ -97,7 +97,7 @@ func (r *Run) contextualSearch(q string, k int) []PageHit {
 
 	// Stage 2: neighborhood expansion through the personalisation lens.
 	g := r.graphView()
-	graph.ExpandArenaPar(g, a, graph.Undirected, r.opts.decay(), r.opts.maxDepth(), r.opts.maxNodes(), r.opts.parallelism(), r.Stop)
+	graph.ExpandArena(g, a, graph.Undirected, r.opts.decay(), r.opts.maxDepth(), r.opts.maxNodes(), r.Stop)
 	scores := &a.Scores
 	r.expanded = scores.Len()
 
@@ -109,7 +109,7 @@ func (r *Run) contextualSearch(q string, k int) []PageHit {
 		a.SubBuf = append(a.SubBuf[:0], scores.Keys()...)
 		sub := a.SubBuf
 		sort.Slice(sub, func(i, j int) bool { return sub[i] < sub[j] })
-		_, auths = graph.HITSArenaPar(g, a, sub, 20, 1e-6, r.opts.parallelism())
+		_, auths = graph.HITSArena(g, a, sub, 20, 1e-6)
 	}
 
 	// Stage 3: fold instance scores back onto page identities. The fold

@@ -19,9 +19,82 @@ import (
 
 // This file pins the dense-arena query pipeline to the map-based
 // reference: the pre-arena implementations of contextual search and
-// personalisation are kept here verbatim (running on graph.Expand /
-// graph.HITS and hash maps) and randomized workloads assert that the
+// personalisation are kept here verbatim (running on the map-based
+// refExpand / refHITS below) and randomized workloads assert that the
 // arena pipeline returns identical hit sets, scores and order.
+
+// refExpand is the map-based undirected neighborhood expansion that
+// graph.ExpandArena replaced.
+func refExpand(g graph.Graph, seeds map[graph.NodeID]float64, decay float64, maxDepth, maxNodes int, stop func() bool) map[graph.NodeID]float64 {
+	scores := make(map[graph.NodeID]float64, len(seeds))
+	frontier := make(map[graph.NodeID]float64, len(seeds))
+	for n, w := range seeds {
+		scores[n], frontier[n] = w, w
+	}
+	for depth := 1; depth <= maxDepth && len(frontier) > 0 && !stop(); depth++ {
+		next := make(map[graph.NodeID]float64)
+		for n, w := range frontier {
+			if w*decay == 0 {
+				continue
+			}
+			for _, m := range append(append([]graph.NodeID(nil), g.Out(n)...), g.In(n)...) {
+				if _, known := scores[m]; !known && len(scores)+len(next) >= maxNodes {
+					continue
+				}
+				next[m] += w * decay
+			}
+		}
+		for m, w := range next {
+			scores[m] += w
+		}
+		frontier = next
+	}
+	return scores
+}
+
+// refHITS is the map-based HITS that graph.HITSArena replaced.
+func refHITS(g graph.Graph, nodes []graph.NodeID, iters int, tol float64) (hubs, auths map[graph.NodeID]float64) {
+	inSet := make(map[graph.NodeID]bool, len(nodes))
+	hubs = make(map[graph.NodeID]float64, len(nodes))
+	auths = make(map[graph.NodeID]float64, len(nodes))
+	prev := make(map[graph.NodeID]float64, len(nodes))
+	for _, n := range nodes {
+		inSet[n], hubs[n], auths[n] = true, 1, 1
+	}
+	// update sets dst(n) to the sum of src over n's in-set neighbors,
+	// L2-normalised.
+	update := func(dst, src map[graph.NodeID]float64, nbrs func(graph.NodeID) []graph.NodeID) {
+		norm := 0.0
+		for _, n := range nodes {
+			sum := 0.0
+			for _, m := range nbrs(n) {
+				if inSet[m] {
+					sum += src[m]
+				}
+			}
+			dst[n] = sum
+			norm += sum * sum
+		}
+		if norm = math.Sqrt(norm); norm > 0 {
+			for n := range dst {
+				dst[n] /= norm
+			}
+		}
+	}
+	for it := 0; it < iters; it++ {
+		update(auths, hubs, g.In)
+		update(hubs, auths, g.Out)
+		delta := 0.0
+		for n, h := range hubs {
+			delta += (h - prev[n]) * (h - prev[n])
+			prev[n] = h
+		}
+		if it > 0 && math.Sqrt(delta) < tol {
+			break
+		}
+	}
+	return hubs, auths
+}
 
 // referenceContextualSearch is the §2.1 pipeline exactly as it ran
 // before the dense-arena rewrite.
@@ -53,7 +126,7 @@ func referenceContextualSearch(r *Run, q string, k int) []PageHit {
 		}
 	}
 	g := r.graphView()
-	scores := graph.Expand(g, seeds, graph.Undirected, r.opts.decay(), r.opts.maxDepth(), r.opts.maxNodes(), r.Stop)
+	scores := refExpand(g, seeds, r.opts.decay(), r.opts.maxDepth(), r.opts.maxNodes(), r.Stop)
 	var auth map[graph.NodeID]float64
 	if r.opts.UseHITS && !r.Stop() {
 		sub := make([]graph.NodeID, 0, len(scores))
@@ -61,7 +134,7 @@ func referenceContextualSearch(r *Run, q string, k int) []PageHit {
 			sub = append(sub, n)
 		}
 		sort.Slice(sub, func(i, j int) bool { return sub[i] < sub[j] })
-		_, auth = graph.HITS(g, sub, 20, 1e-6)
+		_, auth = refHITS(g, sub, 20, 1e-6)
 	}
 	pageProv := make(map[provgraph.NodeID]float64, len(scores))
 	for id, w := range scores {

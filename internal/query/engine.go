@@ -20,7 +20,6 @@
 package query
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -178,105 +177,3 @@ func (e *Engine) Index() *textindex.Index {
 
 // Store returns the underlying provenance store.
 func (e *Engine) Store() *provgraph.Store { return e.store }
-
-// ---- deprecated convenience wrappers ----
-//
-// The pre-View API, kept as thin wrappers over a fresh View so existing
-// callers migrate incrementally. Each call pins the current epoch,
-// runs with context.Background() and the engine's base options, and
-// drops the error (which, absent a broken View, is always nil here).
-
-// ContextualSearch runs §2.1 on a fresh View.
-//
-// Deprecated: use View().Search(ctx, q, k, opts...).
-func (e *Engine) ContextualSearch(q string, k int) ([]PageHit, Meta) {
-	hits, meta, _ := e.View().Search(context.Background(), q, k)
-	return hits, meta
-}
-
-// TextualSearch is the provenance-unaware baseline on a fresh View.
-//
-// Deprecated: use View().TextualSearch(ctx, q, k, opts...).
-func (e *Engine) TextualSearch(q string, k int) []PageHit {
-	hits, _, _ := e.View().TextualSearch(context.Background(), q, k)
-	return hits
-}
-
-// Personalize runs §2.2 on a fresh View.
-//
-// Deprecated: use View().Personalize(ctx, q, n, opts...).
-func (e *Engine) Personalize(q string, n int) ([]TermSuggestion, Meta) {
-	s, meta, _ := e.View().Personalize(context.Background(), q, n)
-	return s, meta
-}
-
-// AugmentQuery runs the §2.2 augmentation on a fresh View.
-//
-// Deprecated: use View().AugmentQuery(ctx, q, minWeight, opts...).
-func (e *Engine) AugmentQuery(q string, minWeight float64) (string, Meta) {
-	out, meta, _ := e.View().AugmentQuery(context.Background(), q, minWeight)
-	return out, meta
-}
-
-// TimeContextualSearch runs §2.3 on a fresh View.
-//
-// Deprecated: use View().TimeContextualSearch(ctx, q, anchor, k, opts...).
-func (e *Engine) TimeContextualSearch(q, anchor string, k int) ([]TimeHit, Meta) {
-	hits, meta, _ := e.View().TimeContextualSearch(context.Background(), q, anchor, k)
-	return hits, meta
-}
-
-// DownloadLineage runs §2.4 on a fresh View.
-//
-// Deprecated: use View().DownloadLineage(ctx, download, opts...).
-func (e *Engine) DownloadLineage(download provgraph.NodeID) (Lineage, Meta) {
-	lin, meta, _ := e.View().DownloadLineage(context.Background(), download)
-	return lin, meta
-}
-
-// DescendantDownloads runs the §2.4 descendant scan on a fresh View.
-//
-// Deprecated: use View().DescendantDownloads(ctx, pageURL, opts...).
-func (e *Engine) DescendantDownloads(pageURL string) ([]provgraph.Node, Meta) {
-	dls, meta, _ := e.View().DescendantDownloads(context.Background(), pageURL)
-	return dls, meta
-}
-
-// AncestorTerms lists lineage search terms on a fresh View.
-//
-// Deprecated: use View().AncestorTerms(ctx, n, opts...).
-func (e *Engine) AncestorTerms(n provgraph.NodeID) ([]string, Meta) {
-	terms, meta, _ := e.View().AncestorTerms(context.Background(), n)
-	return terms, meta
-}
-
-// Sessions reconstructs sittings on a fresh View.
-//
-// Deprecated: use View().Sessions(ctx, opts...).
-func (e *Engine) Sessions() []Session {
-	s, _, _ := e.View().Sessions(context.Background())
-	return s
-}
-
-// SummarizeSessions summarises recent sittings on a fresh View.
-//
-// Deprecated: use View().SummarizeSessions(ctx, n, opts...).
-func (e *Engine) SummarizeSessions(n int) []SessionSummary {
-	s, _, _ := e.View().SummarizeSessions(context.Background(), n)
-	return s
-}
-
-// Recognizable is the §2.4 predicate under the engine's base options.
-//
-// Deprecated: judge nodes through a Run (Run.Recognizable) so the whole
-// traversal shares one snapshot and one threshold.
-func (e *Engine) Recognizable(n provgraph.Node) bool {
-	return recognizableIn(e.snapshot(), n, e.opts.recognizable())
-}
-
-// RecognizableIn is Recognizable evaluated against a specific snapshot.
-//
-// Deprecated: use Run.Recognizable.
-func (e *Engine) RecognizableIn(sn *provgraph.Snapshot, n provgraph.Node) bool {
-	return recognizableIn(sn, n, e.opts.recognizable())
-}

@@ -3,7 +3,6 @@ package query
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"browserprov/internal/provgraph"
@@ -71,10 +70,6 @@ type Options struct {
 	// RecognizableVisits is the visit-count threshold for "a page the
 	// user is likely to recognize" in lineage queries (§2.4). 0 means 3.
 	RecognizableVisits int
-	// Parallelism is the worker count for intra-query frontier expansion
-	// and HITS. 0 means GOMAXPROCS; 1 forces serial; results are
-	// identical at any setting.
-	Parallelism int
 }
 
 func (o Options) budget() time.Duration {
@@ -107,13 +102,6 @@ func (o Options) maxNodes() int {
 		return 5000
 	}
 	return o.MaxNodes
-}
-
-func (o Options) parallelism() int {
-	if o.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallelism
 }
 
 func (o Options) recognizable() int {
@@ -155,8 +143,3 @@ func WithRawGraph(on bool) Option { return func(o *Options) { o.RawGraph = on } 
 func WithRecognizableVisits(n int) Option {
 	return func(o *Options) { o.RecognizableVisits = n }
 }
-
-// WithParallelism sets the worker count for intra-query frontier
-// expansion and HITS (0 = GOMAXPROCS, 1 = serial). Results are
-// identical at any setting; only wall-clock changes.
-func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }

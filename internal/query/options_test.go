@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,7 @@ func buildRedirectHistory(t *testing.T, f *fixture) {
 }
 
 func TestRawGraphOptionSeesRedirectHops(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildRedirectHistory(t, f)
 
@@ -39,7 +41,7 @@ func TestRawGraphOptionSeesRedirectHops(t *testing.T) {
 
 	// Through the lens, expansion from A reaches the target directly;
 	// the hop page should not be scored as a result.
-	lensHits, _ := lens.ContextualSearch("start", 10)
+	lensHits, _, _ := lens.View().Search(ctx, "start", 10)
 	for _, h := range lensHits {
 		if strings.Contains(h.URL, "hop.example") {
 			t.Fatal("lens surfaced the redirect hop")
@@ -55,13 +57,14 @@ func TestRawGraphOptionSeesRedirectHops(t *testing.T) {
 		t.Fatalf("lens lost the redirect target: %+v", lensHits)
 	}
 	// The raw engine may legitimately surface the hop.
-	rawHits, _ := raw.ContextualSearch("start", 10)
+	rawHits, _, _ := raw.View().Search(ctx, "start", 10)
 	if len(rawHits) == 0 {
 		t.Fatal("raw graph returned nothing")
 	}
 }
 
 func TestMaxDepthOption(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	// Chain: seed -> d1 -> d2 -> d3.
 	f.visit(t, "http://seed.example/", "Anchorword", "", event.TransTyped)
@@ -80,8 +83,8 @@ func TestMaxDepthOption(t *testing.T) {
 		}
 		return false
 	}
-	sh, _ := shallow.ContextualSearch("anchorword", 20)
-	dh, _ := deep.ContextualSearch("anchorword", 20)
+	sh, _, _ := shallow.View().Search(ctx, "anchorword", 20)
+	dh, _, _ := deep.View().Search(ctx, "anchorword", 20)
 	if has(sh, "d2.example") {
 		t.Fatalf("depth-1 expansion reached d2: %+v", sh)
 	}
@@ -101,10 +104,10 @@ func TestRecognizableThresholdOption(t *testing.T) {
 	strict := NewEngine(f.s, Options{RecognizableVisits: 5})
 	loose := NewEngine(f.s, Options{RecognizableVisits: 2})
 	page, _ := f.s.PageByURL("http://twice.example/")
-	if strict.Recognizable(page) {
+	if recognizable(t, strict, page) {
 		t.Fatal("2 visits recognizable under threshold 5")
 	}
-	if !loose.Recognizable(page) {
+	if !recognizable(t, loose, page) {
 		t.Fatal("2 visits not recognizable under threshold 2")
 	}
 }
@@ -121,10 +124,11 @@ func TestVisitCountAcrossInstances(t *testing.T) {
 }
 
 func TestMetaExpansionCount(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildRosebudHistory(t, f)
 	e := NewEngine(f.s, Options{})
-	_, meta := e.ContextualSearch("rosebud", 10)
+	_, meta, _ := e.View().Search(ctx, "rosebud", 10)
 	if meta.Expanded <= 0 {
 		t.Fatalf("Expanded = %d", meta.Expanded)
 	}

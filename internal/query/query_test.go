@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -72,12 +73,13 @@ func buildRosebudHistory(t *testing.T, f *fixture) {
 }
 
 func TestContextualSearchFindsCausalDescendant(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildRosebudHistory(t, f)
 	e := NewEngine(f.s, Options{})
 
 	// Baseline: the textual search cannot see Citizen Kane.
-	base := e.TextualSearch("rosebud", 10)
+	base, _, _ := e.View().TextualSearch(ctx, "rosebud", 10)
 	for _, h := range base {
 		if strings.Contains(h.URL, "citizen-kane") {
 			t.Fatal("textual baseline unexpectedly returned Citizen Kane")
@@ -88,7 +90,7 @@ func TestContextualSearchFindsCausalDescendant(t *testing.T) {
 	}
 
 	// Provenance-aware search returns it.
-	hits, meta := e.ContextualSearch("rosebud", 10)
+	hits, meta, _ := e.View().Search(ctx, "rosebud", 10)
 	found := -1
 	for i, h := range hits {
 		if strings.Contains(h.URL, "citizen-kane") {
@@ -115,10 +117,11 @@ func TestContextualSearchFindsCausalDescendant(t *testing.T) {
 }
 
 func TestContextualSearchRanksSearchPageToo(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildRosebudHistory(t, f)
 	e := NewEngine(f.s, Options{})
-	hits, _ := e.ContextualSearch("rosebud", 10)
+	hits, _, _ := e.View().Search(ctx, "rosebud", 10)
 	foundResults := false
 	for _, h := range hits {
 		if strings.Contains(h.URL, "search.example") {
@@ -134,10 +137,11 @@ func TestContextualSearchRanksSearchPageToo(t *testing.T) {
 }
 
 func TestContextualSearchWithHITS(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildRosebudHistory(t, f)
 	e := NewEngine(f.s, Options{UseHITS: true})
-	hits, _ := e.ContextualSearch("rosebud", 10)
+	hits, _, _ := e.View().Search(ctx, "rosebud", 10)
 	found := false
 	for _, h := range hits {
 		if strings.Contains(h.URL, "citizen-kane") {
@@ -150,21 +154,23 @@ func TestContextualSearchWithHITS(t *testing.T) {
 }
 
 func TestContextualSearchEmptyQuery(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildRosebudHistory(t, f)
 	e := NewEngine(f.s, Options{})
-	hits, _ := e.ContextualSearch("", 10)
+	hits, _, _ := e.View().Search(ctx, "", 10)
 	if len(hits) != 0 {
 		t.Fatalf("empty query returned %d hits", len(hits))
 	}
 }
 
 func TestContextualSearchBudgetTruncates(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildRosebudHistory(t, f)
 	// 1 ns budget: the expansion must stop immediately and flag it.
 	e := NewEngine(f.s, Options{Budget: time.Nanosecond})
-	_, meta := e.ContextualSearch("rosebud", 10)
+	_, meta, _ := e.View().Search(ctx, "rosebud", 10)
 	if !meta.Truncated {
 		t.Fatal("nanosecond budget not reported as truncated")
 	}
@@ -185,10 +191,11 @@ func buildGardenerHistory(t *testing.T, f *fixture) {
 }
 
 func TestPersonalizeFindsAssociatedTerm(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildGardenerHistory(t, f)
 	e := NewEngine(f.s, Options{})
-	suggestions, _ := e.Personalize("rosebud", 10)
+	suggestions, _, _ := e.View().Personalize(ctx, "rosebud", 10)
 	if len(suggestions) == 0 {
 		t.Fatal("no suggestions")
 	}
@@ -211,10 +218,11 @@ func TestPersonalizeFindsAssociatedTerm(t *testing.T) {
 }
 
 func TestAugmentQuery(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildGardenerHistory(t, f)
 	e := NewEngine(f.s, Options{})
-	augmented, _ := e.AugmentQuery("rosebud", 0)
+	augmented, _, _ := e.View().AugmentQuery(ctx, "rosebud", 0)
 	if augmented == "rosebud" {
 		t.Fatal("query not augmented")
 	}
@@ -229,10 +237,11 @@ func TestAugmentQuery(t *testing.T) {
 }
 
 func TestAugmentQueryNoHistory(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	f.visit(t, "http://only.example/", "Only page", "", event.TransTyped)
 	e := NewEngine(f.s, Options{})
-	augmented, _ := e.AugmentQuery("quantum chromodynamics", 0.001)
+	augmented, _, _ := e.View().AugmentQuery(ctx, "quantum chromodynamics", 0.001)
 	if augmented != "quantum chromodynamics" {
 		t.Fatalf("augmented unrelated query: %q", augmented)
 	}
@@ -260,10 +269,11 @@ func buildWineHistory(t *testing.T, f *fixture) {
 }
 
 func TestTimeContextualSearch(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildWineHistory(t, f)
 	e := NewEngine(f.s, Options{})
-	hits, meta := e.TimeContextualSearch("wine", "plane tickets", 5)
+	hits, meta, _ := e.View().TimeContextualSearch(ctx, "wine", "plane tickets", 5)
 	if len(hits) == 0 {
 		t.Fatal("no time-contextual hits")
 	}
@@ -277,17 +287,18 @@ func TestTimeContextualSearch(t *testing.T) {
 		t.Fatal("no elapsed time recorded")
 	}
 	// A plain wine search drowns the specific page in the other nine.
-	plain := e.TextualSearch("wine", 0)
+	plain, _, _ := e.View().TextualSearch(ctx, "wine", 0)
 	if len(plain) < 9 {
 		t.Fatalf("plain search found %d wine pages; fixture broken", len(plain))
 	}
 }
 
 func TestTimeContextualNoAnchorMatch(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildWineHistory(t, f)
 	e := NewEngine(f.s, Options{})
-	hits, _ := e.TimeContextualSearch("wine", "zebra migration", 5)
+	hits, _, _ := e.View().TimeContextualSearch(ctx, "wine", "zebra migration", 5)
 	if len(hits) != 0 {
 		t.Fatalf("hits with absent anchor: %+v", hits)
 	}
@@ -312,6 +323,7 @@ func buildMalwareHistory(t *testing.T, f *fixture) {
 }
 
 func TestDownloadLineageFindsRecognizableAncestor(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildMalwareHistory(t, f)
 	e := NewEngine(f.s, Options{})
@@ -319,7 +331,7 @@ func TestDownloadLineageFindsRecognizableAncestor(t *testing.T) {
 	if len(dls) != 2 {
 		t.Fatalf("downloads = %d", len(dls))
 	}
-	lin, meta := e.DownloadLineage(dls[0])
+	lin, meta, _ := e.View().DownloadLineage(ctx, dls[0])
 	if !lin.Found {
 		t.Fatal("no recognizable ancestor found")
 	}
@@ -346,12 +358,13 @@ func TestDownloadLineageFindsRecognizableAncestor(t *testing.T) {
 }
 
 func TestDescendantDownloads(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildMalwareHistory(t, f)
 	e := NewEngine(f.s, Options{})
 	// The user distrusts the shady landing page: find everything
 	// downloaded from it (both visit instances).
-	dls, _ := e.DescendantDownloads("http://shady.example/landing")
+	dls, _, _ := e.View().DescendantDownloads(ctx, "http://shady.example/landing")
 	if len(dls) != 2 {
 		t.Fatalf("descendant downloads = %d, want 2", len(dls))
 	}
@@ -365,16 +378,18 @@ func TestDescendantDownloads(t *testing.T) {
 }
 
 func TestDescendantDownloadsUnknownPage(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	buildMalwareHistory(t, f)
 	e := NewEngine(f.s, Options{})
-	dls, _ := e.DescendantDownloads("http://never-visited.example/")
+	dls, _, _ := e.View().DescendantDownloads(ctx, "http://never-visited.example/")
 	if len(dls) != 0 {
 		t.Fatalf("downloads for unknown page: %v", dls)
 	}
 }
 
 func TestAncestorTerms(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	f.visit(t, "http://home.example/", "Home", "", event.TransTyped)
 	results := f.search(t, "http://home.example/", "free codecs")
@@ -382,7 +397,7 @@ func TestAncestorTerms(t *testing.T) {
 	f.download(t, "http://cdn.example/x.exe", "http://shady.example/", "/tmp/x.exe")
 	e := NewEngine(f.s, Options{})
 	dls := f.s.Downloads()
-	terms, _ := e.AncestorTerms(dls[0])
+	terms, _, _ := e.View().AncestorTerms(ctx, dls[0])
 	if len(terms) != 1 || terms[0] != "free codecs" {
 		t.Fatalf("ancestor terms = %v", terms)
 	}
@@ -405,18 +420,31 @@ func TestRecognizablePredicate(t *testing.T) {
 		}
 		return p
 	}
-	if e.Recognizable(page("http://oneoff.example/")) {
+	if recognizable(t, e, page("http://oneoff.example/")) {
 		t.Fatal("one-off linked page recognizable")
 	}
-	if !e.Recognizable(page("http://popular.example/")) {
+	if !recognizable(t, e, page("http://popular.example/")) {
 		t.Fatal("typed page not recognizable")
 	}
-	if !e.Recognizable(page("http://marked.example/")) {
+	if !recognizable(t, e, page("http://marked.example/")) {
 		t.Fatal("bookmarked page not recognizable")
 	}
 }
 
+// recognizable judges n on a Run of a fresh View, as lineage queries
+// do, under e's base options.
+func recognizable(t *testing.T, e *Engine, n provgraph.Node) bool {
+	t.Helper()
+	r, err := e.View().Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Finish()
+	return r.Recognizable(n)
+}
+
 func TestLineageNoRecognizableAncestor(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	// Single unfamiliar chain, nothing typed or repeated... except the
 	// first navigation must come from somewhere; use a link-only chain by
@@ -426,7 +454,7 @@ func TestLineageNoRecognizableAncestor(t *testing.T) {
 	f.visit(t, "http://unknown2.example/", "U2", "http://unknown1.example/", event.TransLink)
 	f.download(t, "http://unknown2.example/f.bin", "http://unknown2.example/", "/tmp/f.bin")
 	e := NewEngine(f.s, Options{})
-	lin, _ := e.DownloadLineage(f.s.Downloads()[0])
+	lin, _, _ := e.View().DownloadLineage(ctx, f.s.Downloads()[0])
 	if lin.Found {
 		t.Fatal("found a recognizable ancestor in an unrecognizable chain")
 	}

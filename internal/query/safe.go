@@ -10,10 +10,8 @@ var ErrQueryPanic = errors.New("query: panic during execution")
 
 // Protect runs fn, converting a panic — the caller's own code or a
 // query kernel gone wrong — into an ErrQueryPanic-wrapped error instead
-// of letting it unwind past the request handler. The parallel expansion
-// kernels already relay worker panics onto the calling goroutine (see
-// internal/graph), so one Protect around a query contains every
-// goroutine the query spawned.
+// of letting it unwind past the request handler. Queries spawn no
+// goroutines, so one Protect around a query contains all of it.
 //
 // The daemon's per-request recover middleware is the backstop; Protect
 // is for callers that want the failure as an ordinary error with the

@@ -84,14 +84,6 @@ func (v *View) SessionOf(ctx context.Context, id provgraph.NodeID, opts ...Optio
 	return Session{}, false, r.Finish(), nil
 }
 
-// SessionOf is the deprecated engine-level form of View.SessionOf.
-//
-// Deprecated: use View().SessionOf.
-func (e *Engine) SessionOf(id provgraph.NodeID) (Session, bool) {
-	s, ok, _, _ := e.View().SessionOf(context.Background(), id)
-	return s, ok
-}
-
 // SessionSummary describes a session for display: its span and the
 // most-visited pages within it.
 type SessionSummary struct {

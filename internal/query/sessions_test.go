@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 )
 
 func TestSessionsSplitOnGaps(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	// Session 1: three visits within minutes.
 	f.visit(t, "http://a.example/", "A", "", event.TransTyped)
@@ -20,7 +22,7 @@ func TestSessionsSplitOnGaps(t *testing.T) {
 	f.visit(t, "http://e.example/", "E", "http://d.example/", event.TransLink)
 
 	e := NewEngine(f.s, Options{})
-	sessions := e.Sessions()
+	sessions, _, _ := e.View().Sessions(ctx)
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2", len(sessions))
 	}
@@ -33,14 +35,16 @@ func TestSessionsSplitOnGaps(t *testing.T) {
 }
 
 func TestSessionsEmptyHistory(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	e := NewEngine(f.s, Options{})
-	if got := e.Sessions(); len(got) != 0 {
+	if got, _, _ := e.View().Sessions(ctx); len(got) != 0 {
 		t.Fatalf("sessions on empty history = %d", len(got))
 	}
 }
 
 func TestSessionOfNode(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	f.visit(t, "http://one.example/", "One", "", event.TransTyped)
 	f.now = f.now.Add(3 * time.Hour)
@@ -49,7 +53,7 @@ func TestSessionOfNode(t *testing.T) {
 
 	e := NewEngine(f.s, Options{})
 	dl := f.s.Downloads()[0]
-	s, ok := e.SessionOf(dl)
+	s, ok, _, _ := e.View().SessionOf(ctx, dl)
 	if !ok {
 		t.Fatal("download's session not found")
 	}
@@ -71,6 +75,7 @@ func TestSessionOfNode(t *testing.T) {
 }
 
 func TestSummarizeSessions(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	for day := 0; day < 3; day++ {
 		f.visit(t, "http://daily.example/", "Daily", "", event.TransTyped)
@@ -78,7 +83,7 @@ func TestSummarizeSessions(t *testing.T) {
 		f.now = f.now.Add(24 * time.Hour)
 	}
 	e := NewEngine(f.s, Options{})
-	sums := e.SummarizeSessions(2)
+	sums, _, _ := e.View().SummarizeSessions(ctx, 2)
 	if len(sums) != 2 {
 		t.Fatalf("summaries = %d, want 2", len(sums))
 	}
@@ -92,6 +97,7 @@ func TestSummarizeSessions(t *testing.T) {
 }
 
 func TestSessionsBoundStaleTabs(t *testing.T) {
+	ctx := context.Background()
 	f := newFixture(t)
 	// A visit "closed" a day later (stale tab) must not stretch its
 	// session across the day.
@@ -102,7 +108,7 @@ func TestSessionsBoundStaleTabs(t *testing.T) {
 	f.visit(t, "http://next.example/", "Next", "", event.TransTyped)
 
 	e := NewEngine(f.s, Options{})
-	sessions := e.Sessions()
+	sessions, _, _ := e.View().Sessions(ctx)
 	if len(sessions) != 2 {
 		t.Fatalf("sessions = %d, want 2 (stale close must not merge them)", len(sessions))
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +43,7 @@ func noisyStore(t *testing.T) *provgraph.Store {
 }
 
 func TestRosebudScenario(t *testing.T) {
+	ctx := context.Background()
 	for name, mk := range map[string]func(*testing.T) *provgraph.Store{
 		"clean": emptyStore, "noisy": noisyStore,
 	} {
@@ -51,16 +53,17 @@ func TestRosebudScenario(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := query.NewEngine(s, query.Options{})
+			v := query.NewEngine(s, query.Options{}).View()
 
 			// Baseline misses the film page.
-			for _, h := range e.TextualSearch(truth.Query, 0) {
+			textual, _, _ := v.TextualSearch(ctx, truth.Query, 0)
+			for _, h := range textual {
 				if h.URL == truth.Expected {
 					t.Fatal("textual baseline found the causal page; scenario broken")
 				}
 			}
 			// Contextual search finds it near the top.
-			hits, _ := e.ContextualSearch(truth.Query, 10)
+			hits, _, _ := v.Search(ctx, truth.Query, 10)
 			rank := -1
 			for i, h := range hits {
 				if h.URL == truth.Expected {
@@ -79,13 +82,14 @@ func TestRosebudScenario(t *testing.T) {
 }
 
 func TestGardenerScenario(t *testing.T) {
+	ctx := context.Background()
 	s := noisyStore(t)
 	truth, err := InjectGardener(t0, 9001, s.Apply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := query.NewEngine(s, query.Options{})
-	suggestions, _ := e.Personalize(truth.Query, 8)
+	v := query.NewEngine(s, query.Options{}).View()
+	suggestions, _, _ := v.Personalize(ctx, truth.Query, 8)
 	ok := false
 	for _, sg := range suggestions {
 		for _, want := range truth.AssociatedTerms {
@@ -100,13 +104,14 @@ func TestGardenerScenario(t *testing.T) {
 }
 
 func TestWineScenario(t *testing.T) {
+	ctx := context.Background()
 	s := noisyStore(t)
 	truth, err := InjectWine(t0, 9001, s.Apply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := query.NewEngine(s, query.Options{})
-	hits, _ := e.TimeContextualSearch(truth.Query, truth.Anchor, 5)
+	v := query.NewEngine(s, query.Options{}).View()
+	hits, _, _ := v.TimeContextualSearch(ctx, truth.Query, truth.Anchor, 5)
 	if len(hits) == 0 {
 		t.Fatal("no time-contextual hits")
 	}
@@ -122,12 +127,13 @@ func TestWineScenario(t *testing.T) {
 }
 
 func TestMalwareScenario(t *testing.T) {
+	ctx := context.Background()
 	s := noisyStore(t)
 	truth, err := InjectMalware(t0, 9001, s.Apply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := query.NewEngine(s, query.Options{})
+	v := query.NewEngine(s, query.Options{}).View()
 
 	// Find the infected download node.
 	var dl provgraph.NodeID
@@ -141,7 +147,7 @@ func TestMalwareScenario(t *testing.T) {
 		t.Fatal("infected download not in store")
 	}
 
-	lin, _ := e.DownloadLineage(dl)
+	lin, _, _ := v.DownloadLineage(ctx, dl)
 	if !lin.Found {
 		t.Fatal("lineage found no recognizable ancestor")
 	}
@@ -151,7 +157,7 @@ func TestMalwareScenario(t *testing.T) {
 	}
 
 	// Descendant scan from the untrusted page finds every payload.
-	dls, _ := e.DescendantDownloads(truth.UntrustedPage)
+	dls, _, _ := v.DescendantDownloads(ctx, truth.UntrustedPage)
 	got := map[string]bool{}
 	for _, d := range dls {
 		got[d.Text] = true

@@ -13,14 +13,14 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 go test -run=NONE \
-  -bench 'BenchmarkSingleSearch$|BenchmarkParallelSearch$|BenchmarkParallelSearchContended$|BenchmarkPerCallOptions$|BenchmarkExpandParallelism$|BenchmarkE2aContextualSearch$|BenchmarkE2bPersonalize$|BenchmarkE2cTimeContext$|BenchmarkE2dLineage$|BenchmarkIngest$|BenchmarkIngestHTTP$|BenchmarkIngestParallelReaders$|BenchmarkApplyAcrossReseal$|BenchmarkColdOpen$|BenchmarkScrubOverhead$' \
+  -bench 'BenchmarkSingleSearch$|BenchmarkParallelSearch$|BenchmarkParallelSearchContended$|BenchmarkPerCallOptions$|BenchmarkE2aContextualSearch$|BenchmarkE2bPersonalize$|BenchmarkE2cTimeContext$|BenchmarkE2dLineage$|BenchmarkIngest$|BenchmarkIngestHTTP$|BenchmarkIngestParallelReaders$|BenchmarkApplyAcrossReseal$|BenchmarkColdOpen$|BenchmarkScrubOverhead$' \
   -benchmem -benchtime "$benchtime" . | tee "$tmp"
 
-# Scheduler sweep: the concurrency-sensitive benchmarks again at pinned
+# Scheduler sweep: the concurrent-search benchmark again at pinned
 # GOMAXPROCS, so scaling (and the serial floor) is part of the artifact.
 # Their rows keep an @cpuN suffix below.
 go test -run=NONE \
-  -bench 'BenchmarkParallelSearch$|BenchmarkExpandParallelism$' \
+  -bench 'BenchmarkParallelSearch$' \
   -cpu 1,4 -benchmem -benchtime "$benchtime" . | tee -a "$tmp"
 
 # Multi-tenant sweep: 10k small tenant stores behind a 128-store cap,

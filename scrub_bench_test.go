@@ -1,6 +1,7 @@
 package browserprov
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 // custom metrics are the headline: the sweep rides MAP_SHARED reads
 // and takes no store locks, so the deltas should be noise.
 func BenchmarkScrubOverhead(b *testing.B) {
+	ctx := context.Background()
 	h := parallelWorkload(b)
 	// A checkpoint on disk gives the sweep its section-verification
 	// half; without one it would only cover the WAL.
@@ -51,7 +53,7 @@ func BenchmarkScrubOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			start := time.Now()
-			h.Search(terms[i%len(terms)], 10)
+			h.View().Search(ctx, terms[i%len(terms)], 10)
 			lat = append(lat, float64(time.Since(start).Nanoseconds()))
 		}
 		b.StopTimer()
