@@ -86,25 +86,24 @@ func TestExpandArenaDeterministicUnderCap(t *testing.T) {
 // ExpandArena's exact result whatever par it is passed.
 func TestExpandArenaParMatchesSerial(t *testing.T) {
 	g, ids := benchGraph(3000, 4, 5)
-	run := func(expand func(a *Arena)) ([]NodeID, []float64) {
-		a := GetArena(int(g.MaxNodeID()) + 1)
-		defer a.Release()
+	want, got := GetArena(int(g.MaxNodeID())+1), GetArena(int(g.MaxNodeID())+1)
+	defer want.Release()
+	defer got.Release()
+	for _, a := range []*Arena{want, got} {
 		a.ResetExpand(a.NodeCap())
 		for i := 0; i < 40; i++ {
 			a.SeedExpand(ids[70*i+3], 1)
 		}
-		expand(a)
-		keys := append([]NodeID(nil), a.Scores.Keys()...)
-		vals := make([]float64, len(keys))
-		for i, id := range keys {
-			vals[i] = a.Scores.Get(id)
-		}
-		return keys, vals
 	}
-	wantK, wantV := run(func(a *Arena) { ExpandArena(g, a, Undirected, 0.5, 3, 2000, nil) })
-	gotK, gotV := run(func(a *Arena) { ExpandArenaPar(g, a, Undirected, 0.5, 3, 2000, 4, nil) })
-	if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) {
-		t.Fatalf("forwarder scored %d nodes, ExpandArena %d, or scores differ", len(gotK), len(wantK))
+	ExpandArena(g, want, Undirected, 0.5, 3, 2000, nil)
+	ExpandArenaPar(g, got, Undirected, 0.5, 3, 2000, 4, nil)
+	if !slices.Equal(got.Scores.Keys(), want.Scores.Keys()) {
+		t.Fatalf("forwarder scored %d nodes, ExpandArena %d", got.Scores.Len(), want.Scores.Len())
+	}
+	for _, id := range want.Scores.Keys() {
+		if got.Scores.Get(id) != want.Scores.Get(id) {
+			t.Fatalf("node %d: forwarder %g, ExpandArena %g", id, got.Scores.Get(id), want.Scores.Get(id))
+		}
 	}
 }
 

@@ -1013,29 +1013,31 @@ func (l *SnapLens) AppendOut(n NodeID, buf []NodeID) []NodeID {
 // predecessors, transitively.
 func (l *SnapLens) In(n NodeID) []NodeID { return l.AppendIn(n, nil) }
 
-// maxSpliceDepth bounds how deep In recurses through spliced
-// predecessors.
-const maxSpliceDepth = 32
+// maxSpliced bounds how many spliced predecessors one In call expands.
+const maxSpliced = 32
+
+// spliceWalk is one In call's record of the nodes it has expanded: its
+// root, then each spliced predecessor it recursed into.
+type spliceWalk struct {
+	entered [maxSpliced + 1]NodeID
+	n       int
+}
 
 // AppendIn implements graph.Appender.
 func (l *SnapLens) AppendIn(n NodeID, buf []NodeID) []NodeID {
-	buf, _ = l.appendIn(n, buf, nil, 0)
-	return buf
+	return l.appendIn(n, buf, nil)
 }
 
 // appendIn appends n's lens predecessors to buf, recursing through
-// spliced ones. entered lists the nodes this In call has expanded (its
-// root first; nil until the first spliced predecessor), and none is
-// expanded twice. When edges, not nodes, carry versions, redirects
-// form cycles, often over parallel edges, and without that rule In
-// walked every path through them to depth 32; on a dozen pages a pass
-// over the nodes ran for minutes. In a node-versioned history (a DAG) a
-// spliced node reaches n along one route unless it also links to a
-// second spliced node that does, so there the rule leaves In as it was.
-func (l *SnapLens) appendIn(n NodeID, buf, entered []NodeID, depth int) ([]NodeID, []NodeID) {
-	if depth > maxSpliceDepth {
-		return buf, entered
-	}
+// spliced ones. An In call expands at most maxSpliced spliced nodes,
+// and none twice. When edges, not nodes, carry versions, redirects form
+// cycles, often over parallel edges, and walking every path through
+// them to a depth bound costs branching^depth. In a node-versioned
+// history (a DAG) a node's spliced predecessors form one redirect
+// chain, so there the bound limits chain length and nothing else. w is
+// nil until the call meets its first spliced predecessor, so most In
+// calls never set one up.
+func (l *SnapLens) appendIn(n NodeID, buf []NodeID, w *spliceWalk) []NodeID {
 	for _, e := range l.sn.InEdges(n) {
 		if e.Kind == EdgeEmbed || e.Kind == EdgeFramedLink {
 			continue
@@ -1044,15 +1046,17 @@ func (l *SnapLens) appendIn(n NodeID, buf, entered []NodeID, depth int) ([]NodeI
 			buf = append(buf, e.From)
 			continue
 		}
-		if entered == nil {
-			entered = append(make([]NodeID, 0, 8), n) // n is the root
+		if w == nil {
+			w = &spliceWalk{n: 1}
+			w.entered[0] = n // n is the root
 		}
-		if !slices.Contains(entered, e.From) {
-			entered = append(entered, e.From)
-			buf, entered = l.appendIn(e.From, buf, entered, depth+1)
+		if w.n < len(w.entered) && !slices.Contains(w.entered[:w.n], e.From) {
+			w.entered[w.n] = e.From
+			w.n++
+			buf = l.appendIn(e.From, buf, w)
 		}
 	}
-	return buf, entered
+	return buf
 }
 
 // MaxNodeID implements graph.Bounded: the lens spans the same dense ID
