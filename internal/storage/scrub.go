@@ -29,9 +29,8 @@ var ErrUnrepairable = errors.New("storage: journal unrepairable")
 //
 // A torn tail (the normal residue of a crash) is NOT an error — open
 // truncates it. Mid-file corruption is: a frame that fails its CRC but
-// is followed by a CRC-valid successor at the boundary its length
-// implies cannot be a torn tail, so something flipped bytes inside the
-// log. That distinction matters because replay silently stops at the
+// is followed by a CRC-valid frame cannot be a torn tail, so something
+// flipped bytes inside the log. That distinction matters because replay silently stops at the
 // first bad frame — without this check, mid-file rot would quietly
 // amputate acknowledged entries at the next reopen.
 //
@@ -55,33 +54,71 @@ func ScrubWALFile(path string) (frames int, err error) {
 			return frames, err
 		}
 		if !ok {
-			// CRC-bad or torn at off. Plausible length + a valid successor
-			// frame right past it means mid-file corruption; otherwise this
-			// is the torn tail and the scrub is clean.
-			if length <= maxFieldLen {
-				nextOff := off + int64(walFrameHeader) + int64(length)
-				var h2 [walFrameHeader]byte
-				if ok2, _, err2 := readWALFrameAt(f, nextOff, h2[:], nil); err2 == nil && ok2 {
-					// Re-check the failing frame before crying corruption: on
-					// a live log the first read can catch a frame mid-flush
-					// that the writer completed (and followed) before the
-					// successor probe. Appends are sequential, so once a
-					// valid successor exists this frame's bytes are final.
-					if okRe, _, errRe := readWALFrameAt(f, off, header[:], nil); errRe == nil && okRe {
-						frames++
-						off = nextOff
-						continue
-					}
-					lsn := binary.LittleEndian.Uint64(header[8:])
-					return frames, fmt.Errorf("%w: lsn %d at offset %d (valid successor at %d)",
-						ErrWALReaderCorrupt, lsn, off, nextOff)
-				}
+			// CRC-bad or torn at off. A CRC-valid frame after it means
+			// mid-file corruption; otherwise this is the torn tail and
+			// the scrub is clean.
+			nextOff, found, err := walSuccessor(f, off, length)
+			if err != nil {
+				return frames, err
 			}
-			return frames, nil
+			if !found {
+				return frames, nil
+			}
+			// Re-check the failing frame before crying corruption: on a
+			// live log the first read can catch a frame mid-flush that
+			// the writer completed (and followed) before the successor
+			// probe. Appends are sequential, so once a valid successor
+			// exists this frame's bytes are final.
+			if okRe, lenRe, errRe := readWALFrameAt(f, off, header[:], nil); errRe == nil && okRe {
+				frames++
+				off += int64(walFrameHeader) + int64(lenRe)
+				continue
+			}
+			lsn := binary.LittleEndian.Uint64(header[8:])
+			return frames, fmt.Errorf("%w: lsn %d at offset %d (valid successor at %d)",
+				ErrWALReaderCorrupt, lsn, off, nextOff)
 		}
 		frames++
 		off += int64(walFrameHeader) + int64(length)
 	}
+}
+
+// walSuccessor looks for a CRC-valid frame after the bad frame at off
+// whose header claims length: first at the boundary that length gives,
+// then at every later offset, since rot in the length field itself
+// moves the boundary. It returns where the frame starts. The scan reads
+// the file in windows and CRC-checks only headers whose payload fits in
+// the file, so a torn tail costs one read.
+func walSuccessor(f *os.File, off int64, length uint32) (int64, bool, error) {
+	var h [walFrameHeader]byte
+	if length <= maxFieldLen {
+		next := off + walFrameHeader + int64(length)
+		if ok, _, err := readWALFrameAt(f, next, h[:], nil); err != nil || ok {
+			return next, ok, err
+		}
+	}
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false, err
+	}
+	const window = 64 << 10
+	buf := make([]byte, window+walFrameHeader)
+	for base := off + 1; base+walFrameHeader <= st.Size(); base += window {
+		n, err := f.ReadAt(buf, base)
+		if err != nil && err != io.EOF {
+			return 0, false, err
+		}
+		for i := 0; i < window && i+walFrameHeader <= n; i++ {
+			p := base + int64(i)
+			if p+walFrameHeader+int64(binary.LittleEndian.Uint32(buf[i+4:])) > st.Size() {
+				continue
+			}
+			if ok, _, err := readWALFrameAt(f, p, h[:], nil); err != nil || ok {
+				return p, ok, err
+			}
+		}
+	}
+	return 0, false, nil
 }
 
 // readWALFrameAt reads and CRC-checks the frame at off. ok reports a

@@ -323,29 +323,42 @@ func TestScrubWALFileCleanAndTorn(t *testing.T) {
 }
 
 func TestScrubWALFileMidFileCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/scrub.wal"
-	w, err := CreateWAL(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := w.Append([]byte(fmt.Sprintf("payload-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a payload byte of frame 1 (not the last frame): a CRC-valid
-	// successor follows, so this must be flagged as corruption, not torn.
+	// Rot in frame 1 (not the last frame) must be flagged as corruption,
+	// not taken for a torn tail, wherever in the frame it lands: in the
+	// payload a CRC-valid successor follows at the claimed boundary; in
+	// the length field the claimed boundary is wrong (or past any valid
+	// length), but a CRC-valid frame still follows.
 	frameLen := int64(walFrameHeader + len("payload-0"))
-	flipByte(t, path, frameLen+walFrameHeader+2)
-	frames, err := ScrubWALFile(path)
-	if !errors.Is(err, ErrWALReaderCorrupt) {
-		t.Fatalf("scrub = %d, %v; want ErrWALReaderCorrupt", frames, err)
-	}
-	if frames != 1 {
-		t.Fatalf("frames before corruption = %d, want 1", frames)
+	for _, tc := range []struct {
+		name string
+		off  int64 // within frame 1
+	}{
+		{"payload", walFrameHeader + 2},
+		{"length-low-byte", 4},
+		{"length-high-byte", 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := t.TempDir() + "/scrub.wal"
+			w, err := CreateWAL(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if _, err := w.Append([]byte(fmt.Sprintf("payload-%d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			flipByte(t, path, frameLen+tc.off)
+			frames, err := ScrubWALFile(path)
+			if !errors.Is(err, ErrWALReaderCorrupt) {
+				t.Fatalf("scrub = %d, %v; want ErrWALReaderCorrupt", frames, err)
+			}
+			if frames != 1 {
+				t.Fatalf("frames before corruption = %d, want 1", frames)
+			}
+		})
 	}
 }
