@@ -13,7 +13,7 @@ import (
 	"browserprov/internal/query"
 )
 
-var update = flag.Bool("update", false, "rewrite the paper-query goldens under testdata/")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
 
 // goldenSearchK is the result count of every search-like golden query.
 const goldenSearchK = 20
@@ -103,22 +103,52 @@ func TestPaperQueryGoldens(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "paper_queries.golden")
+	checkGolden(t, "paper_queries.golden", buf.Bytes())
+}
+
+// TestStorageScaleGoldens pins E1's durable footprints and E3's graph
+// scale on a fixed-seed history: the byte counts RunE1 reports for both
+// stores and the node, edge and event counts RunE3 reads off the
+// provenance store. A change to a checkpoint writer, the record dump E1
+// measures or event assembly moves these numbers; run with -update to
+// regenerate after a deliberate change.
+func TestStorageScaleGoldens(t *testing.T) {
+	w := buildSmall(t, 6, 37)
+	e1, err := RunE1(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e3 := RunE3(w)
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "e1 places_bytes %d\n", e1.PlacesBytes)
+	fmt.Fprintf(&buf, "e1 prov_bytes %d\n", e1.ProvBytes)
+	fmt.Fprintf(&buf, "e3 days %d\n", e3.Days)
+	fmt.Fprintf(&buf, "e3 events %d\n", e3.Events)
+	fmt.Fprintf(&buf, "e3 nodes %d\n", e3.Nodes)
+	fmt.Fprintf(&buf, "e3 edges %d\n", e3.Edges)
+	checkGolden(t, "storage_scale.golden", buf.Bytes())
+}
+
+// checkGolden compares got against testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run go test -run TestPaperQueryGoldens -update to create it)", err)
+		t.Fatalf("%v (run go test -run %s -update to create it)", err, t.Name())
 	}
-	if got := buf.Bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("paper query results differ from %s:\n%s", path, firstDiff(want, got))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("results differ from %s:\n%s", path, firstDiff(want, got))
 	}
 }
 
