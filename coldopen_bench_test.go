@@ -1,12 +1,9 @@
 // Cold-start benchmarks: the restart trajectory point. BenchmarkColdOpen
 // measures the full daemon-restart cycle — open the store, answer the
-// first query, shut down — over the ~60k-event replay, against both
-// checkpoint formats: the v1 per-record dump (decode every node and
-// edge group, N random B-tree inserts, first query retokenizes the
-// whole history and captures a full tail snapshot) and the v2 columnar
-// sealed-epoch dump (bulk-load arrays, bottom-up B-tree builds, text
-// index warm-started at the persisted watermark, store opens already
-// sealed).
+// first query, shut down — over the ~60k-event replay, from the
+// raw-column checkpoint: node columns and string blobs served off the
+// file, text index warm-started at the persisted watermark, store opens
+// already sealed.
 //
 // Run with:
 //
@@ -20,9 +17,9 @@ import (
 )
 
 // seedColdStore builds a store directory holding the full ingest replay
-// as one checkpoint (v1 or v2) and an empty WAL — the steady state a
-// daemon restarts from.
-func seedColdStore(b *testing.B, v2 bool) string {
+// as one checkpoint and an empty WAL — the steady state a daemon
+// restarts from.
+func seedColdStore(b *testing.B) string {
 	b.Helper()
 	dir, err := os.MkdirTemp("", "browserprov-coldopen-*")
 	if err != nil {
@@ -40,17 +37,12 @@ func seedColdStore(b *testing.B, v2 bool) string {
 			b.Fatal(err)
 		}
 	}
-	// Prime the engine so the v2 checkpoint carries a fully caught-up
-	// text index (the v1 format cannot, regardless).
+	// Prime the engine so the checkpoint carries a fully caught-up text
+	// index.
 	if _, _, err := h.View().TextualSearch(context.Background(), "topic", 1); err != nil {
 		b.Fatal(err)
 	}
-	if v2 {
-		err = h.Checkpoint()
-	} else {
-		err = h.Graph().CheckpointV1()
-	}
-	if err != nil {
+	if err := h.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
 	if err := h.Close(); err != nil {
@@ -60,12 +52,11 @@ func seedColdStore(b *testing.B, v2 bool) string {
 }
 
 // BenchmarkColdOpen is the headline: ns/op is one full restart cycle
-// (open → first contextual search answered → close). The v2 checkpoint
-// runs in both residency modes — "v2-mmap" serves node columns, string
-// blobs and text postings straight off the file mapping (the default),
-// "v2-copy" reads the file into one heap buffer (-mmap=false) — so the
-// bytes/op and allocs/op gap between them is exactly what the mapping
-// saves.
+// (open → first contextual search answered → close), in both residency
+// modes — "mmap" serves node columns, string blobs and text postings
+// straight off the file mapping (the default), "copy" reads the file
+// into one heap buffer (-mmap=false) — so the bytes/op and allocs/op gap
+// between them is exactly what the mapping saves.
 func BenchmarkColdOpen(b *testing.B) {
 	ctx := context.Background()
 	bench := func(dir string, sopts StoreOptions) func(b *testing.B) {
@@ -90,9 +81,7 @@ func BenchmarkColdOpen(b *testing.B) {
 			}
 		}
 	}
-	v1 := seedColdStore(b, false)
-	v2 := seedColdStore(b, true)
-	b.Run("v1", bench(v1, StoreOptions{}))
-	b.Run("v2-copy", bench(v2, StoreOptions{NoMmap: true}))
-	b.Run("v2-mmap", bench(v2, StoreOptions{}))
+	dir := seedColdStore(b)
+	b.Run("copy", bench(dir, StoreOptions{NoMmap: true}))
+	b.Run("mmap", bench(dir, StoreOptions{}))
 }

@@ -2,41 +2,50 @@ package provgraph
 
 import (
 	"fmt"
+	"sort"
+	"time"
 
 	"browserprov/internal/graph"
 	"browserprov/internal/storage"
 )
 
-// This file implements the v3 checkpoint schema: the same flattened
-// sealed epoch the v2 sectioned checkpoint persists, but with every
-// fixed-width column dumped as a raw little-endian array in its own
-// page-aligned section instead of a varint stream. The point is the
-// load path: where v2 decodes ~10^5 varints per column into freshly
-// allocated arrays (and materialises a ~140 B/node slab of Node
-// structs), a v3 open memory-maps the file and points the sealed epoch
-// straight at the section payloads — node fields are reconstructed on
-// demand from the mapped columns, strings are substrings of the mapped
-// blobs, and the CSR arrays are the file bytes themselves. Nothing is
-// copied until something actually needs a mutable form:
+// This file implements the store's checkpoint: a flattened sealed epoch
+// persisted as sections of a storage.SectionWriter file (the v3 schema
+// in the v4 container — the only checkpoint the store reads or writes).
+// Every fixed-width column is dumped as a raw little-endian array in its
+// own page-aligned section, so an open memory-maps the file and points
+// the sealed epoch straight at the section payloads — node fields are
+// reconstructed on demand from the mapped columns, strings are
+// substrings of the mapped blobs, and the CSR arrays are the file bytes
+// themselves. Nothing is copied until something actually needs a
+// mutable form:
 //
 //   - queries run entirely over the column-backed epoch (plus the
 //     rematerialised edge attribute slices, which are tiny — arcs, not
 //     nodes);
 //   - the first write THAWS the store (Store.thawLocked): the Node slab,
-//     the mutable maps and the B-trees materialise then, exactly as a v2
-//     load would have built them eagerly. A read-mostly daemon that
-//     restarts, answers queries and ingests nothing never pays for any
-//     of it.
+//     the mutable maps and the B-trees materialise then. A read-mostly
+//     daemon that restarts, answers queries and ingests nothing never
+//     pays for any of it.
 //
-// Durability and recovery semantics are unchanged: same journal
-// protocol, same section CRCs (verified lazily, on first access), same
-// fallback behaviour. A v3-writing binary still reads v2 checkpoints
-// through the legacy eager loader (see Store.loadSections).
+// Only the WAL tail remains to replay at open, as the unsealed overlay.
+// Section CRCs are verified lazily, on first access. The writer consumes
+// nothing but an immutable Snapshot capture plus an O(tabs) assembly
+// copy, both taken under a short lock — which is what lets
+// Store.Checkpoint stream the dump in the background while writers keep
+// appending (see Checkpoint in provgraph.go).
 
-// Section tags of the v3 schema. Tags 1–9 (secURLIndex, secTermIndex,
-// secAssembly, secText) are shared with v2 and keep their meaning; the
-// raw column sections start at 16.
+// Section tags of the checkpoint schema. The storage.SectionWriter
+// header carries the container format version; these tags version the
+// provenance schema within it. Tags 1–5 belonged to an earlier
+// varint-columnar schema and are not reused.
 const (
+	secURLIndex  = 6  // page IDs sorted by URL — urlIndex bulk-load stream
+	secTermIndex = 7  // latest term-instance IDs sorted by term — termIndex stream
+	secAssembly  = 8  // counters, per-tab cursors, pending joins
+	secText      = 9  // text-index postings + watermark (optional)
+	secDedup     = 10 // ingest event-ID dedup window, insertion order (optional)
+
 	secV3Meta      = 16 // varints: maxID, nArcs, numNodes
 	secV3Flags     = 17 // u8[maxID+1]: kind + nf* presence bits
 	secV3Open      = 18 // i64[maxID+1]: open unix-micros
@@ -64,6 +73,66 @@ const (
 	secV3Downloads = 40 // u64[nDownloads], creation order
 )
 
+// Node column flag bits. Low three bits hold the NodeKind (0 = gap left
+// by retention); the rest mark optional per-node columns.
+const (
+	nfKindMask = 0x07
+	nfClose    = 0x08
+	nfURL      = 0x10
+	nfTitle    = 0x20
+	nfText     = 0x40
+	nfSeq      = 0x80
+)
+
+// assemblyCapture is the O(tabs) copy of the store's event-assembly
+// state a checkpoint takes under the lock.
+type assemblyCapture struct {
+	nextNode      NodeID
+	mode          VersioningMode
+	tabCur        map[int]NodeID
+	pendingSearch map[int]pending
+	pendingForm   map[int]pending
+	dedupIDs      []string // ingest dedup window, insertion order
+}
+
+// captureAssemblyLocked copies the assembly state. Caller holds mu.
+func (s *Store) captureAssemblyLocked() assemblyCapture {
+	asm := assemblyCapture{
+		nextNode:      s.nextNode,
+		mode:          s.mode,
+		tabCur:        make(map[int]NodeID, len(s.tabCur)),
+		pendingSearch: make(map[int]pending, len(s.pendingSearch)),
+		pendingForm:   make(map[int]pending, len(s.pendingForm)),
+	}
+	for t, v := range s.tabCur {
+		asm.tabCur[t] = v
+	}
+	for t, p := range s.pendingSearch {
+		asm.pendingSearch[t] = p
+	}
+	for t, p := range s.pendingForm {
+		asm.pendingForm[t] = p
+	}
+	asm.dedupIDs = s.dedup.snapshot()
+	return asm
+}
+
+// micro returns t as Unix microseconds, with the zero time mapped to 0
+// (the same convention as the storage codec).
+func micro(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixMicro()
+}
+
+func microTime(us int64) time.Time {
+	if us == 0 {
+		return time.Time{}
+	}
+	return time.UnixMicro(us).UTC()
+}
+
 // writeSnapshotV3 streams a flattened epoch as raw column sections. It
 // reads the epoch only through its accessors, so it serves both
 // slab-backed epochs (flattened live state) and column-backed ones (a
@@ -86,10 +155,10 @@ func writeSnapshotV3(w *storage.SectionWriter, ep *sealedEpoch, asm assemblyCapt
 
 	// span writes one string field: a visit field equal to its page's is
 	// stored as the page's span (page IDs always precede their visits),
-	// anything else appends its own bytes. The nf* presence bit mirrors
-	// the v2 semantics — set exactly when the node owns its bytes — so a
-	// genuinely empty visit title under a titled page stays a zero-length
-	// own span, not a resurrected page title.
+	// anything else appends its own bytes. The nf* presence bit is set
+	// exactly when the node owns its bytes, so a genuinely empty visit
+	// title under a titled page stays a zero-length own span, not a
+	// resurrected page title.
 	span := func(off []uint32, blob []byte, id NodeID, v string, pageID NodeID, pv string, shared bool) []byte {
 		if shared && v == pv {
 			off[2*id], off[2*id+1] = off[2*pageID], off[2*pageID+1]
@@ -218,32 +287,119 @@ func writeSnapshotV3(w *storage.SectionWriter, ep *sealedEpoch, asm assemblyCapt
 	return writeTextSection(w, text, textWM)
 }
 
-// loadSections is the journal's LoadSections callback: it dispatches on
-// the schema the checkpoint carries. v3 files load lazily through the
-// column-backed path; v2 files take the legacy eager path. Either way
-// the loaded state aliases section payloads (column arrays and strings
-// in v3, recovered text postings in both), so the store takes ownership
-// of the file's reference here and holds it until the last pinned read
-// after Close — see Store.unpin.
-func (s *Store) loadSections(f *storage.SectionFile) error {
-	s.sect = f
-	if f.Has(secV3Meta) {
-		return s.loadSnapshotV3(f)
+// writeSortedIDs persists a secondary-index stream: node IDs sorted by
+// their key. The keys themselves live in the node columns, so the
+// sections cost a few bytes per entry and the loader bulk-builds each
+// B-tree from one linear pass with zero re-sorting.
+func writeSortedIDs(w *storage.SectionWriter, tag uint32, byKey map[string]NodeID) error {
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
 	}
-	secs, err := f.All()
+	sort.Strings(keys)
+	return w.WriteSection(tag, func(e *storage.Encoder) error {
+		e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			e.Uvarint(uint64(byKey[k]))
+		}
+		return nil
+	})
+}
+
+// writeAssemblySection persists the per-tab event-assembly state.
+func writeAssemblySection(w *storage.SectionWriter, asm assemblyCapture) error {
+	return w.WriteSection(secAssembly, func(e *storage.Encoder) error {
+		e.Uvarint(uint64(asm.nextNode))
+		e.Uvarint(uint64(asm.mode))
+		tabs := make([]int, 0, len(asm.tabCur))
+		for t := range asm.tabCur {
+			tabs = append(tabs, t)
+		}
+		sort.Ints(tabs)
+		e.Uvarint(uint64(len(tabs)))
+		for _, t := range tabs {
+			e.Varint(int64(t))
+			e.Uvarint(uint64(asm.tabCur[t]))
+		}
+		writePending := func(m map[int]pending) {
+			ks := make([]int, 0, len(m))
+			for t := range m {
+				ks = append(ks, t)
+			}
+			sort.Ints(ks)
+			e.Uvarint(uint64(len(ks)))
+			for _, t := range ks {
+				e.Varint(int64(t))
+				e.Uvarint(uint64(m[t].node))
+				e.String(m[t].url)
+			}
+		}
+		writePending(asm.pendingSearch)
+		writePending(asm.pendingForm)
+		return nil
+	})
+}
+
+// writeDedupSection persists the ingest dedup window in insertion order
+// (skipped when empty, so stores that never saw keyed ingest produce
+// checkpoints byte-identical to pre-dedup builds). The section is
+// optional at load.
+func writeDedupSection(w *storage.SectionWriter, ids []string) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	return w.WriteSection(secDedup, func(e *storage.Encoder) error {
+		e.Uvarint(uint64(len(ids)))
+		for _, id := range ids {
+			e.String(id)
+		}
+		return nil
+	})
+}
+
+// readDedupSection restores the ingest dedup window. Strings are copied
+// out of the section payload by construction (byte-to-string
+// conversion), so aliasing the checkpoint buffer here is safe.
+func (s *Store) readDedupSection(p []byte) error {
+	d := storage.NewDecoder(p)
+	count, err := d.Uvarint()
 	if err != nil {
 		return err
 	}
-	return s.loadSnapshotV2(secs)
+	for i := uint64(0); i < count; i++ {
+		id, err := d.String()
+		if err != nil {
+			return err
+		}
+		s.dedup.add(id)
+	}
+	return nil
 }
 
-// loadSnapshotV3 installs a column-backed sealed epoch over the section
-// file's payloads. Only the per-arc attribute slices and the visit
-// timeline are materialised (both are small — arcs and visits, not a
-// per-node slab); everything per-node stays in the mapped columns.
-// Mutable store state is NOT built here: s.thaw holds the deferred
-// installation and runs on the first write (see thawLocked).
-func (s *Store) loadSnapshotV3(f *storage.SectionFile) error {
+// writeTextSection persists the text-index postings (skipped when nil).
+func writeTextSection(w *storage.SectionWriter, text []byte, textWM NodeID) error {
+	if text == nil {
+		return nil
+	}
+	return w.WriteSection(secText, func(e *storage.Encoder) error {
+		e.Uvarint(uint64(textWM))
+		e.Raw(text)
+		return nil
+	})
+}
+
+// loadSections is the journal's LoadSections callback: it installs a
+// column-backed sealed epoch over the section file's payloads. Only the
+// per-arc attribute slices and the visit timeline are materialised (both
+// are small — arcs and visits, not a per-node slab); everything per-node
+// stays in the mapped columns. Mutable store state is NOT built here:
+// s.thaw holds the deferred installation and runs on the first write
+// (see thawLocked). The loaded state aliases section payloads (column
+// arrays, strings, recovered text postings), so the store takes
+// ownership of the file's reference here and holds it until the last
+// pinned read after Close — see Store.unpin.
+func (s *Store) loadSections(f *storage.SectionFile) error {
+	s.sect = f
 	sec := func(tag uint32, name string) ([]byte, error) {
 		p, err := f.Section(tag)
 		if err != nil {
@@ -540,9 +696,9 @@ func (s *Store) loadSnapshotV3(f *storage.SectionFile) error {
 
 // thawV3 materialises the store's mutable state from a column-backed
 // epoch: the Node slab, the pointer map, capacity-clamped adjacency
-// rows, the per-page visit lists and the secondary B-trees — the exact
-// state an eager v2 load installs at open. Runs once, under the write
-// lock, triggered by the first mutation (or locked store-level read).
+// rows, the per-page visit lists and the secondary B-trees — the state
+// live ingest would have built. Runs once, under the write lock,
+// triggered by the first mutation (or locked store-level read).
 func (s *Store) thawV3(ep *sealedEpoch, cols *nodeCols, outOff []uint32, outAdj []NodeID,
 	urlIdxP, termIdxP []byte, numNodes int) {
 	maxID := ep.maxID
@@ -635,4 +791,87 @@ func (s *Store) thawV3(ep *sealedEpoch, cols *nodeCols, outOff []uint32, outAdj 
 		}
 	}
 	s.heapLoadBytes += int64(maxID+1) * nodeStructBytes
+}
+
+// readAssemblySection restores the per-tab event-assembly state.
+func (s *Store) readAssemblySection(p []byte) error {
+	d := storage.NewDecoder(p)
+	nn, err := d.Uvarint()
+	if err != nil {
+		return err
+	}
+	s.nextNode = NodeID(nn)
+	md, err := d.Uvarint()
+	if err != nil {
+		return err
+	}
+	s.mode = VersioningMode(md)
+	ntabs, err := d.Uvarint()
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < ntabs; i++ {
+		t, err := d.Varint()
+		if err != nil {
+			return err
+		}
+		v, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		s.tabCur[int(t)] = NodeID(v)
+	}
+	readPending := func(m map[int]pending) error {
+		np, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		for i := uint64(0); i < np; i++ {
+			t, err := d.Varint()
+			if err != nil {
+				return err
+			}
+			nd, err := d.Uvarint()
+			if err != nil {
+				return err
+			}
+			u, err := d.String()
+			if err != nil {
+				return err
+			}
+			m[int(t)] = pending{node: NodeID(nd), url: u}
+		}
+		return nil
+	}
+	if err := readPending(s.pendingSearch); err != nil {
+		return err
+	}
+	return readPending(s.pendingForm)
+}
+
+// loadSortedIndex bulk-builds a B-tree from a persisted sorted-ID
+// stream, rehydrating each entry's key from the node table via key.
+func loadSortedIndex(p []byte, name string, maxID NodeID, key func(id NodeID) string, t *storage.BTree) error {
+	d := storage.NewDecoder(p)
+	n, err := d.Uvarint()
+	if err != nil {
+		return err
+	}
+	var keyBuf []byte
+	i := uint64(0)
+	var decodeErr error
+	t.BulkLoad(func() ([]byte, uint64, bool) {
+		if i >= n || decodeErr != nil {
+			return nil, 0, false
+		}
+		id, err := d.Uvarint()
+		if err != nil || id == 0 || NodeID(id) > maxID {
+			decodeErr = fmt.Errorf("provgraph: checkpoint %s entry %d invalid (%v)", name, i, err)
+			return nil, 0, false
+		}
+		i++
+		keyBuf = append(keyBuf[:0], key(NodeID(id))...)
+		return keyBuf, id, true
+	})
+	return decodeErr
 }

@@ -1,6 +1,7 @@
 package provgraph
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,7 +22,7 @@ func applyAll(t *testing.T, s *Store, evs []*event.Event) {
 	}
 }
 
-// TestCheckpointV2RoundTrip: a columnar checkpoint plus WAL tail must
+// TestCheckpointV2RoundTrip: a checkpoint plus WAL tail must
 // reopen into exactly the store the full event replay builds — and the
 // reopened store must come up already sealed, with the tail overlay
 // machinery (dirty tracking, reseals, retention) fully functional on
@@ -46,12 +47,12 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 	re := openStore(t, dir)
 	defer re.Close()
 	if re.sealedMaxNow() == 0 {
-		t.Fatal("v2-loaded store did not come up sealed")
+		t.Fatal("checkpoint-loaded store did not come up sealed")
 	}
 	storesMustMatch(t, ref, re)
 	snapMustMatchStore(t, re, re.Snapshot())
 	if cyc := re.VerifyDAG(); cyc != nil {
-		t.Fatalf("cycle after v2 recovery: %v", cyc)
+		t.Fatalf("cycle after checkpoint recovery: %v", cyc)
 	}
 
 	// The bulk-loaded store keeps working as a live store: new events
@@ -72,7 +73,7 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 }
 
 // TestCheckpointV2NoTailSealed: with no WAL tail, the first snapshot
-// after a v2 open is completely flat — the checkpoint IS the sealed
+// after an open is completely flat — the checkpoint IS the sealed
 // epoch and nothing needs capturing.
 func TestCheckpointV2NoTailSealed(t *testing.T) {
 	dir := t.TempDir()
@@ -88,7 +89,7 @@ func TestCheckpointV2NoTailSealed(t *testing.T) {
 	defer re.Close()
 	sn := re.Snapshot()
 	if sn.sealed == nil || sn.base != nil {
-		t.Fatal("first snapshot after v2 open is not flat-sealed")
+		t.Fatal("first snapshot after open is not flat-sealed")
 	}
 	if len(sn.tailNodes) != 0 || len(sn.tailOut) != 0 {
 		t.Fatalf("tail not empty after tail-less open: %d nodes, %d adj",
@@ -97,48 +98,49 @@ func TestCheckpointV2NoTailSealed(t *testing.T) {
 	snapMustMatchStore(t, re, sn)
 }
 
-// TestCheckpointV1V2Equivalence is the format-compatibility contract:
-// the same history checkpointed through the legacy v1 record dump and
-// the columnar v2 dump must load into identical graph state — across a
-// WAL tail, and in both versioning modes.
+// TestCheckpointV1V2Equivalence (named for the record-dump comparison
+// it once made) is the checkpoint round trip in both versioning modes:
+// a checkpoint plus WAL tail must reopen into exactly the store a full
+// event replay builds, and identical follow-on ingest must keep the two
+// identical.
 func TestCheckpointV1V2Equivalence(t *testing.T) {
 	for _, mode := range []VersioningMode{VersionNodes, VersionEdges} {
 		t.Run(mode.String(), func(t *testing.T) {
 			evs := genIngestEvents(250, t0)
-			dirs := [2]string{t.TempDir(), t.TempDir()}
-			for i, ckpt := range [2]func(*Store) error{(*Store).CheckpointV1, (*Store).Checkpoint} {
-				s, err := OpenWith(dirs[i], Options{Mode: mode})
+			open := func(dir string) *Store {
+				s, err := OpenWith(dir, Options{Mode: mode})
 				if err != nil {
 					t.Fatal(err)
 				}
-				applyAll(t, s, evs[:180])
-				if err := ckpt(s); err != nil {
-					t.Fatal(err)
-				}
-				applyAll(t, s, evs[180:])
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
-				}
+				return s
 			}
-			v1, err := OpenWith(dirs[0], Options{Mode: mode})
-			if err != nil {
+			dir := t.TempDir()
+			s := open(dir)
+			applyAll(t, s, evs[:180])
+			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			defer v1.Close()
-			v2, err := OpenWith(dirs[1], Options{Mode: mode})
-			if err != nil {
+			applyAll(t, s, evs[180:])
+			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			defer v2.Close()
-			storesMustMatch(t, v1, v2)
-			snapMustMatchStore(t, v2, v2.Snapshot())
-			// Identical follow-on ingest must keep them identical: the
-			// loaded assembly state (tab cursors, pending joins) steers
+			ref := open(t.TempDir())
+			defer ref.Close()
+			applyAll(t, ref, evs)
+			re := open(dir)
+			defer re.Close()
+			if re.Mode() != mode {
+				t.Fatalf("reopened mode %v, want %v", re.Mode(), mode)
+			}
+			storesMustMatch(t, ref, re)
+			snapMustMatchStore(t, re, re.Snapshot())
+			// The loaded assembly state (tab cursors, pending joins) steers
 			// how the next events fold in.
 			more := genIngestEvents(60, t0.Add(7000*time.Minute))
-			applyAll(t, v1, more)
-			applyAll(t, v2, more)
-			storesMustMatch(t, v1, v2)
+			applyAll(t, ref, more)
+			applyAll(t, re, more)
+			storesMustMatch(t, ref, re)
+			snapMustMatchStore(t, re, re.Snapshot())
 		})
 	}
 }
@@ -404,8 +406,7 @@ func TestCheckpointAcrossResealInFlight(t *testing.T) {
 // TestCheckpointV2EmptyVisitTitleFidelity: the elision flag, not
 // string emptiness, marks a visit title as equal-to-page — a visit
 // whose title is genuinely empty while its page has one must come back
-// empty, not resurrect the page title. (The v1 record format cannot
-// represent this case; v2 must.)
+// empty, not resurrect the page title.
 func TestCheckpointV2EmptyVisitTitleFidelity(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -436,7 +437,7 @@ func TestCheckpointV2EmptyVisitTitleFidelity(t *testing.T) {
 	for i, id := range visits {
 		n, _ := re.NodeByID(id)
 		if !sameNode(n, before[i]) {
-			t.Fatalf("visit %d drifted across v2 round trip: %+v -> %+v", id, before[i], n)
+			t.Fatalf("visit %d drifted across checkpoint round trip: %+v -> %+v", id, before[i], n)
 		}
 	}
 }
@@ -469,109 +470,175 @@ func TestCheckpointIdleSkip(t *testing.T) {
 	}
 }
 
-// TestCheckpointV2SizeCompact: sanity-check the columnar formats' size
-// premises. The legacy varint-columnar (v2) schema must not be larger
-// than the v1 record dump of the same store. The raw-column (v3) schema
-// Checkpoint writes deliberately trades bytes for zero-copy mmap loading
-// (fixed-width arrays, page-aligned sections), so it only gets a bounded
-// overhead: at most 2x the record dump plus the worst-case alignment
-// padding of its section count.
+// TestCheckpointV2SizeCompact: sanity-check the checkpoint's size
+// premise. The raw-column schema deliberately trades bytes for
+// zero-copy mmap loading (fixed-width arrays, page-aligned sections), so
+// against the record dump E1 measures it only gets a bounded overhead:
+// at most 2x the dump plus the worst-case alignment padding of its
+// section count.
 func TestCheckpointV2SizeCompact(t *testing.T) {
-	evs := genIngestEvents(500, t0)
-	sizes := make([]int64, 2)
-	var v2Size int64
-	for i, ckpt := range [2]func(*Store) error{(*Store).CheckpointV1, (*Store).Checkpoint} {
-		s := openStore(t, t.TempDir())
-		applyAll(t, s, evs)
-		if err := ckpt(s); err != nil {
-			t.Fatal(err)
-		}
-		sizes[i] = s.CheckpointInfo().Bytes
-		if i == 1 {
-			// Same store, legacy v2 schema, written directly.
-			s.mu.Lock()
-			sn := s.snapshotLocked()
-			asm := s.captureAssemblyLocked()
-			s.mu.Unlock()
-			ep := flattenEpoch(sn)
-			path := filepath.Join(t.TempDir(), "v2.snap")
-			w, err := storage.CreateSectionFileV2(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := writeSnapshotV2(w, ep, asm, nil, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			fi, err := os.Stat(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v2Size = fi.Size()
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Logf("v1 checkpoint %d bytes, v2 %d bytes, v3 %d bytes", sizes[0], v2Size, sizes[1])
-	if v2Size > sizes[0] {
-		t.Fatalf("columnar checkpoint (%d B) larger than record checkpoint (%d B)", v2Size, sizes[0])
-	}
-	if lim := 2*sizes[0] + 40*4096; sizes[1] > lim {
-		t.Fatalf("raw-column checkpoint (%d B) exceeds overhead bound (%d B)", sizes[1], lim)
-	}
-}
-
-// TestLegacyV2SchemaReopen: stores checkpointed by the previous release
-// (varint-columnar v2 schema in the unaligned container) must keep
-// opening byte-for-byte correctly now that Checkpoint writes the
-// raw-column v3 schema. The journal metadata names the snap path without
-// hashing its contents, so rewriting the file in the legacy schema
-// in-place is exactly the upgrade-in-progress state a user's disk holds.
-func TestLegacyV2SchemaReopen(t *testing.T) {
-	dir := t.TempDir()
-	evs := genIngestEvents(300, t0)
-	s := openStore(t, dir)
-	applyAll(t, s, evs)
+	s := openStore(t, t.TempDir())
+	defer s.Close()
+	applyAll(t, s, genIngestEvents(500, t0))
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	sn := s.snapshotLocked()
-	asm := s.captureAssemblyLocked()
-	s.mu.Unlock()
-	ep := flattenEpoch(sn)
+	ckpt := s.CheckpointInfo().Bytes
+	dump, err := s.RecordDumpBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("record dump %d bytes, checkpoint %d bytes", dump, ckpt)
+	if dump == 0 {
+		t.Fatal("empty record dump of a populated store")
+	}
+	if lim := 2*dump + 40*4096; ckpt > lim {
+		t.Fatalf("checkpoint (%d B) exceeds overhead bound (%d B)", ckpt, lim)
+	}
+}
+
+// TestRecordDumpAfterMappedReopen: the record dump reads the store
+// through its sealed epoch, so a store freshly reopened from a mapped
+// checkpoint (its write-side state not yet thawed) dumps exactly what
+// the store that built it dumps, and dumping leaves the journal alone.
+func TestRecordDumpAfterMappedReopen(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	applyAll(t, s, genIngestEvents(300, t0))
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.RecordDumpBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStats := s.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "provgraph.snap.000001")
-	w, err := storage.CreateSectionFileV2(path)
+	re := openStore(t, dir)
+	if re.MappedInfo().MappedBytes == 0 {
+		t.Fatal("fixture: reopened store is not mapped")
+	}
+	got, err := re.RecordDumpBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshotV2(w, ep, asm, nil, 0); err != nil {
+	if got != want {
+		t.Fatalf("record dump after reopen = %d B, want %d B", got, want)
+	}
+	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	re2 := openStore(t, dir)
+	defer re2.Close()
+	if st := re2.Stats(); st != wantStats {
+		t.Fatalf("stats after dump and reopen = %+v, want %+v", st, wantStats)
 	}
+}
 
-	ref := openStore(t, t.TempDir())
-	defer ref.Close()
-	applyAll(t, ref, evs)
-
-	re := openStore(t, dir)
-	defer re.Close()
-	storesMustMatch(t, ref, re)
-	if mi := re.MappedInfo(); mi.MappedBytes != 0 {
-		t.Fatalf("legacy v2 load claimed mapped residency: %+v", mi)
-	}
-	// And the store upgrades itself on its next checkpoint.
-	applyAll(t, re, genIngestEvents(10, t0.Add(time.Hour)))
-	if err := re.Checkpoint(); err != nil {
+// snapshotFiles reads every file in dir, for checking that a failed
+// open left the store's files untouched.
+func snapshotFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	files := make(map[string]string, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// mustRefuseOpen asserts that opening dir fails with want and changes
+// none of its files.
+func mustRefuseOpen(t *testing.T, dir string, want error) {
+	t.Helper()
+	before := snapshotFiles(t, dir)
+	for _, noMmap := range []bool{false, true} {
+		s, err := OpenWith(dir, Options{NoMmap: noMmap})
+		if err == nil {
+			s.Close()
+			t.Fatalf("NoMmap=%v: open succeeded, want %v", noMmap, want)
+		}
+		if !errors.Is(err, want) {
+			t.Fatalf("NoMmap=%v: open err = %v, want %v", noMmap, err, want)
+		}
+	}
+	after := snapshotFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused open changed the file set: %d -> %d files", len(before), len(after))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Fatalf("refused open changed %s", name)
+		}
+	}
+}
+
+// TestOpenRefusesHeapSnapshot: a store whose current snapshot is a
+// record-format heap file (what older releases wrote) must fail to
+// open, not come up with only its WAL tail.
+func TestOpenRefusesHeapSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	applyAll(t, s, genIngestEvents(120, t0))
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	applyAll(t, s, genIngestEvents(10, t0.Add(time.Hour)))
+	s.mu.Lock()
+	sn := s.snapshotLocked()
+	asm := s.captureAssemblyLocked()
+	s.mu.Unlock()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Replace the named checkpoint with a record dump of the same state.
+	path := filepath.Join(dir, "provgraph.snap.000001")
+	h, err := storage.CreateHeapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRecordDump(h, sn.flatEpoch(), asm); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mustRefuseOpen(t, dir, storage.ErrBadVersion)
+}
+
+// TestOpenRefusesOldContainerVersion: a checkpoint whose container
+// header names an older version fails to open with ErrBadVersion.
+func TestOpenRefusesOldContainerVersion(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	applyAll(t, s, genIngestEvents(120, t0))
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "provgraph.snap.000001")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b[4] != 4 {
+		t.Fatalf("fixture: container version byte = %d, want 4", b[4])
+	}
+	b[4] = 3
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustRefuseOpen(t, dir, storage.ErrBadVersion)
 }

@@ -241,69 +241,61 @@ func TestDedupSurvivesWALReplay(t *testing.T) {
 // after the WAL prefix is dropped, redelivery is still deduplicated,
 // and the recovered store matches a store that saw each batch once.
 func TestDedupSurvivesCheckpoint(t *testing.T) {
-	for _, ckpt := range []struct {
-		name string
-		do   func(s *Store) error
-	}{
-		{"v3", func(s *Store) error { return s.Checkpoint() }},
-		{"v1", func(s *Store) error { return s.CheckpointV1() }},
-	} {
-		t.Run(ckpt.name, func(t *testing.T) {
-			dir := t.TempDir()
-			evs := genIngestEvents(30, time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC))
-			ids := batchIDs("c", len(evs))
-			tail := genIngestEvents(8, time.Date(2026, 3, 3, 9, 0, 0, 0, time.UTC))
-			tailIDs := batchIDs("t", len(tail))
+	t.Run("v3", func(t *testing.T) {
+		dir := t.TempDir()
+		evs := genIngestEvents(30, time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC))
+		ids := batchIDs("c", len(evs))
+		tail := genIngestEvents(8, time.Date(2026, 3, 3, 9, 0, 0, 0, time.UTC))
+		tailIDs := batchIDs("t", len(tail))
 
-			s, err := Open(dir)
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ApplyBatchDedup(ids, evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		// Keyed WAL tail on top of the checkpoint.
+		if _, err := s.ApplyBatchDedup(tailIDs, tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		if got, want := s2.DedupWindowLen(), len(evs)+len(tail); got != want {
+			t.Fatalf("window after recovery holds %d IDs, want %d", got, want)
+		}
+		for _, batch := range [][2]interface{}{{ids, evs}, {tailIDs, tail}} {
+			applied, err := s2.ApplyBatchDedup(batch[0].([]string), batch[1].([]*event.Event))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.ApplyBatchDedup(ids, evs); err != nil {
-				t.Fatal(err)
+			if countApplied(applied) != 0 {
+				t.Fatalf("redelivery after recovery applied %d events, want 0", countApplied(applied))
 			}
-			if err := ckpt.do(s); err != nil {
-				t.Fatal(err)
-			}
-			// Keyed WAL tail on top of the checkpoint.
-			if _, err := s.ApplyBatchDedup(tailIDs, tail); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
 
-			s2, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			if got, want := s2.DedupWindowLen(), len(evs)+len(tail); got != want {
-				t.Fatalf("window after recovery holds %d IDs, want %d", got, want)
-			}
-			for _, batch := range [][2]interface{}{{ids, evs}, {tailIDs, tail}} {
-				applied, err := s2.ApplyBatchDedup(batch[0].([]string), batch[1].([]*event.Event))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if countApplied(applied) != 0 {
-					t.Fatalf("redelivery after recovery applied %d events, want 0", countApplied(applied))
-				}
-			}
-
-			// Reference store that saw everything exactly once.
-			ref, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			if _, err := ref.ApplyBatchDedup(ids, evs); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ref.ApplyBatchDedup(tailIDs, tail); err != nil {
-				t.Fatal(err)
-			}
-			storesMustMatch(t, ref, s2)
-		})
-	}
+		// Reference store that saw everything exactly once.
+		ref, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+		if _, err := ref.ApplyBatchDedup(ids, evs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.ApplyBatchDedup(tailIDs, tail); err != nil {
+			t.Fatal(err)
+		}
+		storesMustMatch(t, ref, s2)
+	})
 }

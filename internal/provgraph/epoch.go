@@ -417,6 +417,19 @@ func (s *Store) Sealing() bool {
 // foreground queries and ingest (§5 "contended" benchmarks).
 const flattenRowBlock = 4096
 
+// flatEpoch returns the capture as one flat sealed epoch. A flat
+// capture with an empty tail IS its sealed epoch and is reused rather
+// than reproduced element by element; anything else is flattened (the
+// same O(n) pass background reseals run).
+func (sn *Snapshot) flatEpoch() *sealedEpoch {
+	ep := sn.sealed
+	if ep == nil || sn.base != nil || sn.maxID != ep.maxID ||
+		len(sn.tailNodes)+len(sn.tailOut)+len(sn.tailIn)+len(sn.tailVisits) != 0 {
+		ep = flattenEpoch(sn)
+	}
+	return ep
+}
+
 // flattenEpoch builds the next sealed epoch by merging a capture's
 // previous sealed arrays with its tail, reading only through the
 // immutable snapshot surface — it runs off-lock, concurrently with

@@ -293,16 +293,15 @@ type Store struct {
 
 	// Checkpoint plumbing. textSource, when set (by the query engine),
 	// serialises the text index restricted to a watermark so checkpoints
-	// can carry it; recoveredText holds the postings a v2 load found,
-	// until the first engine claims them.
+	// can carry it; recoveredText holds the postings a checkpoint load
+	// found, until the first engine claims them.
 	textSource      func(maxDoc NodeID) (payload []byte, watermark NodeID)
 	recoveredText   []byte
 	recoveredTextWM NodeID
-	// ckptGen is the generation the last successful v2 checkpoint this
+	// ckptGen is the generation the last successful checkpoint this
 	// process wrote captured; a Checkpoint at the same generation is a
 	// no-op. Only valid in-process (ckptGenValid) — a checkpoint
-	// inherited at open or written by CheckpointV1 never suppresses a
-	// fresh dump.
+	// inherited at open never suppresses a fresh dump.
 	ckptGen      uint64
 	ckptGenValid bool
 
@@ -322,7 +321,7 @@ type Store struct {
 	loadedNodes []Node
 
 	// thaw, when non-nil, materialises the write-side state (node slab,
-	// maps, B-trees, adjacency rows) that a v3 checkpoint load deferred:
+	// maps, B-trees, adjacency rows) that a checkpoint load deferred:
 	// snapshots serve queries straight from the mapped columns, and the
 	// heavy heap structures are only built on the first mutation or
 	// store-level (non-snapshot) read. Cleared after running once.
@@ -437,7 +436,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	s.pins.Store(1)
 	s.epochInit()
 	j, err := storage.OpenJournal(dir, "provgraph", storage.JournalCallbacks{
-		LoadSnapshot: s.loadSnapshot,
 		LoadSections: s.loadSections,
 		MapSnapshot:  !opts.NoMmap,
 		Replay:       s.replayEvent,
@@ -564,8 +562,8 @@ func (s *Store) Sync() error {
 	return s.j.Sync()
 }
 
-// Checkpoint writes a sectioned columnar (v2) checkpoint and drops the
-// WAL prefix it covers. Writers are not blocked for the dump: the call
+// Checkpoint writes a checkpoint (the raw-column schema of
+// checkpoint.go) and drops the WAL prefix it covers. Writers are not blocked for the dump: the call
 // takes the write lock only to capture an immutable snapshot of the
 // current generation (O(tail)), an O(tabs) assembly copy and the WAL
 // fence, then flattens and streams the columnar sections in the
@@ -600,15 +598,9 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	// Off-lock: flatten the capture into pure columnar arrays (the same
-	// O(n) pass background reseals run) and stream the sections. A
-	// flat capture with an empty tail IS its sealed epoch — reuse it
-	// rather than reproducing it element by element.
-	ep := sn.sealed
-	if ep == nil || sn.base != nil || sn.maxID != ep.maxID ||
-		len(sn.tailNodes)+len(sn.tailOut)+len(sn.tailIn)+len(sn.tailVisits) != 0 {
-		ep = flattenEpoch(sn)
-	}
+	// Off-lock: flatten the capture into pure columnar arrays and
+	// stream the sections.
+	ep := sn.flatEpoch()
 	var text []byte
 	var textWM NodeID
 	if textSource != nil {
@@ -628,23 +620,6 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// CheckpointV1 writes a legacy record-format (v1) checkpoint
-// synchronously under the write lock — the pre-columnar path, kept for
-// format-compatibility tests, the E1 schema comparison (which wants
-// both schemas on the identical record substrate), and as the dump
-// wholesale rewrites use (see ExpireBefore).
-func (s *Store) CheckpointV1() error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	s.ckptGenValid = false // the on-disk snapshot is v1 now; don't idle-skip over it
-	return s.j.Checkpoint(s.writeSnapshot)
-}
-
 // SetTextCheckpointSource registers the function checkpoints call (off
 // the store lock) to obtain serialized text-index postings restricted
 // to the checkpoint's node watermark. The query engine registers itself
@@ -656,7 +631,7 @@ func (s *Store) SetTextCheckpointSource(fn func(maxDoc NodeID) (payload []byte, 
 }
 
 // RecoveredTextIndex hands over the text-index postings the last open
-// recovered from a v2 checkpoint, parsed and ready, plus the node
+// recovered from the checkpoint, parsed and ready, plus the node
 // watermark they cover. The payload is consumed: only the first caller
 // (the engine that will own the index) receives it; corrupt payloads
 // are dropped silently — the engine then rebuilds from scratch, which

@@ -7,14 +7,14 @@ import (
 	"unsafe"
 )
 
-// Raw fixed-width column codecs for the v3 checkpoint schema. Every v3
-// array section is a little-endian dump of its in-memory form; on a
+// Raw fixed-width column codecs for the checkpoint schema. Every array
+// section is a little-endian dump of its in-memory form; on a
 // little-endian machine with an aligned payload (which the page-aligned
-// v3 container guarantees), loading is a pointer cast — the mapped file
+// container guarantees), loading is a pointer cast — the mapped file
 // bytes ARE the arrays, and untouched pages never fault in. The decode
-// branches below exist for big-endian platforms and for legacy readers
-// handed unaligned buffers; they produce identical slices, just on the
-// heap.
+// branches below exist for big-endian platforms and for any payload
+// that is not element-aligned; they produce identical slices, just on
+// the heap.
 
 // hostLittleEndian reports the byte order of this machine, computed once.
 var hostLittleEndian = func() bool {
@@ -139,7 +139,7 @@ func nodeIDBytes(v []NodeID) []byte {
 
 // ---- column-backed node table ----
 
-// nodeCols is the zero-copy node table of a v3 checkpoint: per-field
+// nodeCols is the zero-copy node table of a checkpoint: per-field
 // arrays aliasing the (typically memory-mapped) checkpoint file, plus
 // string columns served as substrings of shared blobs. A sealedEpoch
 // carrying a nodeCols reconstructs Node values on demand instead of

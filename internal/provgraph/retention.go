@@ -36,7 +36,7 @@ const spliceFanoutLimit = 64
 // ExpireBefore returns the number of nodes removed.
 func (s *Store) ExpireBefore(cutoff time.Time) (int, error) {
 	// ckptMu first (lock order): the rewrite plus its checkpoint must
-	// not interleave with a background columnar checkpoint — a dump
+	// not interleave with a background checkpoint — a dump
 	// captured pre-rewrite committing after it would resurrect expired
 	// history on the next recovery.
 	s.ckptMu.Lock()
@@ -171,11 +171,10 @@ func (s *Store) ExpireBefore(cutoff time.Time) (int, error) {
 	}
 
 	// The event log cannot reproduce this state; checkpoint now, under
-	// the lock (the background columnar path would release it, and
+	// the lock (Checkpoint's background path would release it, and
 	// events applied between the rewrite and its checkpoint would
 	// replay over pre-expiration state on recovery). The dump is the
-	// same sectioned columnar format Checkpoint writes, with one
-	// deliberate omission: no text-postings section — the engine's
+	// same checkpoint Checkpoint writes, with one deliberate omission: no text-postings section — the engine's
 	// index still references the purged history, and persisting it
 	// would resurrect expired terms after a restart.
 	sn := s.snapshotLocked()
@@ -253,6 +252,25 @@ func (s *Store) retainedSet(cutoff time.Time) map[NodeID]bool {
 		}
 	}
 	return retained
+}
+
+// indexNode rebuilds the secondary index entries for n after a rewrite.
+func (s *Store) indexNode(n *Node) {
+	switch n.Kind {
+	case KindPage:
+		s.urlIndex.Put(s.scratchKey(n.URL), uint64(n.ID))
+	case KindVisit:
+		s.pageVisits[n.Page] = append(s.pageVisits[n.Page], n.ID)
+		s.keyBuf = appendTimeKey(s.keyBuf[:0], n.Open, n.ID)
+		s.openIndex.Put(s.keyBuf, uint64(n.ID))
+	case KindSearchTerm:
+		s.termIndex.Put(s.scratchKey(n.Text), uint64(n.ID))
+	case KindBookmark:
+		s.bookmarkByURL[n.URL] = n.ID
+	case KindDownload:
+		s.downloads = append(s.downloads, n.ID)
+		s.saveIndex[n.Text] = n.ID
+	}
 }
 
 func sortNodeIDs(ids []NodeID) {

@@ -10,12 +10,12 @@ package provgraph
 // mapped (MAP_SHARED) checkpoint's payload bytes come straight off the
 // file, so re-checksumming a section through SectionFile.VerifyTag
 // observes current disk content at page-cache cost — no locks, no
-// read-path stalls, queries on other sections proceed untouched. For
-// stores whose checkpoint is not mapped (NoMmap, or a v1 snapshot) the
-// in-memory copy cannot reveal disk rot, so the sweep re-reads the
-// snapshot file by path instead. The WAL half re-reads the log file
-// through its own descriptor (ScrubWALFile), which is safe against
-// concurrent appends, trims and rename swaps.
+// read-path stalls, queries on other sections proceed untouched. When
+// the current checkpoint is not the mapped one (NoMmap, or a checkpoint
+// written since the last open) there is no mapping to re-checksum, so
+// the sweep re-reads the checkpoint file by path instead. The WAL half
+// re-reads the log file through its own descriptor (ScrubWALFile), which
+// is safe against concurrent appends, trims and rename swaps.
 
 import (
 	"os"

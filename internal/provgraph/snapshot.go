@@ -1,9 +1,9 @@
 package provgraph
 
 import (
-	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
-	"time"
 
 	"browserprov/internal/event"
 	"browserprov/internal/storage"
@@ -90,35 +90,76 @@ func decodeEvent(payload []byte) (*event.Event, error) {
 	return &ev, nil
 }
 
-// ---- snapshot ----
+// ---- E1 record dump ----
 
-// Snapshot record kinds.
+// Record kinds of the E1 record dump.
 const (
-	snapNode     = 1
-	snapEdges    = 2 // one record per source node, all its out-edges
-	snapAssembly = 3
-	snapDedup    = 4 // ingest event-ID dedup window, insertion order
+	recNode     = 1
+	recEdges    = 2 // one record per source node, all its out-edges
+	recAssembly = 3
+	recDedup    = 4 // ingest event-ID dedup window, insertion order
 )
 
-// writeSnapshot dumps the graph into the checkpoint heap file: all nodes
-// in ID order, all edges in (from, insertion) order, then the assembly
-// state needed to keep ingesting after recovery.
-func (s *Store) writeSnapshot(h *storage.HeapFile) error {
+// RecordDumpBytes writes the store's current state as a record dump —
+// one heap-file record per node and per source node's out-edges, then
+// the assembly and dedup records, on 4 KiB pages — to a temporary file
+// and returns the file's size. This is the layout a Places-style
+// database stores rows in, which is what experiment E1 compares: both
+// schemas on the identical record substrate, so the size difference is
+// schema overhead, not a format benchmark. The dump is a measurement
+// only; nothing reads it back, and it never touches the journal.
+func (s *Store) RecordDumpBytes() (int64, error) {
+	release, err := s.PinRead()
+	if err != nil {
+		return 0, err
+	}
+	defer release()
+	s.mu.Lock()
+	sn := s.snapshotLocked()
+	asm := s.captureAssemblyLocked()
+	s.mu.Unlock()
+
+	dir, err := os.MkdirTemp("", "provgraph-records-")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "dump")
+	h, err := storage.CreateHeapFile(path)
+	if err != nil {
+		return 0, err
+	}
+	if err := writeRecordDump(h, sn.flatEpoch(), asm); err != nil {
+		h.Close()
+		return 0, err
+	}
+	if err := h.Close(); err != nil {
+		return 0, err
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
+// writeRecordDump writes ep and asm into h: all nodes in ID order, all
+// edges in (from, insertion) order, then the assembly state and the
+// dedup window.
+func writeRecordDump(h *storage.HeapFile, ep *sealedEpoch, asm assemblyCapture) error {
 	enc := storage.NewEncoder(256)
 	put := func() error {
 		_, err := h.Append(enc.Bytes())
 		return err
 	}
-	ids := make([]NodeID, 0, len(s.nodes))
-	for id := range s.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := s.nodes[id]
+	for id := NodeID(1); id <= ep.maxID; id++ {
+		n, ok := ep.nodeAt(id)
+		if !ok {
+			continue
+		}
 		enc.Reset()
-		enc.Uvarint(snapNode)
-		enc.Uvarint(uint64(n.ID))
+		enc.Uvarint(recNode)
+		enc.Uvarint(uint64(id))
 		enc.Uvarint(uint64(n.Kind))
 		// Visit instances inherit URL and title from their page node;
 		// storing them again would bloat the dominant table (and is the
@@ -145,19 +186,20 @@ func (s *Store) writeSnapshot(h *storage.HeapFile) error {
 	// (the overwhelmingly common case: the action that created the edge
 	// also created the target instance), mirroring how Places stores
 	// from_visit without a second date column.
-	for _, id := range ids {
-		edges := s.outE.at(id)
+	_, outOff, _ := ep.csr.Parts()
+	for id := NodeID(1); id <= ep.maxID; id++ {
+		edges := ep.edges[outOff[id]:outOff[id+1]]
 		if len(edges) == 0 {
 			continue
 		}
 		enc.Reset()
-		enc.Uvarint(snapEdges)
+		enc.Uvarint(recEdges)
 		enc.Uvarint(uint64(id))
 		enc.Uvarint(uint64(len(edges)))
 		for _, e := range edges {
 			enc.Uvarint(uint64(e.To))
 			hasAt := uint64(0)
-			if to := s.nodes[e.To]; to == nil || !e.At.Equal(to.Open) {
+			if to, ok := ep.nodeAt(e.To); !ok || !e.At.Equal(to.Open) {
 				hasAt = 1
 			}
 			enc.Uvarint(uint64(e.Kind)<<1 | hasAt)
@@ -171,18 +213,18 @@ func (s *Store) writeSnapshot(h *storage.HeapFile) error {
 	}
 	// Assembly state: counters, per-tab cursors, pending joins.
 	enc.Reset()
-	enc.Uvarint(snapAssembly)
-	enc.Uvarint(uint64(s.nextNode))
-	enc.Uvarint(uint64(s.mode))
-	enc.Uvarint(uint64(len(s.tabCur)))
-	tabs := make([]int, 0, len(s.tabCur))
-	for t := range s.tabCur {
+	enc.Uvarint(recAssembly)
+	enc.Uvarint(uint64(asm.nextNode))
+	enc.Uvarint(uint64(asm.mode))
+	enc.Uvarint(uint64(len(asm.tabCur)))
+	tabs := make([]int, 0, len(asm.tabCur))
+	for t := range asm.tabCur {
 		tabs = append(tabs, t)
 	}
 	sort.Ints(tabs)
 	for _, t := range tabs {
 		enc.Varint(int64(t))
-		enc.Uvarint(uint64(s.tabCur[t]))
+		enc.Uvarint(uint64(asm.tabCur[t]))
 	}
 	writePending := func(m map[int]pending) {
 		enc.Uvarint(uint64(len(m)))
@@ -197,229 +239,17 @@ func (s *Store) writeSnapshot(h *storage.HeapFile) error {
 			enc.String(m[t].url)
 		}
 	}
-	writePending(s.pendingSearch)
-	writePending(s.pendingForm)
+	writePending(asm.pendingSearch)
+	writePending(asm.pendingForm)
 	if err := put(); err != nil {
 		return err
 	}
-	// Ingest dedup window, in insertion order so recovery reproduces the
-	// same eviction sequence.
-	dedupIDs := s.dedup.snapshot()
+	// Ingest dedup window, in insertion order.
 	enc.Reset()
-	enc.Uvarint(snapDedup)
-	enc.Uvarint(uint64(len(dedupIDs)))
-	for _, id := range dedupIDs {
+	enc.Uvarint(recDedup)
+	enc.Uvarint(uint64(len(asm.dedupIDs)))
+	for _, id := range asm.dedupIDs {
 		enc.String(id)
 	}
 	return put()
-}
-
-// loadSnapshot rebuilds the graph and all derived indexes.
-func (s *Store) loadSnapshot(h *storage.HeapFile) error {
-	err := h.Scan(func(_ storage.RecordID, rec []byte) error {
-		d := storage.NewDecoder(rec)
-		kind, err := d.Uvarint()
-		if err != nil {
-			return err
-		}
-		switch kind {
-		case snapNode:
-			var n Node
-			id, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			n.ID = NodeID(id)
-			nk, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			n.Kind = NodeKind(nk)
-			if n.URL, err = d.String(); err != nil {
-				return err
-			}
-			if n.Title, err = d.String(); err != nil {
-				return err
-			}
-			if n.Text, err = d.String(); err != nil {
-				return err
-			}
-			if n.Open, err = d.Time(); err != nil {
-				return err
-			}
-			if n.Close, err = d.Time(); err != nil {
-				return err
-			}
-			pg, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			n.Page = NodeID(pg)
-			seq, err := d.Varint()
-			if err != nil {
-				return err
-			}
-			n.VisitSeq = int(seq)
-			via, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			n.Via = EdgeKind(via)
-			// Rehydrate visit URL/title from the page node (page IDs
-			// always precede their visits, and nodes are written in ID
-			// order).
-			if n.Kind == KindVisit && n.URL == "" {
-				if p, ok := s.nodes[n.Page]; ok {
-					n.URL = p.URL
-					n.Title = p.Title
-				}
-			}
-			s.nodes[n.ID] = &n
-			s.indexNode(&n)
-		case snapEdges:
-			from, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			count, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			for i := uint64(0); i < count; i++ {
-				to, err := d.Uvarint()
-				if err != nil {
-					return err
-				}
-				kf, err := d.Uvarint()
-				if err != nil {
-					return err
-				}
-				kind := EdgeKind(kf >> 1)
-				var at time.Time
-				if kf&1 == 1 {
-					if at, err = d.Time(); err != nil {
-						return err
-					}
-				} else if tn, ok := s.nodes[NodeID(to)]; ok {
-					at = tn.Open
-				}
-				s.addEdge(NodeID(from), NodeID(to), kind, at)
-			}
-		case snapAssembly:
-			nn, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			s.nextNode = NodeID(nn)
-			md, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			s.mode = VersioningMode(md)
-			ntabs, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			for i := uint64(0); i < ntabs; i++ {
-				t, err := d.Varint()
-				if err != nil {
-					return err
-				}
-				v, err := d.Uvarint()
-				if err != nil {
-					return err
-				}
-				s.tabCur[int(t)] = NodeID(v)
-			}
-			readPending := func(m map[int]pending) error {
-				np, err := d.Uvarint()
-				if err != nil {
-					return err
-				}
-				for i := uint64(0); i < np; i++ {
-					t, err := d.Varint()
-					if err != nil {
-						return err
-					}
-					nd, err := d.Uvarint()
-					if err != nil {
-						return err
-					}
-					u, err := d.String()
-					if err != nil {
-						return err
-					}
-					m[int(t)] = pending{node: NodeID(nd), url: u}
-				}
-				return nil
-			}
-			if err := readPending(s.pendingSearch); err != nil {
-				return err
-			}
-			if err := readPending(s.pendingForm); err != nil {
-				return err
-			}
-		case snapDedup:
-			count, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			for i := uint64(0); i < count; i++ {
-				id, err := d.String()
-				if err != nil {
-					return err
-				}
-				s.dedup.add(id)
-			}
-		default:
-			return fmt.Errorf("provgraph: unknown snapshot record kind %d", kind)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	s.numNodes = len(s.nodes)
-	s.rebuildLastVisit()
-	return nil
-}
-
-// indexNode rebuilds the secondary index entries for n during recovery.
-func (s *Store) indexNode(n *Node) {
-	switch n.Kind {
-	case KindPage:
-		s.urlIndex.Put(s.scratchKey(n.URL), uint64(n.ID))
-	case KindVisit:
-		s.pageVisits[n.Page] = append(s.pageVisits[n.Page], n.ID)
-		s.keyBuf = appendTimeKey(s.keyBuf[:0], n.Open, n.ID)
-		s.openIndex.Put(s.keyBuf, uint64(n.ID))
-	case KindSearchTerm:
-		s.termIndex.Put(s.scratchKey(n.Text), uint64(n.ID))
-	case KindBookmark:
-		s.bookmarkByURL[n.URL] = n.ID
-	case KindDownload:
-		s.downloads = append(s.downloads, n.ID)
-		s.saveIndex[n.Text] = n.ID
-	}
-}
-
-// rebuildLastVisit reconstructs the URL -> latest visit map from the
-// per-page visit lists (snapshot nodes arrive in ID order, so the last
-// entry of each list is the latest instance).
-func (s *Store) rebuildLastVisit() {
-	if s.mode == VersionEdges {
-		// Pages are their own instances.
-		s.urlIndex.Ascend(func(k []byte, v uint64) bool {
-			s.lastVisitByURL[string(k)] = NodeID(v)
-			return true
-		})
-		return
-	}
-	for page, visits := range s.pageVisits {
-		if len(visits) == 0 {
-			continue
-		}
-		p := s.nodes[page]
-		s.lastVisitByURL[p.URL] = visits[len(visits)-1]
-	}
 }

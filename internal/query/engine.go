@@ -66,8 +66,8 @@ type Engine struct {
 // the defaults; any knob can be overridden per query call with the
 // With* options.
 //
-// When the store was opened from a columnar (v2) checkpoint, the engine
-// warm-starts: it claims the checkpoint's text-index postings and
+// When the store was opened from a checkpoint carrying text-index
+// postings, the engine warm-starts: it claims the checkpoint's text-index postings and
 // indexes only nodes past the persisted watermark, instead of
 // retokenizing the whole history on the first query. It also registers
 // itself as the store's checkpoint text source, so subsequent

@@ -272,7 +272,7 @@ func btreeMin(n *btreeNode) ([]byte, uint64) {
 // BulkLoad replaces the tree's contents with a stream of strictly
 // ascending keys, building the tree bottom-up level by level instead of
 // paying N root-to-leaf descents with splits. Checkpoint recovery uses
-// it: the v2 snapshot persists each secondary index as a sorted
+// it: the checkpoint persists each secondary index as a sorted
 // key/value stream, so rebuilding the index is one linear pass with
 // every node filled near capacity. next returns (key, value, true) per
 // entry and ok=false at the end; keys are copied, so next may reuse one

@@ -60,7 +60,8 @@ type Journal struct {
 // JournalCallbacks supplies the store-specific halves of recovery.
 type JournalCallbacks struct {
 	// LoadSnapshot is called with the snapshot heap file when the
-	// snapshot is in the record-oriented (v1) format.
+	// snapshot is in the record-oriented heap format. Opening a journal
+	// whose snapshot is a heap file fails when it is nil.
 	LoadSnapshot func(h *HeapFile) error
 	// LoadSections is called with the open section file when the
 	// snapshot is in the sectioned columnar format. Section payloads are
@@ -68,8 +69,8 @@ type JournalCallbacks struct {
 	// sections to touch. The callback takes ownership of the file's
 	// reference: a loader that keeps aliases into section payloads must
 	// keep the SectionFile and Close it when those aliases die (the
-	// journal itself never closes it). Stores that never write sectioned
-	// checkpoints may leave it nil.
+	// journal itself never closes it). Opening a journal whose snapshot
+	// is sectioned fails when it is nil.
 	LoadSections func(f *SectionFile) error
 	// MapSnapshot asks for sectioned snapshots to be memory-mapped
 	// instead of read onto the heap (best effort; platforms without
@@ -140,10 +141,10 @@ func OpenJournal(dir, name string, cb JournalCallbacks) (*Journal, error) {
 			j.snapTime = fi.ModTime()
 		}
 		// The snapshot format is sniffed from the file itself: a
-		// sectioned (v2) checkpoint bulk-loads through LoadSections,
-		// anything else is the record-oriented v1 heap file — so a store
-		// that writes v2 checkpoints still recovers from a v1 snapshot
-		// left by an older version (or by the synchronous v1 path).
+		// sectioned checkpoint bulk-loads through LoadSections, anything
+		// else is a record-oriented heap file for LoadSnapshot. A format
+		// the caller has no loader for is an error, never skipped: a
+		// skipped snapshot would open the store with only the WAL tail.
 		if IsSectionFile(j.snapPath) {
 			if cb.LoadSections == nil {
 				return nil, fmt.Errorf("storage: snapshot %s is sectioned but no LoadSections callback is set", j.snapPath)
@@ -158,16 +159,17 @@ func OpenJournal(dir, name string, cb JournalCallbacks) (*Journal, error) {
 			}
 			j.snapSize = sf.Size()
 		} else {
+			if cb.LoadSnapshot == nil {
+				return nil, fmt.Errorf("%w: snapshot %s is not sectioned and no LoadSnapshot callback is set", ErrBadVersion, j.snapPath)
+			}
 			h, err := OpenHeapFile(j.snapPath)
 			if err != nil {
 				return nil, fmt.Errorf("storage: open snapshot: %w", err)
 			}
 			j.snapSize = h.Size()
-			if cb.LoadSnapshot != nil {
-				if err := cb.LoadSnapshot(h); err != nil {
-					h.Close()
-					return nil, fmt.Errorf("storage: load snapshot: %w", err)
-				}
+			if err := cb.LoadSnapshot(h); err != nil {
+				h.Close()
+				return nil, fmt.Errorf("storage: load snapshot: %w", err)
 			}
 			if err := h.Close(); err != nil {
 				return nil, err

@@ -6,7 +6,6 @@ import (
 	"os"
 	"slices"
 	"sync/atomic"
-	"unsafe"
 )
 
 // SectionFile is the random-access view of a sectioned checkpoint: the
@@ -33,17 +32,15 @@ import (
 // mapping keeps the inode alive on its own), so a superseded checkpoint
 // file that gets deleted underneath a live mapping keeps working.
 type SectionFile struct {
-	path    string
-	data    []byte
-	version uint32
-	mapped  bool
-	secs    map[uint32]*sectionFrame
-	refs    atomic.Int64
+	path   string
+	data   []byte
+	mapped bool
+	secs   map[uint32]*sectionFrame
+	refs   atomic.Int64
 }
 
 type sectionFrame struct {
-	// hdr aliases the frame's 12-byte tag+length prefix in the file view
-	// for v4 files (nil for v2/v3, whose CRC covers the payload alone).
+	// hdr aliases the frame's 12-byte tag+length prefix in the file view.
 	// Verification reads it from the view each time, so post-open header
 	// rot in a mapped file is caught by the scrub like payload rot.
 	hdr      []byte
@@ -53,8 +50,8 @@ type sectionFrame struct {
 }
 
 // verifyCRC re-checksums the frame against its recorded CRC.
-func (s *sectionFrame) verifyCRC(version uint32) bool {
-	return sectionFrameCRC(version, s.hdr, s.payload) == s.crc
+func (s *sectionFrame) verifyCRC() bool {
+	return sectionFrameCRC(s.hdr, s.payload) == s.crc
 }
 
 // OpenSectionFile opens the sectioned checkpoint at path and parses its
@@ -94,7 +91,7 @@ func (f *SectionFile) Retain() *SectionFile {
 
 // Close drops one reference to the file view. The final Close releases
 // the backing bytes — munmapping them when the file was mapped — after
-// which every alias handed out by Section/All is dangling. Closing an
+// which every alias handed out by Section is dangling. Closing an
 // already fully-closed file is a no-op, so owners can Close defensively.
 func (f *SectionFile) Close() error {
 	for {
@@ -124,11 +121,9 @@ func (f *SectionFile) parse() error {
 		binary.LittleEndian.Uint32(data[0:]) != sectionMagic {
 		return fmt.Errorf("%w: %s", ErrNotSectioned, path)
 	}
-	v := binary.LittleEndian.Uint32(data[4:])
-	if v != sectionVersion && v != sectionVersionAligned && v != sectionVersionHeaderCRC {
-		return fmt.Errorf("%w: %s has version %d", ErrBadVersion, path, v)
+	if v := binary.LittleEndian.Uint32(data[4:]); v != sectionVersion {
+		return fmt.Errorf("%w: %s has version %d, want %d", ErrBadVersion, path, v, sectionVersion)
 	}
-	f.version = v
 	f.secs = make(map[uint32]*sectionFrame)
 	off := int64(sectionFileHeader)
 	for off < int64(len(data)) {
@@ -148,17 +143,10 @@ func (f *SectionFile) parse() error {
 		if tag == sectionPadTag {
 			continue
 		}
-		if v < sectionVersionHeaderCRC {
-			hdr = nil
-		}
 		f.secs[tag] = &sectionFrame{hdr: hdr, payload: payload, crc: crc}
 	}
 	return nil
 }
-
-// Version returns the container format version (2 unaligned, 3
-// aligned, 4 aligned with header-covering checksums).
-func (f *SectionFile) Version() uint32 { return f.version }
 
 // Mapped reports whether section payloads alias a memory mapping
 // (false: they alias one heap buffer).
@@ -179,7 +167,7 @@ func (f *SectionFile) Section(tag uint32) ([]byte, error) {
 		return nil, nil
 	}
 	if !s.verified.Load() {
-		if !s.verifyCRC(f.version) {
+		if !s.verifyCRC() {
 			return nil, fmt.Errorf("%w: %s: section %d checksum mismatch", ErrSectionCorrupt, f.path, tag)
 		}
 		s.verified.Store(true)
@@ -213,7 +201,7 @@ func (f *SectionFile) VerifyTag(tag uint32) error {
 	if s == nil {
 		return nil
 	}
-	if !s.verifyCRC(f.version) {
+	if !s.verifyCRC() {
 		s.verified.Store(false)
 		return fmt.Errorf("%w: %s: section %d checksum mismatch", ErrSectionCorrupt, f.path, tag)
 	}
@@ -223,31 +211,3 @@ func (f *SectionFile) VerifyTag(tag uint32) error {
 
 // Path returns the path the file view was opened from.
 func (f *SectionFile) Path() string { return f.path }
-
-// All returns every section payload keyed by tag, verifying each
-// section's checksum. The slices alias the file view; callers must not
-// modify them. Legacy whole-file decoders use this; incremental readers
-// should prefer Section so untouched sections stay unverified (and, when
-// mapped, unfaulted).
-func (f *SectionFile) All() (map[uint32][]byte, error) {
-	out := make(map[uint32][]byte, len(f.secs))
-	for tag := range f.secs {
-		p, err := f.Section(tag)
-		if err != nil {
-			return nil, err
-		}
-		out[tag] = p
-	}
-	return out, nil
-}
-
-// Aligned reports whether the payload of every section starts on an
-// 8-byte boundary relative to the view's base — the precondition for
-// aliasing payload bytes as wider integer arrays.
-func (f *SectionFile) Aligned() bool {
-	if f.version < sectionVersionAligned {
-		return false
-	}
-	base := uintptr(unsafe.Pointer(unsafe.SliceData(f.data)))
-	return base%8 == 0
-}

@@ -161,29 +161,21 @@ func readWALFrameAt(f *os.File, off int64, header []byte, payload *[]byte) (ok b
 	return true, length, nil
 }
 
-// VerifySnapshotFile fully verifies the checkpoint at path: every
-// section CRC of a sectioned (v2/v3) file, or a full record scan of a
-// v1 heap file. Returns nil only if every byte checks out.
+// VerifySnapshotFile fully verifies the sectioned checkpoint at path:
+// every section CRC. Returns nil only if every byte checks out; a file
+// that is not a current-version sectioned checkpoint fails.
 func VerifySnapshotFile(path string) error {
-	if IsSectionFile(path) {
-		sf, err := OpenSectionFile(path, false)
-		if err != nil {
-			return err
-		}
-		defer sf.Close()
-		for _, tag := range sf.Tags() {
-			if err := sf.VerifyTag(tag); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	h, err := OpenHeapFile(path)
+	sf, err := OpenSectionFile(path, false)
 	if err != nil {
 		return err
 	}
-	defer h.Close()
-	return h.Scan(func(RecordID, []byte) error { return nil })
+	defer sf.Close()
+	for _, tag := range sf.Tags() {
+		if err := sf.VerifyTag(tag); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RepairReport describes what RepairJournal found and did.

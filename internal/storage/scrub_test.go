@@ -9,18 +9,12 @@ import (
 )
 
 // openKVR opens the kvStore test harness with previous-generation
-// retention on and a sectioned-checkpoint loader, so tests can drive
-// both the synchronous v1 and the background sectioned checkpoint paths.
+// retention on and a sectioned-checkpoint loader.
 func openKVR(t *testing.T, dir string) *kvStore {
 	t.Helper()
 	s := &kvStore{m: make(map[string]string)}
 	j, err := OpenJournal(dir, "kv", JournalCallbacks{
 		RetainPrev: true,
-		LoadSnapshot: func(h *HeapFile) error {
-			return h.Scan(func(_ RecordID, rec []byte) error {
-				return s.apply(rec)
-			})
-		},
 		LoadSections: func(f *SectionFile) error {
 			defer f.Close()
 			p, err := f.Section(1)
@@ -116,19 +110,10 @@ func flipByte(t *testing.T, path string, off int64) {
 }
 
 // corruptSnapshot flips a byte that the verifier is guaranteed to
-// check: mid-payload of the first real section for sectioned files
-// (a byte at file-middle could land in inert page-alignment padding),
-// mid-file for v1 heap snapshots.
+// check: mid-payload of the first real section (a byte at file-middle
+// could land in inert page-alignment padding).
 func corruptSnapshot(t *testing.T, path string) {
 	t.Helper()
-	if !IsSectionFile(path) {
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flipByte(t, path, fi.Size()/2)
-		return
-	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -184,52 +169,46 @@ func TestJournalRetainPrevKeepsFallbackFiles(t *testing.T) {
 }
 
 func TestRepairJournalFallsBackToPrevGeneration(t *testing.T) {
-	for _, mode := range []string{"sectioned", "v1"} {
-		t.Run(mode, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openKVR(t, dir)
-			s.mustSetRange(t, 0, 60)
-			ck := s.checkpointSectioned
-			if mode == "v1" {
-				ck = s.checkpoint
-			}
-			if err := ck(); err != nil { // gen 1
-				t.Fatal(err)
-			}
-			s.mustSetRange(t, 60, 90)
-			if err := ck(); err != nil { // gen 2, gen 1 retained
-				t.Fatal(err)
-			}
-			s.mustSetRange(t, 90, 100) // live WAL tail past gen 2's fence
-			if err := s.j.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("sectioned", func(t *testing.T) {
+		dir := t.TempDir()
+		s := openKVR(t, dir)
+		s.mustSetRange(t, 0, 60)
+		if err := s.checkpointSectioned(); err != nil { // gen 1
+			t.Fatal(err)
+		}
+		s.mustSetRange(t, 60, 90)
+		if err := s.checkpointSectioned(); err != nil { // gen 2, gen 1 retained
+			t.Fatal(err)
+		}
+		s.mustSetRange(t, 90, 100) // live WAL tail past gen 2's fence
+		if err := s.j.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			// Bit-rot the CURRENT snapshot.
-			cur := SnapshotFilePath(dir, "kv", 2)
-			corruptSnapshot(t, cur)
-			if err := VerifySnapshotFile(cur); err == nil {
-				t.Fatal("corrupted snapshot verified clean")
-			}
+		// Bit-rot the CURRENT snapshot.
+		cur := SnapshotFilePath(dir, "kv", 2)
+		corruptSnapshot(t, cur)
+		if err := VerifySnapshotFile(cur); err == nil {
+			t.Fatal("corrupted snapshot verified clean")
+		}
 
-			rep, err := RepairJournal(dir, "kv")
-			if err != nil {
-				t.Fatalf("RepairJournal: %v", err)
-			}
-			if rep.SnapshotOK || !rep.FellBack || rep.PrevGen != 1 {
-				t.Fatalf("report = %+v; want fell back to gen 1", rep)
-			}
-			if _, err := os.Stat(cur); !os.IsNotExist(err) {
-				t.Fatalf("corrupt snapshot not removed: %v", err)
-			}
+		rep, err := RepairJournal(dir, "kv")
+		if err != nil {
+			t.Fatalf("RepairJournal: %v", err)
+		}
+		if rep.SnapshotOK || !rep.FellBack || rep.PrevGen != 1 {
+			t.Fatalf("report = %+v; want fell back to gen 1", rep)
+		}
+		if _, err := os.Stat(cur); !os.IsNotExist(err) {
+			t.Fatalf("corrupt snapshot not removed: %v", err)
+		}
 
-			// Recovery from gen 1 + retained WAL must reproduce every event,
-			// including those logged after gen 2's fence.
-			s2 := openKVR(t, dir)
-			defer s2.j.Close()
-			checkKVRange(t, s2, 100)
-		})
-	}
+		// Recovery from gen 1 + retained WAL must reproduce every event,
+		// including those logged after gen 2's fence.
+		s2 := openKVR(t, dir)
+		defer s2.j.Close()
+		checkKVRange(t, s2, 100)
+	})
 }
 
 func TestRepairJournalGenesisFallback(t *testing.T) {
@@ -268,7 +247,7 @@ func TestRepairJournalUnrepairableWithoutRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.checkpoint(); err != nil {
+	if err := s.checkpointSectioned(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.j.Close(); err != nil {

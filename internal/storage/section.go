@@ -8,70 +8,48 @@ import (
 	"os"
 )
 
-// Sectioned checkpoint files are the v2 snapshot container: a flat file
-// holding a small number of large, individually checksummed sections
-// (columnar node tables, CSR arrays, sorted index streams, text-index
-// postings). Where the v1 heap-file snapshot pays per-record framing and
-// 4 KiB page granularity — the right shape for many small records — the
-// sectioned form is built for bulk load: a cold open reads the whole
-// file in one I/O and hands each section to a decoder that fills arrays,
-// instead of replaying tens of thousands of records one at a time.
+// A sectioned checkpoint file is the store's only snapshot container: a
+// flat file holding a small number of large, individually checksummed
+// sections (raw node columns, CSR arrays, sorted index streams,
+// text-index postings). It is built for bulk load: a cold open maps (or
+// reads) the whole file in one step and hands each section to a decoder
+// as a typed slice, instead of replaying records one at a time.
 //
 // Layout:
 //
 //	header:  [magic u32][version u32][reserved u64]
 //	section: [tag u32][length u64][crc32c u32][payload ...]   (repeated)
 //
-// In the current (v4) format the CRC covers the tag and length fields
-// and then the payload, so a flipped bit anywhere in a frame fails
-// verification. In v2/v3 files the CRC covers the payload only — there
-// a tag flip that preserves the length parses cleanly and merely
-// renames the section, which is why v4 exists (the torture harness
-// caught exactly that: bit rot in a frame header passing a full scrub
-// while making the checkpoint unloadable). Atomicity
-// is the journal's job: a checkpoint file only becomes live once the
-// journal metadata names it, after a full fsync, so a torn section file
-// is unreachable garbage, not a recovery hazard.
+// Zero-filled pad frames (tag 0) are inserted so every real section's
+// payload starts on a sectionPageSize boundary. Each frame's CRC covers
+// its tag and length fields and then the payload, so a flipped bit
+// anywhere in a frame fails verification. Files of any other container
+// version are refused with ErrBadVersion. Atomicity is the journal's
+// job: a checkpoint file only becomes live once the journal metadata
+// names it, after a full fsync, so a torn section file is unreachable
+// garbage, not a recovery hazard.
 
 // sectionMagic identifies sectioned checkpoint files. Distinct from
 // fileHeaderMagic so the journal can sniff which snapshot format it is
-// opening; a v1 heap file starts with a page CRC, which cannot collide
+// opening; a heap file starts with a page CRC, which cannot collide
 // with magic+version both matching.
 const sectionMagic = uint32(0x53C7F11E)
 
-// sectionVersion is the original sectioned-format version: frames are
-// packed back to back with no alignment. Still readable; no longer
-// written (except by tests exercising the compatibility path).
-const sectionVersion = uint32(2)
+// sectionVersion is the container version this package reads and
+// writes: page-aligned payloads, frame CRCs covering tag and length.
+const sectionVersion = uint32(4)
 
-// sectionVersionAligned is the page-aligned sectioned format: zero-fill
-// pad frames (tag 0) are inserted so every real section's payload
-// starts on a sectionPageSize boundary. Alignment is what lets a reader
-// mmap the file and hand out section payloads as typed slices
-// (uint32/uint64/int64 arrays) without copying them to the heap.
-const sectionVersionAligned = uint32(3)
-
-// sectionPageSize is the payload alignment of v3 files. 4 KiB matches
-// the page size of every platform we run on; a platform with larger
-// pages still maps these files fine (alignment is about in-memory slice
-// element alignment, which needs only 8 bytes — the page size is chosen
-// so payloads also start on page boundaries for I/O friendliness).
+// sectionPageSize is the payload alignment. 4 KiB matches the page size
+// of every platform we run on; a platform with larger pages still maps
+// these files fine (alignment is about in-memory slice element
+// alignment, which needs only 8 bytes — the page size is chosen so
+// payloads also start on page boundaries for I/O friendliness).
 const sectionPageSize = 4096
 
-// sectionVersionHeaderCRC extends the aligned format with frame-header
-// integrity: each frame's checksum covers its tag and length fields
-// followed by the payload, closing the v2/v3 blind spot where frame
-// headers were unprotected. Layout and alignment are identical to v3.
-const sectionVersionHeaderCRC = uint32(4)
-
-// sectionFrameCRC computes a frame's checksum for the given container
-// version: v4+ covers the 12-byte tag+length prefix then the payload
-// chunks; earlier versions cover the payload alone.
-func sectionFrameCRC(version uint32, hdr12 []byte, chunks ...[]byte) uint32 {
-	crc := crc32.Checksum(nil, castagnoli)
-	if version >= sectionVersionHeaderCRC {
-		crc = crc32.Update(crc, castagnoli, hdr12)
-	}
+// sectionFrameCRC computes a frame's checksum over its 12-byte
+// tag+length prefix and then the payload chunks.
+func sectionFrameCRC(hdr12 []byte, chunks ...[]byte) uint32 {
+	crc := crc32.Checksum(hdr12, castagnoli)
 	for _, c := range chunks {
 		crc = crc32.Update(crc, castagnoli, c)
 	}
@@ -97,54 +75,38 @@ var (
 // SectionWriter streams sections into a checkpoint file. It is not safe
 // for concurrent use; the background checkpoint goroutine owns it.
 type SectionWriter struct {
-	f       *os.File
-	path    string
-	enc     Encoder // per-section scratch, reused across sections
-	size    int64
-	version uint32
+	f    *os.File
+	path string
+	enc  Encoder // per-section scratch, reused across sections
+	size int64
 }
 
 // CreateSectionFile creates (or truncates) a sectioned checkpoint file
-// at path and writes its header. Files are written in the page-aligned,
-// header-checksummed v4 format.
+// at path and writes its header.
 func CreateSectionFile(path string) (*SectionWriter, error) {
-	return createSectionFile(path, sectionVersionHeaderCRC)
-}
-
-// CreateSectionFileV2 writes the legacy unaligned v2 container. It
-// exists so compatibility tests can produce the files older binaries
-// wrote; production checkpoints are always v3.
-func CreateSectionFileV2(path string) (*SectionWriter, error) {
-	return createSectionFile(path, sectionVersion)
-}
-
-func createSectionFile(path string, version uint32) (*SectionWriter, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: create sections %s: %w", path, err)
 	}
 	var hdr [sectionFileHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:], sectionMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
+	binary.LittleEndian.PutUint32(hdr[4:], sectionVersion)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, err
 	}
-	return &SectionWriter{f: f, path: path, size: sectionFileHeader, version: version}, nil
+	return &SectionWriter{f: f, path: path, size: sectionFileHeader}, nil
 }
 
 // sectionPadZeros backs pad-frame payloads; pad frames are shorter than
 // one page by construction.
 var sectionPadZeros [sectionPageSize]byte
 
-// alignPayload pads a v3 file so the next frame's payload starts on a
-// page boundary. The pad is itself a well-formed frame (tag 0) so
-// readers that don't know about alignment still walk the file.
+// alignPayload pads the file so the next frame's payload starts on a
+// page boundary. The pad is itself a well-formed frame (tag 0), so the
+// frame walk needs no special case for it.
 func (w *SectionWriter) alignPayload() error {
-	if w.version < sectionVersionAligned {
-		return nil
-	}
 	if (w.size+sectionFrameHeader)%sectionPageSize == 0 {
 		return nil
 	}
@@ -153,7 +115,7 @@ func (w *SectionWriter) alignPayload() error {
 	var hdr [sectionFrameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:], sectionPadTag)
 	binary.LittleEndian.PutUint64(hdr[4:], uint64(padLen))
-	binary.LittleEndian.PutUint32(hdr[12:], sectionFrameCRC(w.version, hdr[:12], pad))
+	binary.LittleEndian.PutUint32(hdr[12:], sectionFrameCRC(hdr[:12], pad))
 	if _, err := w.f.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -190,7 +152,7 @@ func (w *SectionWriter) WriteSectionBytes(tag uint32, chunks ...[]byte) error {
 	var hdr [sectionFrameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:], tag)
 	binary.LittleEndian.PutUint64(hdr[4:], total)
-	binary.LittleEndian.PutUint32(hdr[12:], sectionFrameCRC(w.version, hdr[:12], chunks...))
+	binary.LittleEndian.PutUint32(hdr[12:], sectionFrameCRC(hdr[:12], chunks...))
 	if _, err := w.f.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -218,9 +180,9 @@ func (w *SectionWriter) Close() error {
 
 // IsSectionFile reports whether the file at path carries the
 // sectioned-checkpoint magic. It deliberately ignores the version
-// byte: a sectioned file of an unknown version must still route to the
-// sectioned loader, whose ErrBadVersion tells the operator a newer
-// binary is required — not to the heap-file loader, which would
+// byte: a sectioned file of an older or newer container version must
+// still route to the sectioned loader, whose ErrBadVersion names the
+// version it found — not to the heap-file loader, which would
 // misreport it as corruption.
 func IsSectionFile(path string) bool {
 	f, err := os.Open(path)
@@ -233,47 +195,4 @@ func IsSectionFile(path string) bool {
 		return false
 	}
 	return binary.LittleEndian.Uint32(hdr[0:]) == sectionMagic
-}
-
-// ReadSections loads a sectioned checkpoint file in one read and returns
-// its sections keyed by tag, each verified against its checksum. The
-// payload slices alias one backing buffer; callers must not modify them.
-func ReadSections(path string) (map[uint32][]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < sectionFileHeader ||
-		binary.LittleEndian.Uint32(data[0:]) != sectionMagic {
-		return nil, fmt.Errorf("%w: %s", ErrNotSectioned, path)
-	}
-	v := binary.LittleEndian.Uint32(data[4:])
-	if v != sectionVersion && v != sectionVersionAligned && v != sectionVersionHeaderCRC {
-		return nil, fmt.Errorf("%w: %s has version %d", ErrBadVersion, path, v)
-	}
-	secs := make(map[uint32][]byte)
-	off := int64(sectionFileHeader)
-	for off < int64(len(data)) {
-		if off+sectionFrameHeader > int64(len(data)) {
-			return nil, fmt.Errorf("%w: %s: truncated frame at %d", ErrSectionCorrupt, path, off)
-		}
-		hdr := data[off : off+12]
-		tag := binary.LittleEndian.Uint32(hdr)
-		length := binary.LittleEndian.Uint64(hdr[4:])
-		wantCRC := binary.LittleEndian.Uint32(data[off+12:])
-		off += sectionFrameHeader
-		if length > uint64(int64(len(data))-off) {
-			return nil, fmt.Errorf("%w: %s: section %d runs past EOF", ErrSectionCorrupt, path, tag)
-		}
-		payload := data[off : off+int64(length)]
-		off += int64(length)
-		if tag == sectionPadTag {
-			continue // alignment fill, not a section
-		}
-		if sectionFrameCRC(v, hdr, payload) != wantCRC {
-			return nil, fmt.Errorf("%w: %s: section %d checksum mismatch", ErrSectionCorrupt, path, tag)
-		}
-		secs[tag] = payload
-	}
-	return secs, nil
 }

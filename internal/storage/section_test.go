@@ -33,6 +33,25 @@ func writeTestSections(t *testing.T, path string, secs map[uint32][]byte) int64 
 	return size
 }
 
+// readSections opens the sectioned file at path and returns every
+// section's payload keyed by tag, each verified against its checksum.
+func readSections(path string) (map[uint32][]byte, error) {
+	sf, err := OpenSectionFile(path, false)
+	if err != nil {
+		return nil, err
+	}
+	defer sf.Close()
+	secs := make(map[uint32][]byte)
+	for _, tag := range sf.Tags() {
+		p, err := sf.Section(tag)
+		if err != nil {
+			return nil, err
+		}
+		secs[tag] = append([]byte(nil), p...)
+	}
+	return secs, nil
+}
+
 func TestSectionRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.sec")
 	want := map[uint32][]byte{
@@ -55,7 +74,7 @@ func TestSectionRoundTrip(t *testing.T) {
 	if !IsSectionFile(path) {
 		t.Fatal("IsSectionFile = false for a sectioned file")
 	}
-	got, err := ReadSections(path)
+	got, err := readSections(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +105,7 @@ func TestSectionCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSections(path); err == nil {
+	if _, err := readSections(path); err == nil {
 		t.Fatal("corrupt section payload read back without error")
 	}
 
@@ -96,7 +115,7 @@ func TestSectionCorruptionDetected(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSections(path); err == nil {
+	if _, err := readSections(path); err == nil {
 		t.Fatal("truncated section file read back without error")
 	}
 }
@@ -117,8 +136,8 @@ func TestSectionSniffRejectsOtherFormats(t *testing.T) {
 	if IsSectionFile(heap) {
 		t.Fatal("heap file sniffed as sectioned")
 	}
-	if _, err := ReadSections(heap); err == nil {
-		t.Fatal("ReadSections accepted a heap file")
+	if _, err := OpenSectionFile(heap, false); !errors.Is(err, ErrNotSectioned) {
+		t.Fatalf("OpenSectionFile on a heap file: err = %v, want ErrNotSectioned", err)
 	}
 	short := filepath.Join(dir, "short")
 	if err := os.WriteFile(short, []byte{1, 2}, 0o644); err != nil {
@@ -129,36 +148,44 @@ func TestSectionSniffRejectsOtherFormats(t *testing.T) {
 	}
 }
 
-// TestSectionFutureVersionRouting: a sectioned file of an unknown
-// (newer) version must still sniff as sectioned, so the journal routes
-// it to the sectioned loader and the operator sees "unsupported
-// version", not a bogus heap-file corruption error.
+// TestSectionFutureVersionRouting: a sectioned file of any other
+// container version — an older one (2, 3) or an unknown newer one —
+// must still sniff as sectioned, so the journal routes it to the
+// sectioned loader and the operator sees "unsupported version", not a
+// bogus heap-file corruption error.
 func TestSectionFutureVersionRouting(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "future.sec")
-	writeTestSections(t, path, map[uint32][]byte{1: []byte("payload")})
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[4] = 99 // bump the version byte past anything known
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !IsSectionFile(path) {
-		t.Fatal("future-version sectioned file not sniffed as sectioned")
-	}
-	if _, err := ReadSections(path); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("ReadSections err = %v, want ErrBadVersion", err)
+	for _, v := range []byte{2, 3, 99} {
+		path := filepath.Join(t.TempDir(), "other.sec")
+		writeTestSections(t, path, map[uint32][]byte{1: []byte("payload")})
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[4] = v
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if !IsSectionFile(path) {
+			t.Fatalf("version-%d sectioned file not sniffed as sectioned", v)
+		}
+		for _, mapped := range []bool{false, true} {
+			if _, err := OpenSectionFile(path, mapped); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("version %d, mapped %v: OpenSectionFile err = %v, want ErrBadVersion", v, mapped, err)
+			}
+		}
+		if err := VerifySnapshotFile(path); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: VerifySnapshotFile err = %v, want ErrBadVersion", v, err)
+		}
 	}
 }
 
-// TestFrameHeaderCorruptionDetected is the v4 regression the torture
+// TestFrameHeaderCorruptionDetected is the regression the torture
 // harness earned: a single bit flipped in a frame's *tag* field (length
 // intact) parses as a perfectly framed file whose section merely
-// changed name — in v2/v3 that passed every CRC while making the
-// checkpoint unloadable ("missing nodes section" at open). The v4
-// header-covering checksum must call it corruption through every read
-// path: eager ReadSections, lazy Section, and the scrubber's VerifyTag.
+// changed name — with a payload-only CRC that passed every check while
+// making the checkpoint unloadable ("missing nodes section" at open).
+// The header-covering checksum must call it corruption through every
+// read path: lazy Section and the scrubber's VerifyTag.
 func TestFrameHeaderCorruptionDetected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.sec")
 	writeTestSections(t, path, map[uint32][]byte{7: []byte("the nodes column")})
@@ -183,9 +210,6 @@ func TestFrameHeaderCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := ReadSections(path); err == nil {
-		t.Fatal("ReadSections accepted a flipped frame tag")
-	}
 	sf, err := OpenSectionFile(path, false)
 	if err != nil {
 		t.Fatal(err) // directory parse alone cannot know; reads must
