@@ -56,7 +56,8 @@ type WALReader struct {
 var ErrWALTrimmed = errors.New("storage: requested wal entries were compacted into a checkpoint")
 
 // ErrWALReaderCorrupt reports a frame whose payload is fully present
-// but fails its CRC — real corruption, not a torn tail.
+// but fails its CRC, or a short frame followed by a CRC-valid one —
+// real corruption, not a torn tail.
 var ErrWALReaderCorrupt = errors.New("storage: corrupt wal frame under reader")
 
 // OpenWALReader opens a tailing reader positioned to deliver frames
@@ -125,7 +126,21 @@ func (r *WALReader) ReadFrame() (frame []byte, lsn uint64, err error) {
 			return nil, 0, err
 		}
 		if n < int(length) {
-			return nil, 0, nil // torn payload: the writer will finish it
+			// A torn payload is the writer's unfinished tail unless a
+			// CRC-valid frame follows it: then rot in the length field
+			// moved the boundary past EOF, and waiting would stall forever.
+			// Re-read before calling it corruption, as ScrubWALFile does.
+			if _, found, err := walSuccessor(r.f, r.off, length); err != nil {
+				return nil, 0, err
+			} else if !found {
+				return nil, 0, nil // torn tail: the writer will finish it
+			}
+			if n, err = r.f.ReadAt(buf[walFrameHeader:], r.off+walFrameHeader); err != nil && err != io.EOF {
+				return nil, 0, err
+			}
+			if n < int(length) {
+				return nil, 0, fmt.Errorf("%w: lsn %d at offset %d: frame overruns a valid successor", ErrWALReaderCorrupt, lsn, r.off)
+			}
 		}
 		crc := crc32.Checksum(buf[4:], castagnoli)
 		if crc != wantCRC {

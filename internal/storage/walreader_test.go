@@ -522,6 +522,68 @@ func TestWALReaderCorruptFrameWithValidSuccessor(t *testing.T) {
 	}
 }
 
+func TestWALReaderLengthRotWithValidSuccessor(t *testing.T) {
+	// Rot that enlarges a mid-log frame's length field makes its payload
+	// look torn at EOF. A CRC-valid frame after it shows it is not the
+	// tail: the reader must report ErrWALReaderCorrupt instead of
+	// returning "nothing yet" forever. A genuinely torn last frame still
+	// reads as nothing, with no error.
+	write3 := func(t *testing.T) (string, []int64) {
+		path := filepath.Join(t.TempDir(), "l.wal")
+		w, err := CreateWAL(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var offs []int64
+		for i := 0; i < 3; i++ {
+			offs = append(offs, w.Size())
+			appendFlush(t, w, []byte(fmt.Sprintf("entry-%d", i)))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path, offs
+	}
+	readFrame0 := func(t *testing.T, path string) *WALReader {
+		r, err := OpenWALReader(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		if _, lsn, err := r.ReadFrame(); err != nil || lsn != 0 {
+			t.Fatalf("frame 0: lsn=%d err=%v", lsn, err)
+		}
+		return r
+	}
+
+	t.Run("length-low-byte", func(t *testing.T) {
+		path, offs := write3(t)
+		flipByte(t, path, offs[1]+4) // low byte of frame 1's length
+		r := readFrame0(t, path)
+		for i := 0; i < 3; i++ {
+			if f, _, err := r.ReadFrame(); !errors.Is(err, ErrWALReaderCorrupt) {
+				t.Fatalf("call %d: frame=%v err=%v, want ErrWALReaderCorrupt", i, f != nil, err)
+			}
+		}
+	})
+
+	t.Run("torn-last-frame", func(t *testing.T) {
+		path, offs := write3(t)
+		if err := os.Truncate(path, offs[2]+walFrameHeader+2); err != nil {
+			t.Fatal(err)
+		}
+		r := readFrame0(t, path)
+		if _, lsn, err := r.ReadFrame(); err != nil || lsn != 1 {
+			t.Fatalf("frame 1: lsn=%d err=%v", lsn, err)
+		}
+		for i := 0; i < 3; i++ {
+			if f, _, err := r.ReadFrame(); f != nil || err != nil {
+				t.Fatalf("torn tail, call %d: frame=%v err=%v, want nothing and no error", i, f != nil, err)
+			}
+		}
+	})
+}
+
 func TestScrubWALFileDuringResetKeepTail(t *testing.T) {
 	// The scrubber opens its own handle by path; a concurrent
 	// ResetKeepTail swaps the file by rename, so any single scrub pass
