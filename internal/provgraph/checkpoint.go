@@ -737,7 +737,6 @@ func (s *Store) thawV3(ep *sealedEpoch, cols *nodeCols, outOff []uint32, outAdj 
 			}
 		}
 	}
-	s.loadedNodes = slab
 	if len(ep.downloads) > 0 {
 		s.downloads = ep.downloads[:len(ep.downloads):len(ep.downloads)]
 	}

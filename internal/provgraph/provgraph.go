@@ -313,13 +313,6 @@ type Store struct {
 	keyBuf    []byte
 	nodeBlock []Node
 
-	// loadedNodes is the checkpoint-loaded node slab shared with the
-	// sealed epoch the snapshots read. Store pointers alias it until a
-	// node is mutated in place — mutableNode copies it out first, so
-	// the epoch stays immutable without duplicating the whole table at
-	// load.
-	loadedNodes []Node
-
 	// thaw, when non-nil, materialises the write-side state (node slab,
 	// maps, B-trees, adjacency rows) that a checkpoint load deferred:
 	// snapshots serve queries straight from the mapped columns, and the
@@ -563,13 +556,13 @@ func (s *Store) Sync() error {
 }
 
 // Checkpoint writes a checkpoint (the raw-column schema of
-// checkpoint.go) and drops the WAL prefix it covers. Writers are not blocked for the dump: the call
-// takes the write lock only to capture an immutable snapshot of the
-// current generation (O(tail)), an O(tabs) assembly copy and the WAL
-// fence, then flattens and streams the columnar sections in the
-// background, and finally re-takes the lock for the atomic metadata
-// swap. A crash mid-write leaves the previous checkpoint live; recovery
-// proceeds from it plus the WAL.
+// checkpoint.go) and drops the WAL prefix it covers. Writers are not
+// blocked for the dump: the call takes the write lock only to capture
+// an immutable snapshot of the current generation (O(tail)), an O(tabs)
+// assembly copy and the WAL fence, then flattens and streams the
+// columnar sections in the background, and finally re-takes the lock
+// for the atomic metadata swap. A crash mid-write leaves the previous
+// checkpoint live; recovery proceeds from it plus the WAL.
 //
 // The caller observes a synchronous Checkpoint (the call returns once
 // the new checkpoint is durable), but concurrent Apply/ApplyBatch
@@ -797,22 +790,6 @@ func (s *Store) newNode(kind NodeKind, at time.Time) *Node {
 	return n
 }
 
-// mutableNode returns a node pointer that is safe to mutate in place:
-// if s.nodes[id] still aliases the checkpoint-loaded slab (which the
-// sealed epoch shares with every pinned snapshot), the node is copied
-// out and the store repointed first. Every in-place field mutation of
-// an existing node must go through this — writing through a slab
-// pointer would edit history under pinned readers.
-func (s *Store) mutableNode(id NodeID) *Node {
-	n := s.nodes[id]
-	if int(id) < len(s.loadedNodes) && n == &s.loadedNodes[id] {
-		cp := *n
-		n = &cp
-		s.nodes[id] = n
-	}
-	return n
-}
-
 // addEdge inserts a provenance edge and maintains both adjacency views.
 func (s *Store) addEdge(from, to NodeID, kind EdgeKind, at time.Time) {
 	if from == 0 || to == 0 || from == to {
@@ -849,7 +826,6 @@ func (s *Store) ensurePage(url, title string, at time.Time) *Node {
 	if id, ok := s.urlIndex.Get(s.scratchKey(url)); ok {
 		p := s.nodes[NodeID(id)]
 		if p.Title == "" && title != "" {
-			p = s.mutableNode(NodeID(id))
 			p.Title = title
 			s.markDirtyNode(p.ID)
 		}
@@ -934,7 +910,6 @@ func (s *Store) applyVisit(ev *event.Event) {
 		// the time stamps and the node graph may be cyclic.
 		v = page
 		if v.Open.IsZero() || ev.Time.Before(v.Open) {
-			v = s.mutableNode(v.ID)
 			v.Open = ev.Time
 			s.markDirtyNode(v.ID)
 		}
@@ -988,7 +963,7 @@ func (s *Store) applyVisit(ev *event.Event) {
 	if s.mode == VersionNodes {
 		if prev := s.tabCur[ev.Tab]; prev != 0 && prev != v.ID {
 			if pn := s.nodes[prev]; pn.Close.IsZero() {
-				s.mutableNode(prev).Close = ev.Time
+				pn.Close = ev.Time
 				s.markDirtyNode(prev)
 			}
 		}
@@ -1004,7 +979,7 @@ func (s *Store) applyClose(ev *event.Event) {
 	}
 	if s.mode == VersionNodes {
 		if n := s.nodes[cur]; n.Close.IsZero() {
-			s.mutableNode(cur).Close = ev.Time
+			n.Close = ev.Time
 			s.markDirtyNode(cur)
 		}
 	}

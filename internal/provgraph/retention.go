@@ -120,7 +120,6 @@ func (s *Store) ExpireBefore(cutoff time.Time) (int, error) {
 	// substrings of one shared column blob, and a survivor keeping that
 	// blob alive would keep every expired URL in it alive as well.
 	s.nodeBlock = nil
-	s.loadedNodes = nil // survivors get fresh copies; drop the slab
 	for _, id := range ids {
 		if !retained[id] {
 			removed++
