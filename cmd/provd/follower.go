@@ -6,11 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"browserprov/internal/provgraph"
@@ -22,7 +21,8 @@ import (
 type followerConfig struct {
 	dir             string
 	leaderURL       string
-	admin           string
+	adminLn         net.Listener     // bound by main; nil disables the admin endpoints
+	sigc            <-chan os.Signal // SIGINT/SIGTERM, subscribed by main before startup
 	maxLag          time.Duration
 	checkpointEvery time.Duration
 	scrubEvery      time.Duration
@@ -83,23 +83,16 @@ func runFollower(cfg *followerConfig) {
 	defer stopScrub()
 
 	var adminSrv *http.Server
-	if cfg.admin != "" {
-		adminSrv = &http.Server{Addr: cfg.admin, Handler: recoverPanics(followerHandler(f, &qeng, cfg),
+	if cfg.adminLn != nil {
+		adminSrv = &http.Server{Handler: recoverPanics(followerHandler(f, &qeng, cfg),
 			func(r *http.Request, v any) {
 				log.Printf("provd: recovered panic in follower admin handler (%s %s): %v", r.Method, r.URL, v)
 			})}
-		go func() {
-			log.Printf("provd: follower admin endpoints on http://%s/{healthz,readyz,stats} (read-only)", cfg.admin)
-			if err := adminSrv.ListenAndServe(); err != http.ErrServerClosed {
-				log.Printf("provd: admin listener: %v (continuing without probes)", err)
-			}
-		}()
+		go serveAdmin(adminSrv, cfg.adminLn, "{healthz,readyz,stats} (read-only follower)")
 	}
 	log.Printf("provd: following %s into %s (capture proxy disabled on replicas)", cfg.leaderURL, cfg.dir)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	<-sigc
+	<-cfg.sigc
 	fmt.Println()
 	log.Print("provd: follower shutting down")
 	cancel()

@@ -15,7 +15,9 @@
 // wire protocol (see internal/ingest), and GET /stats reports
 // node/edge counts, the store generation, ingest counters and the size
 // on disk as JSON — stats are served off a snapshot-pinned query View,
-// so a probe never contends with capture traffic.
+// so a probe never contends with capture traffic. The admin address is
+// bound before anything else starts, in every mode: if it is taken,
+// provd exits non-zero at once (-admin "" runs without it).
 //
 // HTTPS CONNECT tunnels are relayed but not observed (encrypted traffic
 // carries no provenance the proxy can see); plain-HTTP browsing is fully
@@ -53,6 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -239,6 +242,16 @@ func adminHandler(store *provgraph.Store, eng *query.Engine, ing *ingest.Server,
 	return mux
 }
 
+// serveAdmin serves srv on the admin listener main bound at startup. A
+// serve error after that must not take the rest of the daemon down with
+// it: it is logged and the daemon keeps running without probes.
+func serveAdmin(srv *http.Server, ln net.Listener, endpoints string) {
+	log.Printf("provd: admin endpoints on http://%s/%s", ln.Addr(), endpoints)
+	if err := srv.Serve(ln); err != http.ErrServerClosed {
+		log.Printf("provd: admin listener: %v (continuing without probes)", err)
+	}
+}
+
 func main() {
 	dir := flag.String("dir", "", "provenance store directory (single-tenant mode)")
 	shardRoot := flag.String("shard-root", "", "multi-tenant shard root directory (enables sharded mode; exclusive with -dir)")
@@ -268,6 +281,26 @@ func main() {
 		log.Fatal("provd: -follow replicates a single store; it is exclusive with -shard-root")
 	}
 
+	// Catch SIGTERM before anything can answer a probe: a supervisor
+	// that sees /readyz may stop the daemon at once, and that stop must
+	// drain and checkpoint, not kill. Each mode's loop receives it, so a
+	// stop sent during startup (store open, follower bootstrap) takes
+	// effect, gracefully, once startup is done.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+
+	// Bind the admin listener before any mode starts: probes that can
+	// never answer leave a supervisor waiting on /readyz for nothing, so
+	// a taken address is a startup failure, not a warning.
+	var adminLn net.Listener
+	if *admin != "" {
+		ln, err := net.Listen("tcp", *admin)
+		if err != nil {
+			log.Fatalf("provd: admin listener: %v", err)
+		}
+		adminLn = ln
+	}
+
 	// The journal fsyncs every SyncEvery commits, and a batch is one
 	// commit: shrink the window by the batch size so the crash-loss
 	// bound stays ~256 events no matter how events are grouped.
@@ -282,7 +315,8 @@ func main() {
 		runFollower(&followerConfig{
 			dir:             *dir,
 			leaderURL:       strings.TrimRight(*follow, "/"),
-			admin:           *admin,
+			adminLn:         adminLn,
+			sigc:            sigc,
 			maxLag:          *maxLag,
 			checkpointEvery: *checkpointEvery,
 			scrubEvery:      *scrubEvery,
@@ -296,7 +330,8 @@ func main() {
 			root:            *shardRoot,
 			cap:             *shardCap,
 			listen:          *listen,
-			admin:           *admin,
+			adminLn:         adminLn,
+			sigc:            sigc,
 			searchHosts:     strings.Split(*searchHosts, ","),
 			defaultTenant:   *defaultTenant,
 			checkpointEvery: *checkpointEvery,
@@ -442,23 +477,16 @@ func main() {
 	defer stopScrub()
 
 	var adminSrv *http.Server
-	if *admin != "" {
+	if adminLn != nil {
 		eng := query.NewEngine(store, query.Options{})
 		replSrv := replica.NewServer(store)
-		adminSrv = &http.Server{Addr: *admin, Handler: recoverPanics(
+		adminSrv = &http.Server{Handler: recoverPanics(
 			adminHandler(store, eng, ingestSrv, dropped, replSrv, guard),
 			func(r *http.Request, v any) {
 				guard.CountPanic()
 				log.Printf("provd: recovered panic in admin handler (%s %s): %v", r.Method, r.URL, v)
 			})}
-		go func() {
-			log.Printf("provd: admin endpoints on http://%s/{healthz,readyz,stats,ingest,wal/stream}", *admin)
-			// A failed probe listener must not take the capture proxy
-			// down with it: log and keep capturing.
-			if err := adminSrv.ListenAndServe(); err != http.ErrServerClosed {
-				log.Printf("provd: admin listener: %v (continuing without probes)", err)
-			}
-		}()
+		go serveAdmin(adminSrv, adminLn, "{healthz,readyz,stats,ingest,wal/stream}")
 	}
 
 	var ckptTick <-chan time.Time
@@ -470,8 +498,6 @@ func main() {
 	flushTicker := time.NewTicker(*flushEvery)
 	defer flushTicker.Stop()
 	var checkpointing atomic.Bool
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
 	for {
 		select {

@@ -6,13 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"browserprov/internal/capture"
@@ -33,7 +32,8 @@ type shardedConfig struct {
 	root            string
 	cap             int
 	listen          string
-	admin           string
+	adminLn         net.Listener     // bound by main; nil disables the admin endpoints
+	sigc            <-chan os.Signal // SIGINT/SIGTERM, subscribed by main before startup
 	searchHosts     []string
 	defaultTenant   string
 	checkpointEvery time.Duration
@@ -378,19 +378,14 @@ func runSharded(cfg *shardedConfig) {
 	}()
 
 	var adminSrv *http.Server
-	if cfg.admin != "" {
-		adminSrv = &http.Server{Addr: cfg.admin, Handler: recoverPanics(
+	if cfg.adminLn != nil {
+		adminSrv = &http.Server{Handler: recoverPanics(
 			shardedAdminHandler(m, pr, ingestSrv, guard, &sweeps),
 			func(r *http.Request, v any) {
 				guard.CountPanic()
 				log.Printf("provd: recovered panic in admin handler (%s %s): %v", r.Method, r.URL, v)
 			})}
-		go func() {
-			log.Printf("provd: admin endpoints on http://%s/{healthz,readyz,stats,stats/<tenant>,ingest}", cfg.admin)
-			if err := adminSrv.ListenAndServe(); err != http.ErrServerClosed {
-				log.Printf("provd: admin listener: %v (continuing without probes)", err)
-			}
-		}()
+		go serveAdmin(adminSrv, cfg.adminLn, "{healthz,readyz,stats,stats/<tenant>,ingest}")
 	}
 
 	// checkpointOpen dumps every currently open tenant store. Each
@@ -418,8 +413,6 @@ func runSharded(cfg *shardedConfig) {
 	flushTicker := time.NewTicker(cfg.flushEvery)
 	defer flushTicker.Stop()
 	var checkpointing atomic.Bool
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
 	for {
 		select {
@@ -436,7 +429,7 @@ func runSharded(cfg *shardedConfig) {
 						st.OpenTenants, st.KnownTenants, st.Evictions, st.MappedBytes)
 				}()
 			}
-		case <-sigc:
+		case <-cfg.sigc:
 			fmt.Println()
 			log.Print("provd: shutting down")
 			shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
