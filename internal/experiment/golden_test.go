@@ -29,11 +29,58 @@ const goldenSearchK = 20
 // common-term searches expand past 512 nodes and run HITS over
 // subgraphs of that size, so the big-frontier code paths are pinned
 // too, not only the small ones.
+//
+// The queries run twice against the same golden: on the store that
+// ingested the history, and on the store reopened from its checkpoint,
+// which reads the lens from the checkpoint's mapped lens section.
 func TestPaperQueryGoldens(t *testing.T) {
-	w := buildSmall(t, 6, 41)
+	checkPaperQueryGoldens(t, provgraph.VersionNodes, "paper_queries.golden")
+}
+
+// TestPaperQueryGoldensEdges pins the same queries on an edge-versioned
+// build of the same fixture. There a page that has ever redirected is
+// spliced out of the lens for good (see provgraph.SnapLens), and these
+// results record that rule.
+func TestPaperQueryGoldensEdges(t *testing.T) {
+	checkPaperQueryGoldens(t, provgraph.VersionEdges, "paper_queries_edges.golden")
+}
+
+// checkPaperQueryGoldens builds the golden fixture in mode, checks the
+// paper queries against the golden file name, then checkpoints, reopens
+// the store mapped and checks them against the same file again.
+func checkPaperQueryGoldens(t *testing.T, mode provgraph.VersioningMode, name string) {
+	dir := t.TempDir()
+	w, err := Build(Config{Seed: 41, Days: 6, Dir: dir, Mode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	checkGolden(t, name, paperQueries(t, w.Prov, w.Truth))
+
+	if err := w.Prov.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Prov.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := provgraph.OpenWith(dir+"/prov", provgraph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if mi := re.MappedInfo(); mi.MappedBytes == 0 {
+		t.Fatalf("reopened store is not served from a mapped checkpoint: %+v", mi)
+	}
+	checkGolden(t, name, paperQueries(t, re, w.Truth))
+}
+
+// paperQueries runs every paper query on store and returns the golden
+// text: searches (plain, HITS, raw graph), personalisation, time
+// context and every download's lineage.
+func paperQueries(t *testing.T, store *provgraph.Store, tr Truth) []byte {
+	t.Helper()
 	ctx := context.Background()
-	v := query.NewEngine(w.Prov, query.Options{Budget: -1}).View()
-	tr := w.Truth
+	v := query.NewEngine(store, query.Options{Budget: -1}).View()
 
 	terms := append([]string{tr.RosebudQuery, tr.WineQuery}, v.Engine().Index().Terms(4)...)
 	variants := []struct {
@@ -91,19 +138,18 @@ func TestPaperQueryGoldens(t *testing.T) {
 		}
 	}
 
-	for _, id := range w.Prov.Downloads() {
+	for _, id := range store.Downloads() {
 		lin, _, err := v.DownloadLineage(ctx, id)
 		if err != nil {
 			t.Fatalf("lineage %d: %v", id, err)
 		}
-		d, _ := w.Prov.NodeByID(id)
+		d, _ := store.NodeByID(id)
 		fmt.Fprintf(&buf, "lineage %s found=%v\n", d.Text, lin.Found)
 		for _, n := range lin.Path {
 			fmt.Fprintf(&buf, "  %s %s\n", n.Kind, nodeLabel(n))
 		}
 	}
-
-	checkGolden(t, "paper_queries.golden", buf.Bytes())
+	return buf.Bytes()
 }
 
 // TestStorageScaleGoldens pins E1's durable footprints and E3's graph

@@ -22,7 +22,9 @@ import (
 //
 //   - queries run entirely over the column-backed epoch (plus the
 //     rematerialised edge attribute slices, which are tiny — arcs, not
-//     nodes);
+//     nodes), and read the §3.2 lens rows straight from the mapped lens
+//     section, which the loader validates but does not copy; a
+//     checkpoint without that section builds the lens on first use;
 //   - the first write THAWS the store (Store.thawLocked): the Node slab,
 //     the mutable maps and the B-trees materialise then. A read-mostly
 //     daemon that restarts, answers queries and ingests nothing never
@@ -71,6 +73,7 @@ const (
 	secV3VisitsOff = 38 // u32[maxID+2]: per-page visit list offsets
 	secV3VisitIDs  = 39 // u64[nVisits]
 	secV3Downloads = 40 // u64[nDownloads], creation order
+	secV3Lens      = 41 // §3.2 lens rows: out/in offsets + IDs (optional; see lensSectionChunks)
 )
 
 // Node column flag bits. Low three bits hold the NodeKind (0 = gap left
@@ -264,6 +267,7 @@ func writeSnapshotV3(w *storage.SectionWriter, ep *sealedEpoch, asm assemblyCapt
 		func() error { return raw(secV3VisitsOff, u32Bytes(ep.visitsOff)) },
 		func() error { return raw(secV3VisitIDs, nodeIDBytes(ep.visitIDs)) },
 		func() error { return raw(secV3Downloads, nodeIDBytes(ep.downloads)) },
+		func() error { return w.WriteSectionBytes(secV3Lens, lensSectionChunks(ep.lensRows())...) },
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
@@ -590,6 +594,15 @@ func (s *Store) loadSections(f *storage.SectionFile) error {
 		for slot := ep.inOff[to]; slot < ep.inOff[to+1]; slot++ {
 			ep.inEdges[slot] = Edge{From: ep.inIDs[slot], To: to,
 				Kind: EdgeKind(inKindP[slot]), At: microTime(inAt[slot])}
+		}
+	}
+
+	// ---- materialised lens (optional: built on first Lens() if absent) ----
+	if p, err := f.Section(secV3Lens); err != nil {
+		return err
+	} else if p != nil {
+		if ep.lens, err = decodeLensSection(p, maxID); err != nil {
+			return err
 		}
 	}
 

@@ -2,10 +2,8 @@ package provgraph
 
 import (
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"browserprov/internal/graph"
@@ -98,6 +96,18 @@ type sealedEpoch struct {
 	// mapsOnce guards the lazy build of urlToPage/termNode/saveNode for
 	// column-backed epochs.
 	mapsOnce sync.Once
+
+	// lens is the epoch's materialised §3.2 lens (see lens.go), set by
+	// flattenEpoch or by a checkpoint load that finds the lens section;
+	// lensOnce guards the lazy build when neither did.
+	lens     *lensRows
+	lensOnce sync.Once
+}
+
+// outEdges returns the out-edges of id (which must be <= maxID).
+func (ep *sealedEpoch) outEdges(id NodeID) []Edge {
+	lo, hi := ep.csr.OutRange(id)
+	return ep.edges[lo:hi]
 }
 
 // nodeAt returns the node with the given ID (which must be <= maxID).
@@ -433,7 +443,7 @@ func (sn *Snapshot) flatEpoch() *sealedEpoch {
 // flattenEpoch builds the next sealed epoch by merging a capture's
 // previous sealed arrays with its tail, reading only through the
 // immutable snapshot surface — it runs off-lock, concurrently with
-// writers. O(nodes+edges).
+// writers — and materialises the new epoch's lens. O(nodes+edges).
 func flattenEpoch(sn *Snapshot) *sealedEpoch {
 	maxID := sn.maxID
 	ep := &sealedEpoch{
@@ -535,6 +545,7 @@ func flattenEpoch(sn *Snapshot) *sealedEpoch {
 		}
 		copy(ep.visitIDs[ep.visitsOff[id]:], sn.VisitsOfPage(id))
 	}
+	ep.lens = buildLensRows(ep)
 	return ep
 }
 
@@ -738,8 +749,7 @@ func (sn *Snapshot) OutEdges(n NodeID) []Edge {
 		return sn.base.OutEdges(n)
 	}
 	if sn.sealed != nil && n <= sn.sealed.maxID {
-		lo, hi := sn.sealed.csr.OutRange(n)
-		return sn.sealed.edges[lo:hi]
+		return sn.sealed.outEdges(n)
 	}
 	return nil
 }
@@ -906,176 +916,3 @@ func openRange(ents []openEnt, lo, hi int64) []openEnt {
 
 var _ graph.Graph = (*Snapshot)(nil)
 var _ graph.Bounded = (*Snapshot)(nil)
-
-// ---- snapshot lens ----
-
-// SnapLens is the redirect-splicing personalisation lens (§3.2) over an
-// immutable snapshot: redirect chains are spliced out ("unify edges by
-// ignoring nodes from which a redirect or inner content link occurs")
-// and embedded/inner-content edges are dropped. Lineage queries use the
-// raw snapshot; ranking queries use the lens. It takes no locks, and
-// its redirect-resolution memo is shared by every query on the same
-// epoch: chains are resolved once per generation, not once per query.
-//
-// The memo is two dense slabs indexed by NodeID, allocated once per
-// snapshot (12 B per node) and filled lazily with atomic loads and
-// stores, so concurrent queries can share it. Racing queries resolving
-// the same node compute and store the same value. The memo is
-// per snapshot, never carried over from the sealed epoch: a tail
-// redirect added to a sealed node changes that node's chain ends.
-// It is safe for concurrent use.
-type SnapLens struct {
-	sn *Snapshot
-	// end[n] is resolve(n), or 0 while n is unresolved (node IDs start
-	// at 1, so 0 is never a chain end).
-	end []atomic.Uint64
-	// splice[n] is spliced(n): spliceUnknown until first asked.
-	splice []atomic.Uint32
-}
-
-// splice memo states.
-const (
-	spliceUnknown uint32 = iota
-	spliceNo
-	spliceYes
-)
-
-// Lens returns the snapshot's personalisation lens, building it on
-// first use. The same lens (and memo) is returned for the snapshot's
-// whole lifetime.
-func (sn *Snapshot) Lens() *SnapLens {
-	sn.lensOnce.Do(func() {
-		sn.lens = &SnapLens{
-			sn:     sn,
-			end:    make([]atomic.Uint64, sn.maxID+1),
-			splice: make([]atomic.Uint32, sn.maxID+1),
-		}
-	})
-	return sn.lens
-}
-
-// redirectTarget returns the target of the first redirect among es, or
-// 0 when none redirects.
-func redirectTarget(es []Edge) NodeID {
-	for _, e := range es {
-		if e.Kind == EdgeRedirectPermanent || e.Kind == EdgeRedirectTemporary {
-			return e.To
-		}
-	}
-	return 0
-}
-
-// spliced reports whether n is removed from the unified view: a node
-// from which a redirect occurs. Memoised per epoch.
-func (l *SnapLens) spliced(n NodeID) bool {
-	switch l.splice[n].Load() {
-	case spliceNo:
-		return false
-	case spliceYes:
-		return true
-	}
-	if redirectTarget(l.sn.OutEdges(n)) != 0 {
-		l.splice[n].Store(spliceYes)
-		return true
-	}
-	l.splice[n].Store(spliceNo)
-	return false
-}
-
-// resolve follows redirect out-edges from n to the final
-// non-redirecting node (at most 32 hops, so cycles end), memoised per
-// epoch.
-func (l *SnapLens) resolve(n NodeID) NodeID {
-	if r := l.end[n].Load(); r != 0 {
-		return NodeID(r)
-	}
-	cur := n
-	for hops := 0; hops < 32; hops++ {
-		next := redirectTarget(l.sn.OutEdges(cur))
-		if next == 0 {
-			break
-		}
-		cur = next
-	}
-	l.end[n].Store(uint64(cur))
-	return cur
-}
-
-// Out implements graph.Graph: successors with embeds dropped and
-// redirect targets resolved to their chain ends.
-func (l *SnapLens) Out(n NodeID) []NodeID { return l.AppendOut(n, nil) }
-
-// AppendOut implements graph.Appender: the lens materialises adjacency
-// on the fly, so hot traversals hand it their reusable buffer instead
-// of paying an allocation per visited node.
-func (l *SnapLens) AppendOut(n NodeID, buf []NodeID) []NodeID {
-	for _, e := range l.sn.OutEdges(n) {
-		if e.Kind == EdgeEmbed || e.Kind == EdgeFramedLink {
-			continue
-		}
-		t := l.resolve(e.To)
-		if t != n {
-			buf = append(buf, t)
-		}
-	}
-	return buf
-}
-
-// In implements graph.Graph: predecessors with embeds dropped and
-// spliced (redirecting) predecessors replaced by their own
-// predecessors, transitively.
-func (l *SnapLens) In(n NodeID) []NodeID { return l.AppendIn(n, nil) }
-
-// maxSpliced bounds how many spliced predecessors one In call expands.
-const maxSpliced = 32
-
-// spliceWalk is one In call's record of the nodes it has expanded: its
-// root, then each spliced predecessor it recursed into.
-type spliceWalk struct {
-	entered [maxSpliced + 1]NodeID
-	n       int
-}
-
-// AppendIn implements graph.Appender.
-func (l *SnapLens) AppendIn(n NodeID, buf []NodeID) []NodeID {
-	return l.appendIn(n, buf, nil)
-}
-
-// appendIn appends n's lens predecessors to buf, recursing through
-// spliced ones. An In call expands at most maxSpliced spliced nodes,
-// and none twice. When edges, not nodes, carry versions, redirects form
-// cycles, often over parallel edges, and walking every path through
-// them to a depth bound costs branching^depth. In a node-versioned
-// history (a DAG) a node's spliced predecessors form one redirect
-// chain, so there the bound limits chain length and nothing else. w is
-// nil until the call meets its first spliced predecessor, so most In
-// calls never set one up.
-func (l *SnapLens) appendIn(n NodeID, buf []NodeID, w *spliceWalk) []NodeID {
-	for _, e := range l.sn.InEdges(n) {
-		if e.Kind == EdgeEmbed || e.Kind == EdgeFramedLink {
-			continue
-		}
-		if !l.spliced(e.From) {
-			buf = append(buf, e.From)
-			continue
-		}
-		if w == nil {
-			w = &spliceWalk{n: 1}
-			w.entered[0] = n // n is the root
-		}
-		if w.n < len(w.entered) && !slices.Contains(w.entered[:w.n], e.From) {
-			w.entered[w.n] = e.From
-			w.n++
-			buf = l.appendIn(e.From, buf, w)
-		}
-	}
-	return buf
-}
-
-// MaxNodeID implements graph.Bounded: the lens spans the same dense ID
-// space as its snapshot, so dense traversal scratch applies through it.
-func (l *SnapLens) MaxNodeID() NodeID { return l.sn.maxID }
-
-var _ graph.Graph = (*SnapLens)(nil)
-var _ graph.Appender = (*SnapLens)(nil)
-var _ graph.Bounded = (*SnapLens)(nil)

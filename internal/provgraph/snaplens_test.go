@@ -3,12 +3,14 @@ package provgraph
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"browserprov/internal/event"
+	"browserprov/internal/storage"
 )
 
 // naiveLens is the reference the memoised SnapLens must match: every
@@ -356,5 +358,249 @@ func TestSnapLensRedirectCycleBranching(t *testing.T) {
 	lensMustMatchNaive(t, s.Snapshot(), rng)
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("lens over a branching redirect cycle took %v, want < 2s", d)
+	}
+}
+
+// lensRule names where a snapshot's lens rows come from: "computed"
+// (every row, with memo slabs), "sealed" (every row read from the
+// sealed epoch, no memo slabs) or "mixed" (sealed rows, and computed
+// ones for the tail).
+func lensRule(sn *Snapshot) string {
+	l := sn.Lens()
+	switch {
+	case l.rows == nil:
+		return "computed"
+	case l.end == nil:
+		return "sealed"
+	default:
+		return "mixed"
+	}
+}
+
+func mustLensRule(t *testing.T, sn *Snapshot, want string) {
+	t.Helper()
+	if got := lensRule(sn); got != want {
+		t.Fatalf("lens rows are %s, want %s", got, want)
+	}
+}
+
+// rewriteCheckpoint rewrites the checkpoint file at path section by
+// section, replacing the payload of tag with payload, or dropping the
+// section when payload is nil.
+func rewriteCheckpoint(t *testing.T, path string, tag uint32, payload []byte) {
+	t.Helper()
+	f, err := storage.OpenSectionFile(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tmp := path + ".rewrite"
+	w, err := storage.CreateSectionFile(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range f.Tags() {
+		p, err := f.Section(tg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tg == tag {
+			if payload == nil {
+				continue
+			}
+			p = payload
+		}
+		if err := w.WriteSectionBytes(tg, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lensURLs is the random-link URL pool per versioning mode: wider for
+// page-level versioning, whose graph is cyclic, so the naive reference
+// stays quick.
+var lensURLs = map[VersioningMode]int{VersionNodes: 12, VersionEdges: 1000}
+
+// buildLensStore fills a store in mode with a redirect chain and random
+// links, checkpoints it and closes it, returning its directory.
+func buildLensStore(t *testing.T, mode VersioningMode, seed int64) string {
+	t.Helper()
+	urls := lensURLs[mode]
+	dir := t.TempDir()
+	s, err := OpenWith(dir, Options{Mode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	feedRedirectChain(t, s, "a", t0)
+	feedRandomLinks(t, s, rng, 300, urls, t0.Add(time.Hour))
+	s.ForceReseal()
+	s.WaitReseal()
+	sn := s.Snapshot()
+	mustLensRule(t, sn, "sealed")
+	lensMustMatchNaive(t, sn, rng)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestSnapLensSealedRows: a sealed epoch's materialised lens matches the
+// reference when resealed live, when mapped (or read onto the heap) from
+// the checkpoint's lens section, when built on first Lens() from a
+// checkpoint without that section, and under a tail of random links
+// over the mapped epoch — in both versioning modes.
+func TestSnapLensSealedRows(t *testing.T) {
+	for _, mode := range []VersioningMode{VersionNodes, VersionEdges} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("mode%d/seed%d", mode, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				dir := buildLensStore(t, mode, seed)
+				// The mapped open goes last: its tail reaches the WAL.
+				for _, noMmap := range []bool{true, false} {
+					s := reopenWith(t, dir, Options{NoMmap: noMmap})
+					sn := s.Snapshot()
+					if sn.sealed == nil || sn.sealed.cols == nil || sn.sealed.lens == nil {
+						t.Fatalf("noMmap=%v: reopened epoch is not column-backed with a loaded lens", noMmap)
+					}
+					mustLensRule(t, sn, "sealed")
+					lensMustMatchNaive(t, sn, rng)
+					if !noMmap {
+						feedRandomLinks(t, s, rng, 100, lensURLs[mode], t0.Add(5*time.Hour))
+						lensMustMatchNaive(t, s.Snapshot(), rng)
+					}
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSnapLensWithoutSection: a checkpoint without the lens section
+// opens, builds the lens on the first Lens() call, answers like the
+// reference, and the store's next checkpoint carries the section again.
+func TestSnapLensWithoutSection(t *testing.T) {
+	for _, mode := range []VersioningMode{VersionNodes, VersionEdges} {
+		t.Run(fmt.Sprintf("mode%d", mode), func(t *testing.T) {
+			dir := buildLensStore(t, mode, 5)
+			rewriteCheckpoint(t, storage.SnapshotFilePath(dir, "provgraph", 1), secV3Lens, nil)
+			s := reopenWith(t, dir, Options{})
+			defer s.Close()
+			sn := s.Snapshot()
+			if sn.sealed == nil || sn.sealed.lens != nil {
+				t.Fatal("epoch opened from a checkpoint without the lens section already has a lens")
+			}
+			mustLensRule(t, sn, "sealed")
+			if sn.sealed.lens == nil {
+				t.Fatal("first Lens() did not build the sealed lens")
+			}
+			lensMustMatchNaive(t, sn, rand.New(rand.NewSource(5)))
+
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := storage.OpenSectionFile(storage.SnapshotFilePath(dir, "provgraph", 2), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if !f.Has(secV3Lens) {
+				t.Fatal("checkpoint of the reopened store has no lens section")
+			}
+		})
+	}
+}
+
+// TestSnapLensTailRules: each rule that decides between sealed and
+// computed rows, on a fixture built to trigger it, answers like the
+// reference.
+func TestSnapLensTailRules(t *testing.T) {
+	u := func(name string) string { return "http://" + name + ".example/" }
+	seal := func(t *testing.T, mode VersioningMode, evs ...*event.Event) *Store {
+		t.Helper()
+		s, err := OpenWith(t.TempDir(), Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		mustApply(t, s, evs...)
+		s.ForceReseal()
+		s.WaitReseal()
+		mustLensRule(t, s.Snapshot(), "sealed")
+		return s
+	}
+	base := []*event.Event{
+		visit(1, u("o"), "O", "", event.TransTyped, t0),
+		visit(1, u("m"), "M", u("o"), event.TransLink, t0.Add(time.Second)),
+		visit(1, u("a"), "A", u("m"), event.TransLink, t0.Add(2*time.Second)),
+		visit(1, u("b"), "B", u("a"), event.TransRedirectTemporary, t0.Add(3*time.Second)),
+		visit(1, u("n"), "N", u("b"), event.TransLink, t0.Add(4*time.Second)),
+	}
+	for _, mode := range []VersioningMode{VersionNodes, VersionEdges} {
+		t.Run(fmt.Sprintf("mode%d", mode), func(t *testing.T) {
+			t.Run("newly spliced sealed node", func(t *testing.T) {
+				s := seal(t, mode, base...)
+				// m had no redirect when sealed; now it redirects to z.
+				mustApply(t, s, visit(1, u("z"), "Z", u("m"), event.TransRedirectTemporary, t0.Add(time.Minute)))
+				sn := s.Snapshot()
+				pm, _ := sn.PageByURL(u("m"))
+				vm := pm.ID
+				if mode == VersionNodes {
+					vm = sn.VisitsOfPage(pm.ID)[0]
+				}
+				if vm > sn.sealed.maxID || redirectTarget(sn.tailOut[vm]) == 0 {
+					t.Fatal("fixture did not add a redirect to a sealed node")
+				}
+				mustLensRule(t, sn, "computed")
+				lensMustMatchNaive(t, sn, rand.New(rand.NewSource(1)))
+			})
+			t.Run("dirty out row beside clean neighbours", func(t *testing.T) {
+				s := seal(t, mode, base...)
+				// n, current on tab 1, gains a plain link to a new page
+				// x; its neighbours keep their sealed rows.
+				mustApply(t, s, visit(1, u("x"), "X", u("n"), event.TransLink, t0.Add(time.Minute)))
+				sn := s.Snapshot()
+				pn, _ := sn.PageByURL(u("n"))
+				vn := pn.ID
+				if mode == VersionNodes {
+					vn = sn.VisitsOfPage(pn.ID)[0]
+				}
+				if _, ok := sn.tailOut[vn]; !ok || vn > sn.sealed.maxID {
+					t.Fatal("fixture did not add an out-edge to a sealed node")
+				}
+				mustLensRule(t, sn, "mixed")
+				lensMustMatchNaive(t, sn, rand.New(rand.NewSource(2)))
+			})
+			if mode != VersionEdges {
+				// A node-versioned store adds in-edges only to nodes it
+				// creates, so a sealed node never gains one.
+				return
+			}
+			t.Run("tail in-edge to a spliced sealed node", func(t *testing.T) {
+				s := seal(t, mode, base...)
+				// a redirected when sealed; a new link from o reaches it.
+				mustApply(t, s,
+					visit(2, u("o"), "O", "", event.TransTyped, t0.Add(time.Minute)),
+					visit(2, u("a"), "A", u("o"), event.TransLink, t0.Add(time.Minute+time.Second)))
+				sn := s.Snapshot()
+				pa, _ := sn.PageByURL(u("a"))
+				if _, ok := sn.tailIn[pa.ID]; !ok || redirectTarget(sn.sealed.outEdges(pa.ID)) == 0 {
+					t.Fatal("fixture did not add an in-edge to a spliced sealed node")
+				}
+				mustLensRule(t, sn, "computed")
+				lensMustMatchNaive(t, sn, rand.New(rand.NewSource(3)))
+			})
+		})
 	}
 }
