@@ -2,6 +2,7 @@ package provgraph
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -641,4 +642,82 @@ func TestOpenRefusesOldContainerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRefuseOpen(t, dir, storage.ErrBadVersion)
+}
+
+// TestReopenKeepsReferrerOrigin: a store reopened from its checkpoint
+// must attach later events to the same visits as the store that never
+// closed. Downloads, bookmarks and navigations whose referrer is not on
+// screen in any tab fall back to the referrer URL's last visit that was
+// not inner content; that rule must not depend on whether the visit was
+// applied before or after the reopen.
+func TestReopenKeepsReferrerOrigin(t *testing.T) {
+	const a, b, x, y = "http://a.example/", "http://b.example/", "http://x.example/", "http://y.example/"
+	scenarios := []struct {
+		name   string
+		prefix []*event.Event
+	}{
+		{"linked-then-embedded", []*event.Event{
+			visit(1, a, "A", "", event.TransTyped, t0),
+			visit(1, x, "X", a, event.TransLink, t0.Add(time.Minute)),
+			visit(2, b, "B", "", event.TransTyped, t0.Add(2*time.Minute)),
+			visit(2, x, "X", b, event.TransEmbed, t0.Add(3*time.Minute)),
+			{Time: t0.Add(4 * time.Minute), Type: event.TypeClose, Tab: 1, URL: x},
+		}},
+		{"only-embedded", []*event.Event{
+			visit(1, a, "A", "", event.TransTyped, t0),
+			visit(1, x, "X", a, event.TransEmbed, t0.Add(time.Minute)),
+			visit(2, b, "B", "", event.TransTyped, t0.Add(2*time.Minute)),
+			visit(2, x, "X", b, event.TransFramedLink, t0.Add(3*time.Minute)),
+		}},
+	}
+	suffix := []*event.Event{
+		{Time: t0.Add(10 * time.Minute), Type: event.TypeDownload, Tab: 2, URL: x + "f.zip",
+			Referrer: x, SavePath: "/dl/f.zip", ContentType: "application/zip"},
+		{Time: t0.Add(11 * time.Minute), Type: event.TypeBookmarkAdd, Tab: 3, URL: x, Title: "X"},
+		visit(4, y, "Y", x, event.TransLink, t0.Add(12*time.Minute)),
+	}
+	for _, sc := range scenarios {
+		for _, mode := range []VersioningMode{VersionNodes, VersionEdges} {
+			for _, noMmap := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%v/nommap=%v", sc.name, mode, noMmap), func(t *testing.T) {
+					opts := Options{Mode: mode, NoMmap: noMmap}
+					live, err := OpenWith(t.TempDir(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer live.Close()
+					dir := t.TempDir()
+					re, err := OpenWith(dir, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mustApply(t, live, sc.prefix...)
+					mustApply(t, re, sc.prefix...)
+					if err := re.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					if err := re.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if re, err = OpenWith(dir, opts); err != nil {
+						t.Fatal(err)
+					}
+					defer re.Close()
+					mustApply(t, live, suffix...)
+					mustApply(t, re, suffix...)
+					want, got := live.Snapshot(), re.Snapshot()
+					if d := snapshotDiff(want, got); d != "" {
+						t.Fatal(d)
+					}
+					if sc.name == "linked-then-embedded" && mode == VersionNodes {
+						// Visit 4 is tab 1's link to X; visit 7 is tab 2's embed of it.
+						dl, _ := got.DownloadBySavePath("/dl/f.zip")
+						if in := got.InEdges(dl.ID); len(in) != 1 || in[0].From != 4 {
+							t.Fatalf("download origin edges = %v, want one from visit 4", in)
+						}
+					}
+				})
+			}
+		}
+	}
 }
