@@ -137,7 +137,7 @@ func BenchmarkE2cTimeContext(b *testing.B) {
 func BenchmarkE2dLineage(b *testing.B) {
 	ctx := context.Background()
 	w, eng := workload(b)
-	downloads := w.Prov.Downloads()
+	downloads := w.Prov.Snapshot().Downloads()
 	if len(downloads) == 0 {
 		b.Skip("no downloads in workload")
 	}
@@ -184,7 +184,7 @@ func BenchmarkE3Ingest(b *testing.B) {
 	b.StopTimer()
 	// Paper scale context: nodes accumulated per simulated day at the
 	// paper's rate of ~316/day.
-	b.ReportMetric(float64(s.Stats().Nodes), "nodes")
+	b.ReportMetric(float64(s.Snapshot().Stats().Nodes), "nodes")
 }
 
 // BenchmarkE4Quality runs the four §2 scenario queries and reports their

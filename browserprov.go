@@ -225,7 +225,7 @@ func (h *History) Checkpoint() error { return h.store.Checkpoint() }
 func (h *History) Sync() error { return h.store.Sync() }
 
 // Stats returns node/edge counts.
-func (h *History) Stats() Stats { return h.store.Stats() }
+func (h *History) Stats() Stats { return h.store.Snapshot().Stats() }
 
 // SizeOnDisk returns the durable footprint in bytes.
 func (h *History) SizeOnDisk() int64 { return h.store.SizeOnDisk() }
@@ -291,7 +291,7 @@ func QueryOn(ctx context.Context, v *View, src string, opts ...Option) (QueryRes
 // store's save-path index (O(1); the most recent download wins when
 // several share a path).
 func (h *History) DownloadBySavePath(path string) (Node, bool) {
-	return h.store.DownloadBySavePath(path)
+	return h.store.Snapshot().DownloadBySavePath(path)
 }
 
 // VerifyDAG checks the acyclicity invariant, returning a violating cycle
@@ -300,7 +300,7 @@ func (h *History) VerifyDAG() []NodeID { return h.store.VerifyDAG() }
 
 // OpenBetween returns visit nodes opened in [lo, hi).
 func (h *History) OpenBetween(lo, hi time.Time) []NodeID {
-	return h.store.OpenBetween(lo, hi)
+	return h.store.Snapshot().OpenBetween(lo, hi)
 }
 
 // NewProxy returns an HTTP forward proxy (http.Handler) that captures
@@ -349,11 +349,11 @@ type ExportOptions = export.Options
 // WriteDOT writes the history graph (or, with Roots set, a neighborhood)
 // in Graphviz DOT form for visual forensics.
 func (h *History) WriteDOT(w io.Writer, o ExportOptions) error {
-	return export.WriteDOT(w, h.store, o)
+	return export.WriteDOT(w, h.store.Snapshot(), o)
 }
 
 // WriteJSON writes the graph as newline-delimited JSON (one node or edge
 // per line) for downstream analysis.
 func (h *History) WriteJSON(w io.Writer, o ExportOptions) error {
-	return export.WriteJSON(w, h.store, o)
+	return export.WriteJSON(w, h.store.Snapshot(), o)
 }

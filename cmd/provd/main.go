@@ -132,10 +132,17 @@ func coreStats(store *provgraph.Store, v *query.View) statsReply {
 		age = time.Since(ck.LastAt).Seconds()
 	}
 	mi := store.MappedInfo()
-	reply := statsReply{
+	st := sn.Stats()
+	return statsReply{
 		Generation:        v.Generation(),
-		Nodes:             sn.NumNodes(),
-		Edges:             sn.NumEdges(),
+		Nodes:             st.Nodes,
+		Edges:             st.Edges,
+		Pages:             st.Pages,
+		Visits:            st.Visits,
+		Downloads:         st.Downloads,
+		Bookmarks:         st.Bookmarks,
+		Terms:             st.Terms,
+		Forms:             st.Forms,
 		SizeOnDisk:        store.SizeOnDisk(),
 		CheckpointBytes:   ck.Bytes,
 		WALBytes:          ck.WALBytes,
@@ -144,25 +151,6 @@ func coreStats(store *provgraph.Store, v *query.View) statsReply {
 		HeapLoadBytes:     mi.HeapBytes,
 		DedupWindow:       store.DedupWindowLen(),
 	}
-	// Per-kind counts from the same snapshot the totals came from.
-	sn.NodesSince(0, func(n provgraph.Node) bool {
-		switch n.Kind {
-		case provgraph.KindPage:
-			reply.Pages++
-		case provgraph.KindVisit:
-			reply.Visits++
-		case provgraph.KindDownload:
-			reply.Downloads++
-		case provgraph.KindBookmark:
-			reply.Bookmarks++
-		case provgraph.KindSearchTerm:
-			reply.Terms++
-		case provgraph.KindFormEntry:
-			reply.Forms++
-		}
-		return true
-	})
-	return reply
 }
 
 // adminHandler serves the probe endpoints, /stats and POST /ingest.
@@ -515,9 +503,9 @@ func main() {
 						log.Printf("provd: checkpoint: %v", err)
 						return
 					}
-					st, ck := store.Stats(), store.CheckpointInfo()
+					sn, ck := store.Snapshot(), store.CheckpointInfo()
 					log.Printf("provd: checkpoint ok (%d nodes, %d edges, %d checkpoint bytes, %d sink errors)",
-						st.Nodes, st.Edges, ck.Bytes, observer.Errs())
+						sn.NumNodes(), sn.NumEdges(), ck.Bytes, observer.Errs())
 				}()
 			}
 		case <-sigc:

@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := w.Prov.Stats()
+	st := w.Prov.Snapshot().Stats()
 	fmt.Printf("generated %d days of history in %v\n", w.Run.Days, w.IngestWall)
 	fmt.Printf("  events     %d\n", w.Events)
 	fmt.Printf("  nodes      %d (pages %d, visits %d, bookmarks %d, downloads %d, terms %d, forms %d)\n",

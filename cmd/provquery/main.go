@@ -160,29 +160,30 @@ func main() {
 		// Optional argument: a save path or URL whose neighborhood to
 		// export; otherwise the whole graph.
 		o := export.Options{}
+		sn := store.Snapshot()
 		if flag.NArg() > 1 {
 			root := flag.Arg(1)
-			for _, id := range store.Downloads() {
-				if n, ok := store.NodeByID(id); ok && (n.Text == root || n.URL == root) {
+			for _, id := range sn.Downloads() {
+				if n, ok := sn.NodeByID(id); ok && (n.Text == root || n.URL == root) {
 					o.Roots = append(o.Roots, id)
 				}
 			}
-			if page, ok := store.PageByURL(root); ok {
-				o.Roots = append(o.Roots, store.VisitsOfPage(page.ID)...)
+			if page, ok := sn.PageByURL(root); ok {
+				o.Roots = append(o.Roots, sn.VisitsOfPage(page.ID)...)
 			}
 			if len(o.Roots) == 0 {
 				log.Fatalf("provquery: no node matches %q", root)
 			}
 		}
-		if err := export.WriteDOT(os.Stdout, store, o); err != nil {
+		if err := export.WriteDOT(os.Stdout, sn, o); err != nil {
 			log.Fatal(err)
 		}
 	case "json":
-		if err := export.WriteJSON(os.Stdout, store, export.Options{IncludeEmbeds: true}); err != nil {
+		if err := export.WriteJSON(os.Stdout, store.Snapshot(), export.Options{IncludeEmbeds: true}); err != nil {
 			log.Fatal(err)
 		}
 	case "stats":
-		st := store.Stats()
+		st := store.Snapshot().Stats()
 		fmt.Printf("generation %d\nnodes     %d\n  pages     %d\n  visits    %d\n  bookmarks %d\n  downloads %d\n  terms     %d\n  forms     %d\nedges     %d\nsize      %d bytes\n",
 			v.Generation(), st.Nodes, st.Pages, st.Visits, st.Bookmarks, st.Downloads, st.Terms, st.Forms, st.Edges, store.SizeOnDisk())
 		if cycle := store.VerifyDAG(); cycle != nil {

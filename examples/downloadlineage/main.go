@@ -32,7 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer w.Close()
-	st := w.Prov.Stats()
+	st := w.Prov.Snapshot().Stats()
 	fmt.Printf("history: %d nodes, %d edges, %d downloads (built in %v)\n\n",
 		st.Nodes, st.Edges, st.Downloads, w.IngestWall)
 
@@ -49,8 +49,9 @@ func main() {
 	fmt.Printf("infected file: %s\n", infected)
 
 	var dlID provgraph.NodeID
-	for _, id := range w.Prov.Downloads() {
-		if n, ok := w.Prov.NodeByID(id); ok && n.Text == infected {
+	sn := v.Snapshot()
+	for _, id := range sn.Downloads() {
+		if n, ok := sn.NodeByID(id); ok && n.Text == infected {
 			dlID = id
 		}
 	}

@@ -305,7 +305,7 @@ func TestProxyEndToEnd(t *testing.T) {
 	get(originURL+"/short", originURL+"/")
 	get(originURL+"/file.bin", originURL+"/landing")
 
-	st := store.Stats()
+	st := store.Snapshot().Stats()
 	if st.Visits < 3 {
 		t.Fatalf("visits = %d, want >= 3 (front, short, landing)", st.Visits)
 	}
@@ -317,36 +317,36 @@ func TestProxyEndToEnd(t *testing.T) {
 	}
 
 	// Titles flowed through the proxy sniffer.
-	front, ok := store.PageByURL(originURL + "/")
+	front, ok := store.Snapshot().PageByURL(originURL + "/")
 	if !ok || front.Title != "Front Page" {
 		t.Fatalf("front page = %+v, ok=%v", front, ok)
 	}
 
 	// The redirect edge was reconstructed: landing's visit has a
 	// redirect in-edge from /short.
-	landing, ok := store.PageByURL(originURL + "/landing")
+	landing, ok := store.Snapshot().PageByURL(originURL + "/landing")
 	if !ok {
 		t.Fatal("landing page missing")
 	}
-	visits := store.VisitsOfPage(landing.ID)
+	visits := store.Snapshot().VisitsOfPage(landing.ID)
 	if len(visits) != 1 {
 		t.Fatalf("landing visits = %d", len(visits))
 	}
-	ins := store.InEdges(visits[0])
+	ins := store.Snapshot().InEdges(visits[0])
 	if len(ins) != 1 || !ins[0].Kind.IsAutomatic() {
 		t.Fatalf("landing in-edges = %+v", ins)
 	}
 
 	// The download node descends from the landing page.
-	dls := store.Downloads()
+	dls := store.Snapshot().Downloads()
 	if len(dls) != 1 {
 		t.Fatalf("download nodes = %d", len(dls))
 	}
-	dlIns := store.InEdges(dls[0])
+	dlIns := store.Snapshot().InEdges(dls[0])
 	if len(dlIns) != 1 {
 		t.Fatalf("download in-edges = %+v", dlIns)
 	}
-	from, _ := store.NodeByID(dlIns[0].From)
+	from, _ := store.Snapshot().NodeByID(dlIns[0].From)
 	if from.URL != originURL+"/landing" {
 		t.Fatalf("download origin = %s", from.URL)
 	}

@@ -126,7 +126,7 @@ func measureMode(w *Workload, mode provgraph.VersioningMode) (ModeReport, LensRe
 	if err := w.Prov.Checkpoint(); err != nil {
 		return rep, LensReport{}, err
 	}
-	st := w.Prov.Stats()
+	st := w.Prov.Snapshot().Stats()
 	rep.Nodes, rep.Edges = st.Nodes, st.Edges
 	rep.Bytes = w.Prov.SizeOnDisk()
 	rep.DAG = w.Prov.VerifyDAG() == nil
@@ -167,9 +167,10 @@ func measureLens(w *Workload) LensReport {
 
 	// A page is a redirect hop if any of its visits has an outgoing
 	// redirect edge.
+	sn := w.Prov.Snapshot()
 	isRedirectHop := func(page provgraph.NodeID) bool {
-		for _, v := range w.Prov.VisitsOfPage(page) {
-			for _, e := range w.Prov.OutEdges(v) {
+		for _, v := range sn.VisitsOfPage(page) {
+			for _, e := range sn.OutEdges(v) {
 				if e.Kind == provgraph.EdgeRedirectPermanent || e.Kind == provgraph.EdgeRedirectTemporary {
 					return true
 				}

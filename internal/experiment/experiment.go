@@ -226,7 +226,7 @@ type E3Result struct {
 
 // RunE3 reads scale statistics off a built workload.
 func RunE3(w *Workload) E3Result {
-	st := w.Prov.Stats()
+	st := w.Prov.Snapshot().Stats()
 	r := E3Result{
 		Days:       w.Run.Days,
 		Nodes:      st.Nodes,

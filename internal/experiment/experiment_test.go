@@ -23,7 +23,7 @@ func buildSmall(t *testing.T, days int, seed int64) *Workload {
 func TestBuildDualWritesConsistently(t *testing.T) {
 	w := buildSmall(t, 4, 31)
 	ps := w.Places.Stats()
-	gs := w.Prov.Stats()
+	gs := w.Prov.Snapshot().Stats()
 	// Every Places visit is a provenance visit instance; the provenance
 	// store additionally records close/search/etc., so its node count
 	// strictly dominates.
@@ -162,8 +162,8 @@ func TestE5Ablation(t *testing.T) {
 func TestBuildDeterminism(t *testing.T) {
 	w1 := buildSmall(t, 3, 59)
 	w2 := buildSmall(t, 3, 59)
-	if w1.Prov.Stats() != w2.Prov.Stats() {
-		t.Fatalf("same seed, different workloads: %+v vs %+v", w1.Prov.Stats(), w2.Prov.Stats())
+	if w1.Prov.Snapshot().Stats() != w2.Prov.Snapshot().Stats() {
+		t.Fatalf("same seed, different workloads: %+v vs %+v", w1.Prov.Snapshot().Stats(), w2.Prov.Snapshot().Stats())
 	}
 	if w1.Events != w2.Events {
 		t.Fatalf("event counts differ: %d vs %d", w1.Events, w2.Events)

@@ -138,12 +138,12 @@ func paperQueries(t *testing.T, store *provgraph.Store, tr Truth) []byte {
 		}
 	}
 
-	for _, id := range store.Downloads() {
+	for _, id := range store.Snapshot().Downloads() {
 		lin, _, err := v.DownloadLineage(ctx, id)
 		if err != nil {
 			t.Fatalf("lineage %d: %v", id, err)
 		}
-		d, _ := store.NodeByID(id)
+		d, _ := store.Snapshot().NodeByID(id)
 		fmt.Fprintf(&buf, "lineage %s found=%v\n", d.Text, lin.Found)
 		for _, n := range lin.Path {
 			fmt.Fprintf(&buf, "  %s %s\n", n.Kind, nodeLabel(n))

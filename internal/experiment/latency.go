@@ -109,7 +109,7 @@ func RunE2(w *Workload, opts query.Options) E2Result {
 	r.TimeContext = summarize(samples, trunc)
 
 	samples, trunc = nil, 0
-	downloads := w.Prov.Downloads()
+	downloads := w.Prov.Snapshot().Downloads()
 	for i := 0; i < E2Queries; i++ {
 		var meta query.Meta
 		if len(downloads) > 0 {
@@ -191,8 +191,9 @@ func RunE4(w *Workload, opts query.Options) E4Result {
 	wineBase, _, _ := v.TextualSearch(ctx, truth.WineQuery, 0)
 	r.WineBaselineRank = rank(wineBase, truth.WineTarget)
 
-	for _, id := range w.Prov.Downloads() {
-		n, _ := w.Prov.NodeByID(id)
+	sn := w.Prov.Snapshot()
+	for _, id := range sn.Downloads() {
+		n, _ := sn.NodeByID(id)
 		if n.Text != truth.MalwareSave {
 			continue
 		}

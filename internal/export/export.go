@@ -40,7 +40,7 @@ func (o Options) depth() int {
 // selectNodes returns the node set to export, in ID order. Without
 // IncludeEmbeds, visit instances that exist only because of embedded
 // content are dropped along with their edges.
-func selectNodes(s *provgraph.Store, o Options) []provgraph.NodeID {
+func selectNodes(s *provgraph.Snapshot, o Options) []provgraph.NodeID {
 	var ids []provgraph.NodeID
 	if len(o.Roots) == 0 {
 		ids = s.AllNodeIDs()
@@ -122,7 +122,7 @@ func escapeDOT(s string) string {
 }
 
 // WriteDOT writes the selected subgraph in Graphviz DOT form.
-func WriteDOT(w io.Writer, s *provgraph.Store, o Options) error {
+func WriteDOT(w io.Writer, s *provgraph.Snapshot, o Options) error {
 	nodes := selectNodes(s, o)
 	inSet := make(map[provgraph.NodeID]bool, len(nodes))
 	for _, n := range nodes {
@@ -211,7 +211,7 @@ func fmtTime(t time.Time) string {
 // WriteJSON writes the selected subgraph as newline-delimited JSON:
 // every line holds either {"node":...} or {"edge":...}. Nodes precede
 // edges; both are in deterministic order.
-func WriteJSON(w io.Writer, s *provgraph.Store, o Options) error {
+func WriteJSON(w io.Writer, s *provgraph.Snapshot, o Options) error {
 	nodes := selectNodes(s, o)
 	inSet := make(map[provgraph.NodeID]bool, len(nodes))
 	for _, n := range nodes {

@@ -41,7 +41,7 @@ func buildStore(t *testing.T) *provgraph.Store {
 func TestWriteDOTWellFormed(t *testing.T) {
 	s := buildStore(t)
 	var buf bytes.Buffer
-	if err := WriteDOT(&buf, s, Options{}); err != nil {
+	if err := WriteDOT(&buf, s.Snapshot(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -68,7 +68,7 @@ func TestWriteDOTWellFormed(t *testing.T) {
 func TestWriteDOTIncludeEmbeds(t *testing.T) {
 	s := buildStore(t)
 	var buf bytes.Buffer
-	if err := WriteDOT(&buf, s, Options{IncludeEmbeds: true}); err != nil {
+	if err := WriteDOT(&buf, s.Snapshot(), Options{IncludeEmbeds: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "ad.js") {
@@ -78,9 +78,9 @@ func TestWriteDOTIncludeEmbeds(t *testing.T) {
 
 func TestWriteDOTNeighborhood(t *testing.T) {
 	s := buildStore(t)
-	dls := s.Downloads()
+	dls := s.Snapshot().Downloads()
 	var buf bytes.Buffer
-	if err := WriteDOT(&buf, s, Options{Roots: dls, Depth: 1}); err != nil {
+	if err := WriteDOT(&buf, s.Snapshot(), Options{Roots: dls, Depth: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -97,7 +97,7 @@ func TestWriteDOTNeighborhood(t *testing.T) {
 func TestWriteJSONRoundTrips(t *testing.T) {
 	s := buildStore(t)
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, s, Options{IncludeEmbeds: true}); err != nil {
+	if err := WriteJSON(&buf, s.Snapshot(), Options{IncludeEmbeds: true}); err != nil {
 		t.Fatal(err)
 	}
 	var nodes, edges int
@@ -125,7 +125,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 			t.Fatalf("line with neither/both: %q", sc.Text())
 		}
 	}
-	st := s.Stats()
+	st := s.Snapshot().Stats()
 	if nodes != st.Nodes {
 		t.Fatalf("exported %d nodes, store has %d", nodes, st.Nodes)
 	}
@@ -137,10 +137,10 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 func TestWriteJSONDeterministic(t *testing.T) {
 	s := buildStore(t)
 	var a, b bytes.Buffer
-	if err := WriteJSON(&a, s, Options{}); err != nil {
+	if err := WriteJSON(&a, s.Snapshot(), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(&b, s, Options{}); err != nil {
+	if err := WriteJSON(&b, s.Snapshot(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {

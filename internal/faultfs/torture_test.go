@@ -240,7 +240,7 @@ func TestTortureKillRecover(t *testing.T) {
 				}
 			}
 		}
-		got := store.Stats()
+		got := store.Snapshot().Stats()
 		if err := store.Close(); err != nil {
 			t.Fatalf("iter %d: close: %v", it, err)
 		}
@@ -269,5 +269,5 @@ func referenceTortureStats(t *testing.T, total int) provgraph.Stats {
 			t.Fatal(err)
 		}
 	}
-	return ref.Stats()
+	return ref.Snapshot().Stats()
 }

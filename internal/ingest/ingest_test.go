@@ -76,12 +76,12 @@ func TestServerAppliesAndDeduplicates(t *testing.T) {
 	}
 
 	// Byte-identical redelivery: all duplicates, store untouched.
-	before := store.Stats()
+	before := store.Snapshot().Stats()
 	_, resp = postBatch(t, srv, body)
 	if resp == nil || resp.Applied != 0 || resp.Duplicates != 2 {
 		t.Fatalf("redelivery: %+v", resp)
 	}
-	if store.Stats() != before {
+	if store.Snapshot().Stats() != before {
 		t.Fatal("redelivery changed the store")
 	}
 	st := srv.Stats()
@@ -110,7 +110,7 @@ func TestServerRejectsBadEventsNotBatch(t *testing.T) {
 			t.Fatalf("result %d = %+v, want rejected with reason", i, resp.Results[i])
 		}
 	}
-	if _, ok := store.PageByURL("http://a.example/"); !ok {
+	if _, ok := store.Snapshot().PageByURL("http://a.example/"); !ok {
 		t.Fatal("good event did not land")
 	}
 }
@@ -301,7 +301,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	if calls.Load() != 3 {
 		t.Fatalf("attempts = %d, want 3 (two failures, one success)", calls.Load())
 	}
-	if _, ok := store.PageByURL("http://a.example/"); !ok {
+	if _, ok := store.Snapshot().PageByURL("http://a.example/"); !ok {
 		t.Fatal("event did not land")
 	}
 }
@@ -392,7 +392,7 @@ func TestClientSpoolsAndDrains(t *testing.T) {
 		t.Fatalf("spool still holds %d batches", c.SpoolLen())
 	}
 	for i := 0; i < 3; i++ {
-		if _, ok := store.PageByURL(fmt.Sprintf("http://s%d.example/", i)); !ok {
+		if _, ok := store.Snapshot().PageByURL(fmt.Sprintf("http://s%d.example/", i)); !ok {
 			t.Fatalf("spooled batch %d never landed", i)
 		}
 	}

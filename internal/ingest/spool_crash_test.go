@@ -105,7 +105,7 @@ func TestDrainSpoolKillMidDrain(t *testing.T) {
 	}
 	for i := range batches {
 		url := fmt.Sprintf("http://drain-%c.example/p0", 'a'+i)
-		if _, ok := store.PageByURL(url); !ok {
+		if _, ok := store.Snapshot().PageByURL(url); !ok {
 			t.Fatalf("batch %d never landed (%s missing)", i, url)
 		}
 	}

@@ -209,7 +209,7 @@ func TestUnknownSourceErrors(t *testing.T) {
 
 func TestNodeSource(t *testing.T) {
 	s, e := buildStore(t)
-	dl := s.Downloads()[0]
+	dl := s.Snapshot().Downloads()[0]
 	res, _, err := Eval(context.Background(), e.View(), `ancestors(node(`+itoa(uint64(dl))+`)) where kind = page`)
 	if err != nil {
 		t.Fatal(err)

@@ -17,36 +17,31 @@ import (
 // the sealed epoch straight at the section payloads — node fields are
 // reconstructed on demand from the mapped columns, strings are
 // substrings of the mapped blobs, and the CSR arrays are the file bytes
-// themselves. Nothing is copied until something actually needs a
-// mutable form:
+// themselves. Queries run entirely over the column-backed epoch (plus
+// the rematerialised edge attribute slices, which are tiny — arcs, not
+// nodes), and read the §3.2 lens rows straight from the mapped lens
+// section, which the loader validates but does not copy; a checkpoint
+// without that section builds the lens on first use.
 //
-//   - queries run entirely over the column-backed epoch (plus the
-//     rematerialised edge attribute slices, which are tiny — arcs, not
-//     nodes), and read the §3.2 lens rows straight from the mapped lens
-//     section, which the loader validates but does not copy; a
-//     checkpoint without that section builds the lens on first use;
-//   - the first write THAWS the store (Store.thawLocked): the Node slab,
-//     the mutable maps and the B-trees materialise then. A read-mostly
-//     daemon that restarts, answers queries and ingests nothing never
-//     pays for any of it.
-//
-// Only the WAL tail remains to replay at open, as the unsealed overlay.
-// Section CRCs are verified lazily, on first access. The writer consumes
-// nothing but an immutable Snapshot capture plus an O(tabs) assembly
-// copy, both taken under a short lock — which is what lets
-// Store.Checkpoint stream the dump in the background while writers keep
-// appending (see Checkpoint in provgraph.go).
+// Nothing is copied for writing either: the store's write side is a tail
+// over the loaded epoch (tail.go), which copies a sealed node, row or
+// visit list only when it first changes it. The WAL tail replays into
+// that tail at open. Section CRCs are verified lazily, on first access.
+// The writer consumes nothing but an immutable Snapshot capture plus an
+// O(tabs) assembly copy, both taken under a short lock — which is what
+// lets Store.Checkpoint stream the dump in the background while writers
+// keep appending (see Checkpoint in provgraph.go).
 
 // Section tags of the checkpoint schema. The storage.SectionWriter
 // header carries the container format version; these tags version the
 // provenance schema within it. Tags 1–5 belonged to an earlier
-// varint-columnar schema and are not reused.
+// varint-columnar schema, and tags 6–7 to sorted index streams the
+// loader no longer reads (files that carry them still open); none is
+// reused.
 const (
-	secURLIndex  = 6  // page IDs sorted by URL — urlIndex bulk-load stream
-	secTermIndex = 7  // latest term-instance IDs sorted by term — termIndex stream
-	secAssembly  = 8  // counters, per-tab cursors, pending joins
-	secText      = 9  // text-index postings + watermark (optional)
-	secDedup     = 10 // ingest event-ID dedup window, insertion order (optional)
+	secAssembly = 8  // counters, per-tab cursors, pending joins, inner-only pages
+	secText     = 9  // text-index postings + watermark (optional)
+	secDedup    = 10 // ingest event-ID dedup window, insertion order (optional)
 
 	secV3Meta      = 16 // varints: maxID, nArcs, numNodes
 	secV3Flags     = 17 // u8[maxID+1]: kind + nf* presence bits
@@ -95,13 +90,14 @@ type assemblyCapture struct {
 	tabCur        map[int]NodeID
 	pendingSearch map[int]pending
 	pendingForm   map[int]pending
+	embedOnly     []NodeID // VersionEdges pages only ever loaded as inner content, sorted
 	dedupIDs      []string // ingest dedup window, insertion order
 }
 
 // captureAssemblyLocked copies the assembly state. Caller holds mu.
 func (s *Store) captureAssemblyLocked() assemblyCapture {
 	asm := assemblyCapture{
-		nextNode:      s.nextNode,
+		nextNode:      s.w.maxID + 1,
 		mode:          s.mode,
 		tabCur:        make(map[int]NodeID, len(s.tabCur)),
 		pendingSearch: make(map[int]pending, len(s.pendingSearch)),
@@ -116,6 +112,10 @@ func (s *Store) captureAssemblyLocked() assemblyCapture {
 	for t, p := range s.pendingForm {
 		asm.pendingForm[t] = p
 	}
+	for p := range s.embedOnly {
+		asm.embedOnly = append(asm.embedOnly, p)
+	}
+	sortNodeIDs(asm.embedOnly)
 	asm.dedupIDs = s.dedup.snapshot()
 	return asm
 }
@@ -275,13 +275,6 @@ func writeSnapshotV3(w *storage.SectionWriter, ep *sealedEpoch, asm assemblyCapt
 		}
 	}
 
-	ep.ensureMaps()
-	if err := writeSortedIDs(w, secURLIndex, ep.urlToPage); err != nil {
-		return err
-	}
-	if err := writeSortedIDs(w, secTermIndex, ep.termNode); err != nil {
-		return err
-	}
 	if err := writeAssemblySection(w, asm); err != nil {
 		return err
 	}
@@ -289,25 +282,6 @@ func writeSnapshotV3(w *storage.SectionWriter, ep *sealedEpoch, asm assemblyCapt
 		return err
 	}
 	return writeTextSection(w, text, textWM)
-}
-
-// writeSortedIDs persists a secondary-index stream: node IDs sorted by
-// their key. The keys themselves live in the node columns, so the
-// sections cost a few bytes per entry and the loader bulk-builds each
-// B-tree from one linear pass with zero re-sorting.
-func writeSortedIDs(w *storage.SectionWriter, tag uint32, byKey map[string]NodeID) error {
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return w.WriteSection(tag, func(e *storage.Encoder) error {
-		e.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e.Uvarint(uint64(byKey[k]))
-		}
-		return nil
-	})
 }
 
 // writeAssemblySection persists the per-tab event-assembly state.
@@ -340,6 +314,10 @@ func writeAssemblySection(w *storage.SectionWriter, asm assemblyCapture) error {
 		}
 		writePending(asm.pendingSearch)
 		writePending(asm.pendingForm)
+		e.Uvarint(uint64(len(asm.embedOnly)))
+		for _, p := range asm.embedOnly {
+			e.Uvarint(uint64(p))
+		}
 		return nil
 	})
 }
@@ -396,9 +374,8 @@ func writeTextSection(w *storage.SectionWriter, text []byte, textWM NodeID) erro
 // column-backed sealed epoch over the section file's payloads. Only the
 // per-arc attribute slices and the visit timeline are materialised (both
 // are small — arcs and visits, not a per-node slab); everything per-node
-// stays in the mapped columns. Mutable store state is NOT built here:
-// s.thaw holds the deferred installation and runs on the first write
-// (see thawLocked). The loaded state aliases section payloads (column
+// stays in the mapped columns, and writes go to an empty tail over the
+// epoch. The loaded state aliases section payloads (column
 // arrays, strings, recovered text postings), so the store takes
 // ownership of the file's reference here and holds it until the last
 // pinned read after Close — see Store.unpin.
@@ -640,23 +617,22 @@ func (s *Store) loadSections(f *storage.SectionFile) error {
 	}
 	ep.downloads = aliasNodeIDs(dlsP)
 
-	// ---- secondary index streams: stashed for the thaw ----
-	urlIdxP, err := sec(secURLIndex, "url index")
-	if err != nil {
-		return err
-	}
-	termIdxP, err := sec(secTermIndex, "term index")
-	if err != nil {
-		return err
-	}
-
 	// ---- assembly state ----
 	asmP, err := sec(secAssembly, "assembly")
 	if err != nil {
 		return err
 	}
-	if err := s.readAssemblySection(asmP); err != nil {
+	asm, err := readAssemblySection(asmP)
+	if err != nil {
 		return err
+	}
+	if asm.nextNode != maxID+1 {
+		return fmt.Errorf("provgraph: checkpoint assembly next node %d does not follow max ID %d", asm.nextNode, maxID)
+	}
+	s.mode = asm.mode
+	s.tabCur, s.pendingSearch, s.pendingForm = asm.tabCur, asm.pendingSearch, asm.pendingForm
+	for _, p := range asm.embedOnly {
+		s.embedOnly[p] = struct{}{}
 	}
 	if p, err := f.Section(secDedup); err != nil {
 		return err
@@ -695,195 +671,110 @@ func (s *Store) loadSections(f *storage.SectionFile) error {
 	}
 	s.heapLoadBytes += int64(len(ep.edges)+len(ep.inEdges))*edgeStructBytes +
 		int64(len(ep.open))*16
-	if maxID == 0 {
-		return nil
+	if maxID > 0 {
+		s.w = chain{maxID: maxID, t: newTail(maxID), sealed: ep}
 	}
-	s.sealed = ep
-
-	// Deferred mutable install: everything a writer (or a store-level
-	// locked read) needs, built on first use. Queries never trigger it —
-	// they run against the epoch snapshot above.
-	s.thaw = func() { s.thawV3(ep, cols, outOff, outAdj, urlIdxP, termIdxP, numNodes) }
 	return nil
 }
 
-// thawV3 materialises the store's mutable state from a column-backed
-// epoch: the Node slab, the pointer map, capacity-clamped adjacency
-// rows, the per-page visit lists and the secondary B-trees — the state
-// live ingest would have built. Runs once, under the write lock,
-// triggered by the first mutation (or locked store-level read).
-func (s *Store) thawV3(ep *sealedEpoch, cols *nodeCols, outOff []uint32, outAdj []NodeID,
-	urlIdxP, termIdxP []byte, numNodes int) {
-	maxID := ep.maxID
-	slab := make([]Node, maxID+1)
-	s.nodes = make(map[NodeID]*Node, numNodes)
-	s.outE = adjSized[Edge](maxID)
-	s.inE = adjSized[Edge](maxID)
-	s.outIDs = adjSized[NodeID](maxID)
-	s.inIDs = adjSized[NodeID](maxID)
-	s.pageVisits = make(map[NodeID][]NodeID, numNodes/4+1)
-	s.lastVisitByURL = make(map[string]NodeID, numNodes/4+1)
-	for id := NodeID(1); id <= maxID; id++ {
-		n, ok := cols.node(id)
-		if !ok {
-			continue
-		}
-		slab[id] = n
-		s.nodes[id] = &slab[id]
-		switch n.Kind {
-		case KindBookmark:
-			s.bookmarkByURL[n.URL] = id
-		case KindDownload:
-			s.saveIndex[n.Text] = id
-		}
-		if lo, hi := outOff[id], outOff[id+1]; hi > lo {
-			s.outE.rows[id] = ep.edges[lo:hi:hi]
-			s.outIDs.rows[id] = outAdj[lo:hi:hi]
-		}
-		if lo, hi := ep.inOff[id], ep.inOff[id+1]; hi > lo {
-			s.inE.rows[id] = ep.inEdges[lo:hi:hi]
-			s.inIDs.rows[id] = ep.inIDs[lo:hi:hi]
-		}
-		if n.Kind == KindPage {
-			if lo, hi := ep.visitsOff[id], ep.visitsOff[id+1]; hi > lo {
-				s.pageVisits[id] = ep.visitIDs[lo:hi:hi]
-			}
-		}
-	}
-	if len(ep.downloads) > 0 {
-		s.downloads = ep.downloads[:len(ep.downloads):len(ep.downloads)]
-	}
-
-	// Secondary B-trees from the persisted sorted streams; a stream that
-	// fails to decode falls back to a scan rebuild — slower, always
-	// correct (the ascending scan makes the latest term instance win,
-	// matching live index semantics).
-	if err := loadSortedIndex(urlIdxP, "url index", maxID,
-		func(id NodeID) string { return slab[id].URL }, s.urlIndex); err != nil {
-		s.urlIndex = storage.NewBTree()
-		for id := NodeID(1); id <= maxID; id++ {
-			if slab[id].Kind == KindPage {
-				s.urlIndex.Put([]byte(slab[id].URL), uint64(id))
-			}
-		}
-	}
-	if err := loadSortedIndex(termIdxP, "term index", maxID,
-		func(id NodeID) string { return slab[id].Text }, s.termIndex); err != nil {
-		s.termIndex = storage.NewBTree()
-		for id := NodeID(1); id <= maxID; id++ {
-			if slab[id].Kind == KindSearchTerm {
-				s.termIndex.Put([]byte(slab[id].Text), uint64(id))
-			}
-		}
-	}
-	{
-		var keyBuf []byte
-		i := 0
-		s.openIndex.BulkLoad(func() ([]byte, uint64, bool) {
-			if i >= len(ep.open) {
-				return nil, 0, false
-			}
-			ent := ep.open[i]
-			i++
-			keyBuf = appendTimeKey(keyBuf[:0], microTime(ent.at), ent.id)
-			return keyBuf, uint64(ent.id), true
-		})
-	}
-
-	if s.mode == VersionEdges {
-		ep.ensureMaps()
-		for url, id := range ep.urlToPage {
-			s.lastVisitByURL[url] = id
-		}
-	} else {
-		for page := NodeID(1); page <= maxID; page++ {
-			if lo, hi := ep.visitsOff[page], ep.visitsOff[page+1]; hi > lo {
-				s.lastVisitByURL[slab[page].URL] = ep.visitIDs[hi-1]
-			}
-		}
-	}
-	s.heapLoadBytes += int64(maxID+1) * nodeStructBytes
-}
-
-// readAssemblySection restores the per-tab event-assembly state.
-func (s *Store) readAssemblySection(p []byte) error {
+// readAssemblySection decodes the per-tab event-assembly state. Every
+// count is checked against the bytes left before anything is sized by
+// it, and every node ID it returns is in 1..nextNode-1. The trailing
+// inner-only page list is absent from sections written before it
+// existed, which read as an empty list.
+func readAssemblySection(p []byte) (assemblyCapture, error) {
+	asm := assemblyCapture{}
 	d := storage.NewDecoder(p)
-	nn, err := d.Uvarint()
-	if err != nil {
-		return err
-	}
-	s.nextNode = NodeID(nn)
-	md, err := d.Uvarint()
-	if err != nil {
-		return err
-	}
-	s.mode = VersioningMode(md)
-	ntabs, err := d.Uvarint()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < ntabs; i++ {
-		t, err := d.Varint()
+	count := func(what string) (int, error) {
+		n, err := d.Uvarint()
 		if err != nil {
-			return err
+			return 0, err
 		}
+		if n > uint64(d.Remaining()) {
+			return 0, fmt.Errorf("provgraph: checkpoint assembly %s count %d exceeds its %d bytes", what, n, d.Remaining())
+		}
+		return int(n), nil
+	}
+	id := func(what string) (NodeID, error) {
 		v, err := d.Uvarint()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		s.tabCur[int(t)] = NodeID(v)
+		if v == 0 || v >= uint64(asm.nextNode) {
+			return 0, fmt.Errorf("provgraph: checkpoint assembly %s node %d outside 1..%d", what, v, asm.nextNode-1)
+		}
+		return NodeID(v), nil
 	}
-	readPending := func(m map[int]pending) error {
-		np, err := d.Uvarint()
+	nn, err := d.Uvarint()
+	if err != nil {
+		return asm, err
+	}
+	asm.nextNode = NodeID(nn)
+	md, err := d.Uvarint()
+	if err != nil {
+		return asm, err
+	}
+	if md > uint64(VersionEdges) {
+		return asm, fmt.Errorf("provgraph: checkpoint assembly mode %d unknown", md)
+	}
+	asm.mode = VersioningMode(md)
+	ntabs, err := count("tab")
+	if err != nil {
+		return asm, err
+	}
+	asm.tabCur = make(map[int]NodeID, ntabs)
+	for i := 0; i < ntabs; i++ {
+		t, err := d.Varint()
 		if err != nil {
-			return err
+			return asm, err
 		}
-		for i := uint64(0); i < np; i++ {
+		v, err := id("tab")
+		if err != nil {
+			return asm, err
+		}
+		asm.tabCur[int(t)] = v
+	}
+	readPending := func() (map[int]pending, error) {
+		np, err := count("pending")
+		if err != nil {
+			return nil, err
+		}
+		m := make(map[int]pending, np)
+		for i := 0; i < np; i++ {
 			t, err := d.Varint()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			nd, err := d.Uvarint()
+			nd, err := id("pending")
 			if err != nil {
-				return err
+				return nil, err
 			}
 			u, err := d.String()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			m[int(t)] = pending{node: NodeID(nd), url: u}
+			m[int(t)] = pending{node: nd, url: u}
 		}
-		return nil
+		return m, nil
 	}
-	if err := readPending(s.pendingSearch); err != nil {
-		return err
+	if asm.pendingSearch, err = readPending(); err != nil {
+		return asm, err
 	}
-	return readPending(s.pendingForm)
-}
-
-// loadSortedIndex bulk-builds a B-tree from a persisted sorted-ID
-// stream, rehydrating each entry's key from the node table via key.
-func loadSortedIndex(p []byte, name string, maxID NodeID, key func(id NodeID) string, t *storage.BTree) error {
-	d := storage.NewDecoder(p)
-	n, err := d.Uvarint()
+	if asm.pendingForm, err = readPending(); err != nil {
+		return asm, err
+	}
+	if d.Remaining() == 0 {
+		return asm, nil
+	}
+	ninner, err := count("inner-only page")
 	if err != nil {
-		return err
+		return asm, err
 	}
-	var keyBuf []byte
-	i := uint64(0)
-	var decodeErr error
-	t.BulkLoad(func() ([]byte, uint64, bool) {
-		if i >= n || decodeErr != nil {
-			return nil, 0, false
+	asm.embedOnly = make([]NodeID, ninner)
+	for i := range asm.embedOnly {
+		if asm.embedOnly[i], err = id("inner-only page"); err != nil {
+			return asm, err
 		}
-		id, err := d.Uvarint()
-		if err != nil || id == 0 || NodeID(id) > maxID {
-			decodeErr = fmt.Errorf("provgraph: checkpoint %s entry %d invalid (%v)", name, i, err)
-			return nil, 0, false
-		}
-		i++
-		keyBuf = append(keyBuf[:0], key(NodeID(id))...)
-		return keyBuf, id, true
-	})
-	return decodeErr
+	}
+	return asm, nil
 }

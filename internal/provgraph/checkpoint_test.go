@@ -92,9 +92,8 @@ func TestCheckpointV2NoTailSealed(t *testing.T) {
 	if sn.sealed == nil || sn.base != nil {
 		t.Fatal("first snapshot after open is not flat-sealed")
 	}
-	if len(sn.tailNodes) != 0 || len(sn.tailOut) != 0 {
-		t.Fatalf("tail not empty after tail-less open: %d nodes, %d adj",
-			len(sn.tailNodes), len(sn.tailOut))
+	if n := sn.t.size(); n != 0 {
+		t.Fatalf("tail not empty after tail-less open: %d entries", n)
 	}
 	snapMustMatchStore(t, re, sn)
 }
@@ -357,11 +356,11 @@ func TestCheckpointEmptyStore(t *testing.T) {
 	}
 	re := openStore(t, dir)
 	defer re.Close()
-	if st := re.Stats(); st.Nodes != 0 || st.Edges != 0 {
+	if st := re.Snapshot().Stats(); st.Nodes != 0 || st.Edges != 0 {
 		t.Fatalf("empty checkpoint loaded %+v", st)
 	}
 	mustApply(t, re, visit(1, "http://fresh.example/", "Fresh", "", event.TransTyped, t0))
-	if _, ok := re.PageByURL("http://fresh.example/"); !ok {
+	if _, ok := re.Snapshot().PageByURL("http://fresh.example/"); !ok {
 		t.Fatal("store unusable after empty-checkpoint reload")
 	}
 }
@@ -415,14 +414,14 @@ func TestCheckpointV2EmptyVisitTitleFidelity(t *testing.T) {
 		visit(1, "http://a.example/", "Titled", "", event.TransTyped, t0),
 		visit(1, "http://a.example/", "", "", event.TransTyped, t0.Add(time.Minute)),
 	)
-	page, _ := s.PageByURL("http://a.example/")
-	visits := s.VisitsOfPage(page.ID)
+	page, _ := s.Snapshot().PageByURL("http://a.example/")
+	visits := s.Snapshot().VisitsOfPage(page.ID)
 	if len(visits) != 2 {
 		t.Fatalf("visits = %v", visits)
 	}
 	before := make([]Node, len(visits))
 	for i, id := range visits {
-		before[i], _ = s.NodeByID(id)
+		before[i], _ = s.Snapshot().NodeByID(id)
 	}
 	if before[1].Title != "" {
 		t.Fatalf("fixture: second visit title = %q, want empty", before[1].Title)
@@ -436,7 +435,7 @@ func TestCheckpointV2EmptyVisitTitleFidelity(t *testing.T) {
 	re := openStore(t, dir)
 	defer re.Close()
 	for i, id := range visits {
-		n, _ := re.NodeByID(id)
+		n, _ := re.Snapshot().NodeByID(id)
 		if !sameNode(n, before[i]) {
 			t.Fatalf("visit %d drifted across checkpoint round trip: %+v -> %+v", id, before[i], n)
 		}
@@ -500,7 +499,7 @@ func TestCheckpointV2SizeCompact(t *testing.T) {
 
 // TestRecordDumpAfterMappedReopen: the record dump reads the store
 // through its sealed epoch, so a store freshly reopened from a mapped
-// checkpoint (its write-side state not yet thawed) dumps exactly what
+// checkpoint (its write-side tail still empty) dumps exactly what
 // the store that built it dumps, and dumping leaves the journal alone.
 func TestRecordDumpAfterMappedReopen(t *testing.T) {
 	dir := t.TempDir()
@@ -513,7 +512,7 @@ func TestRecordDumpAfterMappedReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStats := s.Stats()
+	wantStats := s.Snapshot().Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +533,7 @@ func TestRecordDumpAfterMappedReopen(t *testing.T) {
 	}
 	re2 := openStore(t, dir)
 	defer re2.Close()
-	if st := re2.Stats(); st != wantStats {
+	if st := re2.Snapshot().Stats(); st != wantStats {
 		t.Fatalf("stats after dump and reopen = %+v, want %+v", st, wantStats)
 	}
 }
@@ -709,11 +708,27 @@ func TestReopenKeepsReferrerOrigin(t *testing.T) {
 					if d := snapshotDiff(want, got); d != "" {
 						t.Fatal(d)
 					}
-					if sc.name == "linked-then-embedded" && mode == VersionNodes {
+					dl, _ := got.DownloadBySavePath("/dl/f.zip")
+					switch {
+					case sc.name == "linked-then-embedded" && mode == VersionNodes:
 						// Visit 4 is tab 1's link to X; visit 7 is tab 2's embed of it.
-						dl, _ := got.DownloadBySavePath("/dl/f.zip")
 						if in := got.InEdges(dl.ID); len(in) != 1 || in[0].From != 4 {
 							t.Fatalf("download origin edges = %v, want one from visit 4", in)
+						}
+					case sc.name == "only-embedded":
+						// X never displayed: the download descends from what
+						// tab 2 shows, and the bookmark has no origin.
+						pb, _ := got.PageByURL(b)
+						want := pb.ID
+						if mode == VersionNodes {
+							want = got.VisitsOfPage(pb.ID)[0]
+						}
+						if in := got.InEdges(dl.ID); len(in) != 1 || in[0].From != want {
+							t.Fatalf("download origin edges = %v, want one from %d", in, want)
+						}
+						bm := nodesOfKind(got, KindBookmark)
+						if len(bm) != 1 || len(got.InEdges(bm[0])) != 0 {
+							t.Fatalf("bookmark %v has origin edges %v, want none", bm, got.InEdges(bm[0]))
 						}
 					}
 				})

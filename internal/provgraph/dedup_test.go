@@ -94,7 +94,7 @@ func TestApplyBatchDedupSkipsDuplicates(t *testing.T) {
 	if countApplied(applied) != len(evs) {
 		t.Fatalf("first delivery applied %d/%d", countApplied(applied), len(evs))
 	}
-	before := s.Stats()
+	before := s.Snapshot().Stats()
 
 	// Exact redelivery: nothing applies, graph unchanged.
 	applied, err = s.ApplyBatchDedup(ids, evs)
@@ -104,7 +104,7 @@ func TestApplyBatchDedupSkipsDuplicates(t *testing.T) {
 	if countApplied(applied) != 0 {
 		t.Fatalf("redelivery applied %d events, want 0", countApplied(applied))
 	}
-	if after := s.Stats(); after != before {
+	if after := s.Snapshot().Stats(); after != before {
 		t.Fatalf("stats changed on redelivery: %+v -> %+v", before, after)
 	}
 
@@ -143,7 +143,7 @@ func TestApplyBatchDedupInBatchDuplicate(t *testing.T) {
 	if !applied[0] || !applied[1] || applied[2] {
 		t.Fatalf("applied = %v, want [true true false]", applied)
 	}
-	if _, ok := s.PageByURL("http://c.example/"); ok {
+	if _, ok := s.Snapshot().PageByURL("http://c.example/"); ok {
 		t.Fatal("in-batch duplicate event was applied")
 	}
 }
@@ -192,7 +192,7 @@ func TestApplyBatchDedupRejectsBadInput(t *testing.T) {
 		t.Fatalf("oversized ID: err = %v, want ErrInvalidBatch", err)
 	}
 	// A rejected batch must leave no trace.
-	if s.DedupWindowLen() != 0 || s.Stats().Nodes != 0 {
+	if s.DedupWindowLen() != 0 || s.Snapshot().Stats().Nodes != 0 {
 		t.Fatal("rejected batch left state behind")
 	}
 }
@@ -224,7 +224,7 @@ func TestDedupSurvivesWALReplay(t *testing.T) {
 	if got := s2.DedupWindowLen(); got != len(evs) {
 		t.Fatalf("window after replay holds %d IDs, want %d", got, len(evs))
 	}
-	before := s2.Stats()
+	before := s2.Snapshot().Stats()
 	applied, err := s2.ApplyBatchDedup(ids, evs)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestDedupSurvivesWALReplay(t *testing.T) {
 	if countApplied(applied) != 0 {
 		t.Fatalf("post-restart redelivery applied %d events, want 0", countApplied(applied))
 	}
-	if after := s2.Stats(); after != before {
+	if after := s2.Snapshot().Stats(); after != before {
 		t.Fatalf("stats changed on post-restart redelivery: %+v -> %+v", before, after)
 	}
 }

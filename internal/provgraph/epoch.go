@@ -22,31 +22,36 @@ import (
 // is amortised by only resealing once the tail outgrows a fraction of
 // the sealed prefix.
 //
+// The store's write side is the same shape: a live tail (tail.go) over
+// the sealed epoch, and writers and snapshots read through one lookup
+// chain (tail -> pending capture -> sealed epoch). Nothing else holds a
+// copy of the graph.
+//
 // Concurrency contract:
 //   - Store.Generation is bumped (atomically, under the store write
 //     lock) by every mutation.
 //   - Store.Snapshot returns a cached *Snapshot while the generation is
-//     unchanged; otherwise it rebuilds one under the store lock.
-//   - A Snapshot is deeply immutable. Tail adjacency shares backing
-//     arrays with the live store, which is safe because adjacency
-//     slices are strictly append-only between seals: the writer may
-//     append past a snapshot's slice length but never rewrites the
-//     elements a snapshot can see. (Wholesale rewrites — retention —
-//     invalidate the epoch and force a full reseal.)
+//     unchanged; otherwise it freezes a copy of the live tail under the
+//     store lock (O(tail)).
+//   - A Snapshot is deeply immutable. Tail rows share backing arrays
+//     with the live tail, which is safe because rows are strictly
+//     append-only: the writer may append past a snapshot's row length
+//     but never rewrites the elements a snapshot can see. (Retention
+//     builds a new epoch and a new tail instead of rewriting.)
 //
 // Resealing is incremental and happens off the writers' critical path.
-// When the tail outgrows the threshold, the write path captures the
-// current tail as an ordinary Snapshot under the lock (O(tail)), swaps
-// in fresh dirty sets, and hands the capture to a background goroutine
-// that flattens sealed-epoch + tail into the next sealed CSR pack
-// (O(n), but off-lock — the capture is immutable, so the flatten never
-// synchronises with writers). Meanwhile writers keep appending to a
-// fresh overlay: snapshots taken during the build chain over the
-// pending capture (tail -> capture tail -> old sealed arrays), so
-// readers stay consistent and never observe a half-built epoch. The
-// finished epoch is published atomically under a short lock; a
-// wholesale rewrite (retention) during the build bumps sealSeq and the
-// stale publish is discarded. The writer's worst-case pause is thereby
+// When the tail outgrows the threshold, the live tail itself becomes the
+// capture of a background flatten (O(1) under the lock, plus sorting its
+// visit timeline), and writers continue on a fresh tail whose limit is
+// the capture's high-water mark. The flatten merges sealed epoch +
+// capture into the next sealed CSR pack (O(n), but off-lock — the
+// capture is never written again, so the flatten never synchronises with
+// writers). Snapshots taken during the build chain over the capture
+// (tail -> capture tail -> old sealed arrays), so readers stay
+// consistent and never observe a half-built epoch. The finished epoch
+// is published atomically under a short lock and slides in beneath the
+// writers' tail, which needs no change; a retention pass during the
+// build bumps sealSeq and the stale publish is discarded. The writer's worst-case pause is thereby
 // O(tail), never the O(nodes+edges) rebuild.
 
 // sealThresholdMin is the smallest tail size that triggers a reseal.
@@ -88,12 +93,13 @@ type sealedEpoch struct {
 	urlToPage map[string]NodeID
 	termNode  map[string]NodeID // term -> latest instance at seal time
 	saveNode  map[string]NodeID // save path -> download
+	bookNode  map[string]NodeID // bookmarked URL -> latest bookmark
 	downloads []NodeID
 	// open is every visit sorted by (open time, id) — the snapshot's
 	// time index.
 	open []openEnt
 
-	// mapsOnce guards the lazy build of urlToPage/termNode/saveNode for
+	// mapsOnce guards the lazy build of the four lookup maps for
 	// column-backed epochs.
 	mapsOnce sync.Once
 
@@ -147,11 +153,18 @@ func (ep *sealedEpoch) ensureMaps() {
 		return
 	}
 	ep.mapsOnce.Do(func() {
-		ep.urlToPage = make(map[string]NodeID, ep.maxID/4+1)
-		ep.termNode = make(map[string]NodeID, ep.maxID/16+1)
-		ep.saveNode = make(map[string]NodeID)
-		// Ascending scan: the latest instance wins for per-term and
-		// per-save-path lookups, matching live index semantics.
+		// Size each map from a pass over the one-byte kind column, so
+		// none of them grows (and copies) while it fills.
+		var n [KindFormEntry + 1]int
+		for id := NodeID(1); id <= ep.maxID; id++ {
+			n[ep.cols.kind(id)]++
+		}
+		ep.urlToPage = make(map[string]NodeID, n[KindPage])
+		ep.termNode = make(map[string]NodeID, n[KindSearchTerm])
+		ep.saveNode = make(map[string]NodeID, n[KindDownload])
+		ep.bookNode = make(map[string]NodeID, n[KindBookmark])
+		// Ascending scan: the latest instance wins for per-term,
+		// per-save-path and per-bookmark lookups, as in a live tail.
 		for id := NodeID(1); id <= ep.maxID; id++ {
 			switch ep.cols.kind(id) {
 			case KindPage:
@@ -160,6 +173,8 @@ func (ep *sealedEpoch) ensureMaps() {
 				ep.termNode[ep.cols.strAt(ep.cols.textOff, ep.cols.textBlob, id)] = id
 			case KindDownload:
 				ep.saveNode[ep.cols.strAt(ep.cols.textOff, ep.cols.textBlob, id)] = id
+			case KindBookmark:
+				ep.bookNode[ep.cols.strAt(ep.cols.urlOff, ep.cols.urlBlob, id)] = id
 			}
 		}
 	})
@@ -183,39 +198,34 @@ func (ep *sealedEpoch) saveID(path string) (NodeID, bool) {
 	return id, ok
 }
 
+func (ep *sealedEpoch) bookmarkID(url string) (NodeID, bool) {
+	ep.ensureMaps()
+	id, ok := ep.bookNode[url]
+	return id, ok
+}
+
+// chain is one lookup path through the graph's layers: a tail over the
+// capture a reseal is flattening (base), when one is in flight, and else
+// over the sealed epoch, when there is one. Lookups consult the tail
+// first; the chain is at most two tails deep, because a new reseal never
+// starts while one is in flight. Snapshots hold a frozen chain; the
+// store's write side holds the live one.
+type chain struct {
+	maxID  NodeID
+	t      *tail
+	base   *Snapshot
+	sealed *sealedEpoch
+}
+
 // Snapshot is an immutable, lock-free view of the provenance graph at
-// one generation. It implements graph.Graph and mirrors the store's
-// read surface, so the query engine can run entirely against it.
+// one generation: a frozen chain. It implements graph.Graph and is the
+// store's whole read surface; the query engine runs entirely against it.
 type Snapshot struct {
 	gen    uint64
 	mode   VersioningMode
-	maxID  NodeID
 	nNodes int
 	nEdges int
-	sealed *sealedEpoch // nil while the store has never sealed
-
-	// base, when non-nil, is the pending reseal capture this snapshot
-	// overlays: it was taken while a background flatten was in flight,
-	// and its tail holds only mutations since the capture. Lookups
-	// chain tail -> base -> sealed; the chain is at most two deep (a
-	// new reseal never starts while one is in flight, and a capture is
-	// always taken from a flat snapshot).
-	base *Snapshot
-
-	// Tail state: nodes created since the seal (or since the pending
-	// capture) plus earlier nodes whose fields, adjacency or visit
-	// lists changed. Lookups consult the tail first, then base/sealed.
-	tailNodes  map[NodeID]Node
-	tailOut    map[NodeID][]Edge
-	tailIn     map[NodeID][]Edge
-	tailOutIDs map[NodeID][]NodeID
-	tailInIDs  map[NodeID][]NodeID
-	tailVisits map[NodeID][]NodeID
-	tailURL    map[string]NodeID
-	tailTerm   map[string]NodeID
-	tailSave   map[string]NodeID
-	tailDls    []NodeID
-	tailOpen   []openEnt
+	chain
 
 	lensOnce sync.Once
 	lens     *SnapLens
@@ -255,57 +265,12 @@ func (s *Store) snapshotLocked() *Snapshot {
 	return sn
 }
 
-// epochInit prepares the store's epoch-tracking state (called from
-// OpenWith before journal recovery).
-func (s *Store) epochInit() {
-	s.dirtyNode = make(map[NodeID]struct{})
-	s.dirtyOut = make(map[NodeID]struct{})
-	s.dirtyIn = make(map[NodeID]struct{})
-	s.dirtyVisits = make(map[NodeID]struct{})
-}
-
-// epochReset discards the sealed epoch after a wholesale rewrite
-// (retention). Any in-flight reseal was built from pre-rewrite state:
-// bumping sealSeq makes its publish a no-op. Caller holds the write
-// lock.
-func (s *Store) epochReset() {
-	s.sealed = nil
-	s.pending = nil
-	s.sealSeq++
-	s.epochInit()
-	s.snap.Store(nil)
-}
-
 // sealedMax returns the sealed ID high-water mark (0 when unsealed).
 func (s *Store) sealedMax() NodeID {
-	if s.sealed == nil {
+	if s.w.sealed == nil {
 		return 0
 	}
-	return s.sealed.maxID
-}
-
-// dirtyLimit is the ID boundary dirty tracking is relative to: the
-// pending capture's high-water mark while a reseal is in flight
-// (mutations of anything the next epoch will cover must be re-overlaid
-// on top of it), the published seal's otherwise.
-func (s *Store) dirtyLimit() NodeID {
-	if s.pending != nil {
-		return s.pending.maxID
-	}
-	return s.sealedMax()
-}
-
-// markDirtyNode records an in-place field mutation of a sealed (or
-// pending-sealed) node.
-func (s *Store) markDirtyNode(id NodeID) {
-	if id <= s.dirtyLimit() {
-		s.dirtyNode[id] = struct{}{}
-	}
-}
-
-func (s *Store) tailSize() int {
-	return int(s.nextNode-1-s.dirtyLimit()) +
-		len(s.dirtyNode) + len(s.dirtyOut) + len(s.dirtyIn) + len(s.dirtyVisits)
+	return s.w.sealed.maxID
 }
 
 // sealThreshold grows with the sealed prefix so reseals amortise to
@@ -322,31 +287,24 @@ func (s *Store) sealThreshold() int {
 // maybeReseal schedules a background reseal when the tail has outgrown
 // the threshold and none is in flight. Caller holds the write lock.
 func (s *Store) maybeReseal() {
-	if s.sealDone != nil || s.tailSize() <= s.sealThreshold() {
+	if s.sealDone != nil || s.w.t.size() <= s.sealThreshold() {
 		return
 	}
 	s.startResealLocked()
 }
 
-// startResealLocked captures the current tail (O(tail)) and hands it to
-// a background goroutine that flattens it into the next sealed epoch.
-// Caller holds the write lock; at most one reseal runs at a time.
+// startResealLocked hands the live tail to a background goroutine that
+// flattens it into the next sealed epoch, and starts writers on a fresh
+// tail over it. Caller holds the write lock; at most one reseal runs at a
+// time, so the write side is flat (w.base == nil) here.
 func (s *Store) startResealLocked() {
-	// The capture is an ordinary snapshot of the current generation.
-	// Reuse the cached one only if it is flat (base == nil keeps the
-	// overlay chain depth bounded at two).
-	sn := s.snap.Load()
-	if sn == nil || sn.gen != s.gen.Load() || sn.base != nil {
-		sn = s.buildSnapshot()
-		s.snap.Store(sn)
-	}
-	s.pending = sn
-	// Fresh overlay: mutations from here on are tracked relative to the
-	// capture; the flatten incorporates everything at or below it.
-	s.dirtyNode = make(map[NodeID]struct{})
-	s.dirtyOut = make(map[NodeID]struct{})
-	s.dirtyIn = make(map[NodeID]struct{})
-	s.dirtyVisits = make(map[NodeID]struct{})
+	// The capture is an ordinary flat snapshot of the current generation
+	// that owns the old tail: nothing writes to it again.
+	s.w.t.sortOpen()
+	sn := &Snapshot{gen: s.gen.Load(), mode: s.mode, nNodes: s.numNodes, nEdges: s.numEdges, chain: s.w}
+	s.snap.Store(sn)
+	s.w.base = sn
+	s.w.t = newTail(sn.maxID)
 	s.sealDone = make(chan struct{})
 	seq := s.sealSeq
 	gate := s.sealGate
@@ -359,28 +317,27 @@ func (s *Store) startResealLocked() {
 	}()
 }
 
-// completeReseal publishes a flattened epoch (unless a wholesale
-// rewrite invalidated it mid-build) and rebuilds the cached snapshot
-// flat on top of it.
+// completeReseal publishes a flattened epoch (unless retention replaced
+// the graph mid-build) and rebuilds the cached snapshot flat on top of
+// it. The writers' tail already overlays exactly the capture the epoch
+// was flattened from, so it stays as it is.
 func (s *Store) completeReseal(ep *sealedEpoch, seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	done := s.sealDone
 	s.sealDone = nil
-	s.pending = nil
 	defer close(done)
 	if s.sealSeq != seq {
-		return // retention rewrote the graph under the build; discard
+		return // retention replaced the graph under the build; discard
 	}
-	s.sealed = ep
+	s.w.base, s.w.sealed = nil, ep
 	// Publishing moves the store to a new generation even though no
 	// data changed: consumers caching per-generation views (the query
 	// engine) must swap their chained capture-overlay snapshots for the
 	// flat one, or an idle store would serve the slower chained reads
 	// forever.
 	s.gen.Add(1)
-	sn := s.buildSnapshot()
-	s.snap.Store(sn)
+	s.snap.Store(s.buildSnapshot())
 	// The epoch just published covers only what its capture saw;
 	// everything ingested during the flatten is still tail. Chain the
 	// next reseal immediately when that backlog already exceeds the
@@ -433,8 +390,7 @@ const flattenRowBlock = 4096
 // same O(n) pass background reseals run).
 func (sn *Snapshot) flatEpoch() *sealedEpoch {
 	ep := sn.sealed
-	if ep == nil || sn.base != nil || sn.maxID != ep.maxID ||
-		len(sn.tailNodes)+len(sn.tailOut)+len(sn.tailIn)+len(sn.tailVisits) != 0 {
+	if ep == nil || sn.base != nil || sn.maxID != ep.maxID || sn.t.size() != 0 {
 		ep = flattenEpoch(sn)
 	}
 	return ep
@@ -452,6 +408,7 @@ func flattenEpoch(sn *Snapshot) *sealedEpoch {
 		urlToPage: make(map[string]NodeID),
 		termNode:  make(map[string]NodeID, maxID/16+1),
 		saveNode:  make(map[string]NodeID),
+		bookNode:  make(map[string]NodeID),
 		open:      make([]openEnt, 0, maxID/2+1),
 	}
 	// Flat node table + kind-derived indexes. The ascending scan makes
@@ -477,6 +434,8 @@ func flattenEpoch(sn *Snapshot) *sealedEpoch {
 		case KindDownload:
 			ep.saveNode[n.Text] = id
 			ep.downloads = append(ep.downloads, id)
+		case KindBookmark:
+			ep.bookNode[n.URL] = id
 		}
 	}
 	sort.Slice(ep.open, func(i, j int) bool {
@@ -549,87 +508,12 @@ func flattenEpoch(sn *Snapshot) *sealedEpoch {
 	return ep
 }
 
-// buildSnapshot captures the unsealed tail: everything past the sealed
-// epoch, or — while a reseal is in flight — everything past the
-// pending capture, which the snapshot then chains over. O(tail); caller
-// holds the write lock.
+// buildSnapshot freezes the write side's chain: O(tail). Caller holds
+// the write lock.
 func (s *Store) buildSnapshot() *Snapshot {
-	sn := &Snapshot{
-		gen:        s.gen.Load(),
-		mode:       s.mode,
-		maxID:      s.nextNode - 1,
-		nNodes:     s.numNodes,
-		nEdges:     s.numEdges,
-		sealed:     s.sealed,
-		base:       s.pending,
-		tailNodes:  make(map[NodeID]Node),
-		tailOut:    make(map[NodeID][]Edge),
-		tailIn:     make(map[NodeID][]Edge),
-		tailOutIDs: make(map[NodeID][]NodeID),
-		tailInIDs:  make(map[NodeID][]NodeID),
-		tailVisits: make(map[NodeID][]NodeID),
-		tailURL:    make(map[string]NodeID),
-		tailTerm:   make(map[string]NodeID),
-		tailSave:   make(map[string]NodeID),
-	}
-	captureAdj := func(id NodeID) {
-		if es := s.outE.at(id); len(es) > 0 {
-			sn.tailOut[id] = es
-			sn.tailOutIDs[id] = s.outIDs.at(id)
-		}
-		if es := s.inE.at(id); len(es) > 0 {
-			sn.tailIn[id] = es
-			sn.tailInIDs[id] = s.inIDs.at(id)
-		}
-	}
-	// New nodes since the seal/capture (IDs are dense, so the tail is a
-	// range).
-	for id := s.dirtyLimit() + 1; id <= sn.maxID; id++ {
-		n, ok := s.nodes[id]
-		if !ok {
-			continue
-		}
-		sn.tailNodes[id] = *n
-		captureAdj(id)
-		switch n.Kind {
-		case KindPage:
-			sn.tailURL[n.URL] = id
-			if vs := s.pageVisits[id]; len(vs) > 0 {
-				sn.tailVisits[id] = vs
-			}
-		case KindVisit:
-			sn.tailOpen = append(sn.tailOpen, openEnt{at: n.Open.UnixMicro(), id: id})
-		case KindSearchTerm:
-			// Ascending scan: the last instance of a term wins, matching
-			// the store's latest-instance term index.
-			sn.tailTerm[n.Text] = id
-		case KindDownload:
-			sn.tailSave[n.Text] = id
-			sn.tailDls = append(sn.tailDls, id)
-		}
-	}
-	sort.Slice(sn.tailOpen, func(i, j int) bool {
-		if sn.tailOpen[i].at != sn.tailOpen[j].at {
-			return sn.tailOpen[i].at < sn.tailOpen[j].at
-		}
-		return sn.tailOpen[i].id < sn.tailOpen[j].id
-	})
-	// Sealed nodes touched since the seal.
-	for id := range s.dirtyNode {
-		sn.tailNodes[id] = *s.nodes[id]
-	}
-	for id := range s.dirtyOut {
-		sn.tailOut[id] = s.outE.at(id)
-		sn.tailOutIDs[id] = s.outIDs.at(id)
-	}
-	for id := range s.dirtyIn {
-		sn.tailIn[id] = s.inE.at(id)
-		sn.tailInIDs[id] = s.inIDs.at(id)
-	}
-	for page := range s.dirtyVisits {
-		sn.tailVisits[page] = s.pageVisits[page]
-	}
-	return sn
+	c := s.w
+	c.t = c.t.freeze()
+	return &Snapshot{gen: s.gen.Load(), mode: s.mode, nNodes: s.numNodes, nEdges: s.numEdges, chain: c}
 }
 
 // ---- Snapshot read surface ----
@@ -651,46 +535,55 @@ func (sn *Snapshot) NumNodes() int { return sn.nNodes }
 func (sn *Snapshot) NumEdges() int { return sn.nEdges }
 
 // NodeByID returns the node with the given ID.
-func (sn *Snapshot) NodeByID(id NodeID) (Node, bool) {
-	if n, ok := sn.tailNodes[id]; ok {
-		return n, true
+func (c *chain) NodeByID(id NodeID) (Node, bool) {
+	if n, hit := c.t.node(id); hit {
+		if n == nil {
+			return Node{}, false
+		}
+		return *n, true
 	}
-	if sn.base != nil {
-		return sn.base.NodeByID(id)
+	if c.base != nil {
+		return c.base.NodeByID(id)
 	}
-	if sn.sealed != nil && id <= sn.sealed.maxID {
-		return sn.sealed.nodeAt(id)
+	if c.sealed != nil && id <= c.sealed.maxID {
+		return c.sealed.nodeAt(id)
 	}
 	return Node{}, false
 }
 
 // KindPage returns the kind and page link of node id, following the same
-// tail -> base -> sealed chain as NodeByID but reading only those two
-// fields: no strings or times are decoded, and nothing is allocated.
-func (sn *Snapshot) KindPage(id NodeID) (NodeKind, NodeID, bool) {
-	if n, ok := sn.tailNodes[id]; ok {
+// chain as NodeByID but reading only those two fields: no strings or
+// times are decoded, and nothing is allocated.
+func (c *chain) KindPage(id NodeID) (NodeKind, NodeID, bool) {
+	if n, hit := c.t.node(id); hit {
+		if n == nil {
+			return 0, 0, false
+		}
 		return n.Kind, n.Page, true
 	}
-	if sn.base != nil {
-		return sn.base.KindPage(id)
+	if c.base != nil {
+		return c.base.KindPage(id)
 	}
-	if sn.sealed != nil && id <= sn.sealed.maxID {
-		return sn.sealed.kindPageAt(id)
+	if c.sealed != nil && id <= c.sealed.maxID {
+		return c.sealed.kindPageAt(id)
 	}
 	return 0, 0, false
 }
 
 // OpenClose returns the open and close times of node id, following the
 // same chain as NodeByID without decoding the node's strings.
-func (sn *Snapshot) OpenClose(id NodeID) (open, close time.Time, ok bool) {
-	if n, ok := sn.tailNodes[id]; ok {
+func (c *chain) OpenClose(id NodeID) (open, close time.Time, ok bool) {
+	if n, hit := c.t.node(id); hit {
+		if n == nil {
+			return time.Time{}, time.Time{}, false
+		}
 		return n.Open, n.Close, true
 	}
-	if sn.base != nil {
-		return sn.base.OpenClose(id)
+	if c.base != nil {
+		return c.base.OpenClose(id)
 	}
-	if sn.sealed != nil && id <= sn.sealed.maxID {
-		return sn.sealed.openCloseAt(id)
+	if c.sealed != nil && id <= c.sealed.maxID {
+		return c.sealed.openCloseAt(id)
 	}
 	return time.Time{}, time.Time{}, false
 }
@@ -711,145 +604,149 @@ func (sn *Snapshot) NodesSince(watermark NodeID, fn func(Node) bool) {
 
 // Out implements graph.Graph. The returned slice is shared; do not
 // modify.
-func (sn *Snapshot) Out(n NodeID) []NodeID {
-	if ids, ok := sn.tailOutIDs[n]; ok {
+func (c *chain) Out(n NodeID) []NodeID {
+	if ids, hit := c.t.outIDs.row(c.t.limit, n); hit {
 		return ids
 	}
-	if sn.base != nil {
-		return sn.base.Out(n)
+	if c.base != nil {
+		return c.base.Out(n)
 	}
-	if sn.sealed != nil {
-		return sn.sealed.csr.Out(n)
+	if c.sealed != nil {
+		return c.sealed.csr.Out(n)
 	}
 	return nil
 }
 
 // In implements graph.Graph. The returned slice is shared; do not
 // modify.
-func (sn *Snapshot) In(n NodeID) []NodeID {
-	if ids, ok := sn.tailInIDs[n]; ok {
+func (c *chain) In(n NodeID) []NodeID {
+	if ids, hit := c.t.inIDs.row(c.t.limit, n); hit {
 		return ids
 	}
-	if sn.base != nil {
-		return sn.base.In(n)
+	if c.base != nil {
+		return c.base.In(n)
 	}
-	if sn.sealed != nil && n <= sn.sealed.maxID {
-		return sn.sealed.inIDs[sn.sealed.inOff[n]:sn.sealed.inOff[n+1]]
+	if c.sealed != nil && n <= c.sealed.maxID {
+		return c.sealed.inIDs[c.sealed.inOff[n]:c.sealed.inOff[n+1]]
 	}
 	return nil
 }
 
 // OutEdges returns n's outgoing edges. The slice is shared; do not
 // modify.
-func (sn *Snapshot) OutEdges(n NodeID) []Edge {
-	if es, ok := sn.tailOut[n]; ok {
+func (c *chain) OutEdges(n NodeID) []Edge {
+	if es, hit := c.t.outE.row(c.t.limit, n); hit {
 		return es
 	}
-	if sn.base != nil {
-		return sn.base.OutEdges(n)
+	if c.base != nil {
+		return c.base.OutEdges(n)
 	}
-	if sn.sealed != nil && n <= sn.sealed.maxID {
-		return sn.sealed.outEdges(n)
+	if c.sealed != nil && n <= c.sealed.maxID {
+		return c.sealed.outEdges(n)
 	}
 	return nil
 }
 
 // InEdges returns n's incoming edges. The slice is shared; do not
 // modify.
-func (sn *Snapshot) InEdges(n NodeID) []Edge {
-	if es, ok := sn.tailIn[n]; ok {
+func (c *chain) InEdges(n NodeID) []Edge {
+	if es, hit := c.t.inE.row(c.t.limit, n); hit {
 		return es
 	}
-	if sn.base != nil {
-		return sn.base.InEdges(n)
+	if c.base != nil {
+		return c.base.InEdges(n)
 	}
-	if sn.sealed != nil && n <= sn.sealed.maxID {
-		return sn.sealed.inEdges[sn.sealed.inOff[n]:sn.sealed.inOff[n+1]]
+	if c.sealed != nil && n <= c.sealed.maxID {
+		return c.sealed.inEdges[c.sealed.inOff[n]:c.sealed.inOff[n+1]]
 	}
 	return nil
 }
 
+// VisitsOfPage returns the visit instance IDs of a page in visit order
+// (none in VersionEdges mode). The slice is shared; do not modify.
+func (c *chain) VisitsOfPage(page NodeID) []NodeID {
+	if vs, hit := c.t.visits.row(c.t.limit, page); hit {
+		return vs
+	}
+	if c.base != nil {
+		return c.base.VisitsOfPage(page)
+	}
+	if c.sealed != nil && page <= c.sealed.maxID {
+		return c.sealed.visitIDs[c.sealed.visitsOff[page]:c.sealed.visitsOff[page+1]]
+	}
+	return nil
+}
+
+// lookup resolves a key through the chain's per-layer maps: the tail's
+// (pick), then the pending capture's, then the sealed epoch's (sealed).
+func (c *chain) lookup(key string, pick func(*tail) map[string]NodeID,
+	sealed func(*sealedEpoch, string) (NodeID, bool)) (NodeID, bool) {
+	if id, ok := pick(c.t)[key]; ok {
+		return id, true
+	}
+	if c.base != nil {
+		return c.base.lookup(key, pick, sealed)
+	}
+	if c.sealed != nil {
+		return sealed(c.sealed, key)
+	}
+	return 0, false
+}
+
+// nodeFor returns the node a lookup found.
+func (c *chain) nodeFor(id NodeID, ok bool) (Node, bool) {
+	if !ok {
+		return Node{}, false
+	}
+	return c.NodeByID(id)
+}
+
+func tailURL(t *tail) map[string]NodeID      { return t.url }
+func tailTerm(t *tail) map[string]NodeID     { return t.term }
+func tailSave(t *tail) map[string]NodeID     { return t.save }
+func tailBookmark(t *tail) map[string]NodeID { return t.bookmark }
+
 // PageByURL returns the page identity node for url.
-func (sn *Snapshot) PageByURL(url string) (Node, bool) {
-	if id, ok := sn.tailURL[url]; ok {
-		return sn.NodeByID(id)
-	}
-	if sn.base != nil {
-		return sn.base.PageByURL(url)
-	}
-	if sn.sealed != nil {
-		if id, ok := sn.sealed.pageID(url); ok {
-			return sn.NodeByID(id)
-		}
-	}
-	return Node{}, false
+func (c *chain) PageByURL(url string) (Node, bool) {
+	return c.nodeFor(c.lookup(url, tailURL, (*sealedEpoch).pageID))
 }
 
 // TermNode returns the latest search-term instance for the exact term
 // string.
-func (sn *Snapshot) TermNode(term string) (Node, bool) {
-	if id, ok := sn.tailTerm[term]; ok {
-		return sn.NodeByID(id)
-	}
-	if sn.base != nil {
-		return sn.base.TermNode(term)
-	}
-	if sn.sealed != nil {
-		if id, ok := sn.sealed.termID(term); ok {
-			return sn.NodeByID(id)
-		}
-	}
-	return Node{}, false
+func (c *chain) TermNode(term string) (Node, bool) {
+	return c.nodeFor(c.lookup(term, tailTerm, (*sealedEpoch).termID))
 }
 
-// DownloadBySavePath returns the download node saved at path.
-func (sn *Snapshot) DownloadBySavePath(path string) (Node, bool) {
-	if id, ok := sn.tailSave[path]; ok {
-		return sn.NodeByID(id)
-	}
-	if sn.base != nil {
-		return sn.base.DownloadBySavePath(path)
-	}
-	if sn.sealed != nil {
-		if id, ok := sn.sealed.saveID(path); ok {
-			return sn.NodeByID(id)
-		}
-	}
-	return Node{}, false
+// DownloadBySavePath returns the download node saved at path (the most
+// recent one, if several downloads share a save path).
+func (c *chain) DownloadBySavePath(path string) (Node, bool) {
+	return c.nodeFor(c.lookup(path, tailSave, (*sealedEpoch).saveID))
+}
+
+// bookmarkID returns the latest bookmark of url.
+func (c *chain) bookmarkID(url string) (NodeID, bool) {
+	return c.lookup(url, tailBookmark, (*sealedEpoch).bookmarkID)
 }
 
 // Downloads returns the IDs of every download node in creation order.
-func (sn *Snapshot) Downloads() []NodeID {
+func (c *chain) Downloads() []NodeID {
 	var lower []NodeID
-	if sn.base != nil {
-		lower = sn.base.Downloads()
-	} else if sn.sealed != nil {
-		lower = sn.sealed.downloads
+	if c.base != nil {
+		lower = c.base.Downloads()
+	} else if c.sealed != nil {
+		lower = c.sealed.downloads
 	}
-	if len(sn.tailDls) == 0 {
+	if len(c.t.dls) == 0 {
 		return lower
 	}
-	out := make([]NodeID, 0, len(lower)+len(sn.tailDls))
+	out := make([]NodeID, 0, len(lower)+len(c.t.dls))
 	out = append(out, lower...)
-	return append(out, sn.tailDls...)
+	return append(out, c.t.dls...)
 }
 
-// VisitsOfPage returns the visit instance IDs of a page in visit order.
-// The slice is shared; do not modify.
-func (sn *Snapshot) VisitsOfPage(page NodeID) []NodeID {
-	if vs, ok := sn.tailVisits[page]; ok {
-		return vs
-	}
-	if sn.base != nil {
-		return sn.base.VisitsOfPage(page)
-	}
-	if sn.sealed != nil && page <= sn.sealed.maxID {
-		return sn.sealed.visitIDs[sn.sealed.visitsOff[page]:sn.sealed.visitsOff[page+1]]
-	}
-	return nil
-}
-
-// VisitCount mirrors Store.VisitCount over the snapshot.
+// VisitCount returns the number of recorded visits of a page node. In
+// VersionEdges mode it counts incoming navigation edges instead (a page
+// visited once by typing has no in-edges; it still was visited).
 func (sn *Snapshot) VisitCount(page NodeID) int {
 	if sn.mode == VersionEdges {
 		n := len(sn.In(page))
@@ -885,7 +782,7 @@ func (sn *Snapshot) openEnts(loU, hiU int64) []openEnt {
 	} else if sn.sealed != nil {
 		lower = openRange(sn.sealed.open, loU, hiU)
 	}
-	tail := openRange(sn.tailOpen, loU, hiU)
+	tail := openRange(sn.t.open, loU, hiU)
 	if len(tail) == 0 {
 		return lower
 	}

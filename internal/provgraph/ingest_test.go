@@ -55,37 +55,8 @@ func sameNode(a, b Node) bool {
 // storesMustMatch compares the whole read surface of two stores.
 func storesMustMatch(t *testing.T, a, b *Store) {
 	t.Helper()
-	if sa, sb := a.Stats(), b.Stats(); sa != sb {
-		t.Fatalf("stats differ: %+v vs %+v", sa, sb)
-	}
-	ids := a.AllNodeIDs()
-	if other := b.AllNodeIDs(); !sameIDs(ids, other) {
-		t.Fatalf("node IDs differ: %d vs %d nodes", len(ids), len(other))
-	}
-	for _, id := range ids {
-		na, _ := a.NodeByID(id)
-		nb, ok := b.NodeByID(id)
-		if !ok || !sameNode(na, nb) {
-			t.Fatalf("node %d = %+v, want %+v", id, nb, na)
-		}
-		if ea, eb := a.OutEdges(id), b.OutEdges(id); !sameEdges(ea, eb) {
-			t.Fatalf("OutEdges(%d) = %v, want %v", id, eb, ea)
-		}
-		if ea, eb := a.InEdges(id), b.InEdges(id); !sameEdges(ea, eb) {
-			t.Fatalf("InEdges(%d) = %v, want %v", id, eb, ea)
-		}
-		if na.Kind == KindPage {
-			if va, vb := a.VisitsOfPage(id), b.VisitsOfPage(id); !sameIDs(va, vb) {
-				t.Fatalf("VisitsOfPage(%d) = %v, want %v", id, vb, va)
-			}
-		}
-	}
-	if da, db := a.Downloads(), b.Downloads(); !sameIDs(da, db) {
-		t.Fatalf("Downloads = %v, want %v", db, da)
-	}
-	lo, hi := time.Time{}, time.Unix(1<<40, 0)
-	if oa, ob := a.OpenBetween(lo, hi), b.OpenBetween(lo, hi); !sameIDs(oa, ob) {
-		t.Fatalf("OpenBetween = %v, want %v", ob, oa)
+	if d := snapshotDiff(a.Snapshot(), b.Snapshot()); d != "" {
+		t.Fatal(d)
 	}
 }
 
@@ -161,7 +132,7 @@ func TestApplyBatchValidation(t *testing.T) {
 	if err := s.ApplyBatch(bad); !errors.Is(err, ErrInvalidBatch) {
 		t.Fatalf("invalid batch: err = %v, want ErrInvalidBatch", err)
 	}
-	if st := s.Stats(); st.Nodes != 0 {
+	if st := s.Snapshot().Stats(); st.Nodes != 0 {
 		t.Fatalf("rejected batch mutated the store: %+v", st)
 	}
 	if s.j.WALSize() != 0 {
@@ -217,7 +188,7 @@ func TestWALTornWriteRecovery(t *testing.T) {
 	if err := re.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := re.PageByURL("http://after-tear.example/"); !ok {
+	if _, ok := re.Snapshot().PageByURL("http://after-tear.example/"); !ok {
 		t.Fatal("post-recovery write missing")
 	}
 }
@@ -328,8 +299,8 @@ func TestPinnedSnapshotAcrossReseal(t *testing.T) {
 
 // TestResealInvalidatedByRetention lets retention rewrite the graph
 // while a gated reseal is in flight: the stale epoch must be discarded
-// (sealSeq mismatch), and the store must stay consistent and able to
-// seal again afterwards.
+// (sealSeq mismatch) in favour of the epoch retention installed, and the
+// store must stay consistent and able to seal again afterwards.
 func TestResealInvalidatedByRetention(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	defer s.Close()
@@ -348,15 +319,18 @@ func TestResealInvalidatedByRetention(t *testing.T) {
 	if _, err := s.ExpireBefore(t0.Add(200 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
+	s.mu.Lock()
+	retained := s.w.sealed
+	s.mu.Unlock()
 	close(gate)
 	s.WaitReseal()
-	// Retention's epochReset bumped sealSeq, so the gated publish must
-	// have been discarded: the store is still unsealed.
+	// Retention bumped sealSeq, so the gated publish must have been
+	// discarded: the sealed epoch is still the one retention built.
 	s.mu.Lock()
 	s.sealGate = nil
-	sealedAfter := s.sealed
+	sealedAfter := s.w.sealed
 	s.mu.Unlock()
-	if sealedAfter != nil {
+	if sealedAfter != retained {
 		t.Fatal("stale epoch published over retention rewrite")
 	}
 	snapMustMatchStore(t, s, s.Snapshot())

@@ -54,7 +54,7 @@ func (ep *sealedEpoch) lensRows() *lensRows {
 // yields to the scheduler like flattenEpoch, whose background
 // goroutine it runs on.
 func buildLensRows(ep *sealedEpoch) *lensRows {
-	l := newComputedLens(&Snapshot{maxID: ep.maxID, sealed: ep})
+	l := newComputedLens(&Snapshot{chain: chain{maxID: ep.maxID, t: &tail{limit: ep.maxID}, sealed: ep}})
 	r := &lensRows{
 		outOff: make([]uint32, ep.maxID+2),
 		out:    make([]NodeID, 0, len(ep.edges)),
@@ -223,7 +223,7 @@ func (sn *Snapshot) Lens() *SnapLens {
 			sn.lens = newComputedLens(sn)
 			return
 		}
-		if sn.maxID > ep.maxID || len(sn.tailOut)+len(sn.tailIn) > 0 {
+		if sn.maxID > ep.maxID || len(sn.t.outE.lower)+len(sn.t.inE.lower) > 0 {
 			sn.lens = newComputedLens(sn)
 		} else {
 			sn.lens = &SnapLens{sn: sn}
@@ -239,13 +239,13 @@ func (sn *Snapshot) Lens() *SnapLens {
 // spliced one. O(tail).
 func (sn *Snapshot) sealedLensHolds() bool {
 	ep := sn.sealed
-	for id, es := range sn.tailOut {
-		if id <= ep.maxID && redirectTarget(es) != 0 && redirectTarget(ep.outEdges(id)) == 0 {
+	for id, es := range sn.t.outE.lower {
+		if redirectTarget(es) != 0 && redirectTarget(ep.outEdges(id)) == 0 {
 			return false
 		}
 	}
-	for id := range sn.tailIn {
-		if id <= ep.maxID && redirectTarget(ep.outEdges(id)) != 0 {
+	for id := range sn.t.inE.lower {
+		if redirectTarget(ep.outEdges(id)) != 0 {
 			return false
 		}
 	}
@@ -308,7 +308,7 @@ func (l *SnapLens) Out(n NodeID) []NodeID { return l.AppendOut(n, nil) }
 // node.
 func (l *SnapLens) AppendOut(n NodeID, buf []NodeID) []NodeID {
 	if l.rows != nil && n <= l.sealedMax {
-		if _, dirty := l.sn.tailOut[n]; !dirty {
+		if _, dirty := l.sn.t.outE.row(l.sealedMax, n); !dirty {
 			return append(buf, l.rows.outRow(n)...)
 		}
 	}
@@ -347,7 +347,7 @@ type spliceWalk struct {
 // AppendIn implements graph.Appender.
 func (l *SnapLens) AppendIn(n NodeID, buf []NodeID) []NodeID {
 	if l.rows != nil && n <= l.sealedMax {
-		if _, dirty := l.sn.tailIn[n]; !dirty {
+		if _, dirty := l.sn.t.inE.row(l.sealedMax, n); !dirty {
 			return append(buf, l.rows.inRow(n)...)
 		}
 	}

@@ -23,15 +23,15 @@ func buildRedirectChain(t *testing.T) *Store {
 }
 
 func nodeURL(s *Store, id NodeID) string {
-	n, _ := s.NodeByID(id)
+	n, _ := s.Snapshot().NodeByID(id)
 	return n.URL
 }
 
 func TestLensSplicesRedirects(t *testing.T) {
 	s := buildRedirectChain(t)
 	lens := s.Snapshot().Lens()
-	pa, _ := s.PageByURL("http://a.example/")
-	va := s.VisitsOfPage(pa.ID)[0]
+	pa, _ := s.Snapshot().PageByURL("http://a.example/")
+	va := s.Snapshot().VisitsOfPage(pa.ID)[0]
 	outs := lens.Out(va)
 	if len(outs) != 1 {
 		t.Fatalf("lens out = %d edges, want 1", len(outs))
@@ -40,7 +40,7 @@ func TestLensSplicesRedirects(t *testing.T) {
 		t.Fatalf("lens successor = %s, want target (redirect spliced)", got)
 	}
 	// Raw view still shows the intermediate hop.
-	raw := s.Out(va)
+	raw := s.Snapshot().Out(va)
 	if len(raw) != 1 || nodeURL(s, raw[0]) != "http://short.example/r" {
 		t.Fatalf("raw successor = %v", raw)
 	}
@@ -53,8 +53,8 @@ func TestLensSplicesRedirects(t *testing.T) {
 func TestLensInSplicesRedirectSources(t *testing.T) {
 	s := buildRedirectChain(t)
 	lens := s.Snapshot().Lens()
-	pt, _ := s.PageByURL("http://target.example/")
-	vt := s.VisitsOfPage(pt.ID)[0]
+	pt, _ := s.Snapshot().PageByURL("http://target.example/")
+	vt := s.Snapshot().VisitsOfPage(pt.ID)[0]
 	ins := lens.In(vt)
 	if len(ins) != 1 {
 		t.Fatalf("lens in = %d edges, want 1", len(ins))
@@ -67,8 +67,8 @@ func TestLensInSplicesRedirectSources(t *testing.T) {
 func TestLensDropsEmbeds(t *testing.T) {
 	s := buildRedirectChain(t)
 	lens := s.Snapshot().Lens()
-	pt, _ := s.PageByURL("http://target.example/")
-	vt := s.VisitsOfPage(pt.ID)[0]
+	pt, _ := s.Snapshot().PageByURL("http://target.example/")
+	vt := s.Snapshot().VisitsOfPage(pt.ID)[0]
 	for _, m := range lens.Out(vt) {
 		if nodeURL(s, m) == "http://ads.example/banner" {
 			t.Fatal("embedded content visible through lens")
@@ -76,7 +76,7 @@ func TestLensDropsEmbeds(t *testing.T) {
 	}
 	// Raw view keeps it (lineage queries need it).
 	found := false
-	for _, m := range s.Out(vt) {
+	for _, m := range s.Snapshot().Out(vt) {
 		if nodeURL(s, m) == "http://ads.example/banner" {
 			found = true
 		}
@@ -96,14 +96,14 @@ func TestLensMultiHopRedirect(t *testing.T) {
 		visit(1, "http://final.example/", "Final", "http://r2.example/", event.TransRedirectTemporary, t0.Add(time.Minute+2*time.Second)),
 	)
 	lens := s.Snapshot().Lens()
-	pa, _ := s.PageByURL("http://a.example/")
-	va := s.VisitsOfPage(pa.ID)[0]
+	pa, _ := s.Snapshot().PageByURL("http://a.example/")
+	va := s.Snapshot().VisitsOfPage(pa.ID)[0]
 	outs := lens.Out(va)
 	if len(outs) != 1 || nodeURL(s, outs[0]) != "http://final.example/" {
 		t.Fatalf("multi-hop splice = %v", urlsOf(s, outs))
 	}
-	pf, _ := s.PageByURL("http://final.example/")
-	vf := s.VisitsOfPage(pf.ID)[0]
+	pf, _ := s.Snapshot().PageByURL("http://final.example/")
+	vf := s.Snapshot().VisitsOfPage(pf.ID)[0]
 	ins := lens.In(vf)
 	if len(ins) != 1 || nodeURL(s, ins[0]) != "http://a.example/" {
 		t.Fatalf("multi-hop In splice = %v", urlsOf(s, ins))
@@ -126,9 +126,9 @@ func TestLensNoRedirectsIsIdentity(t *testing.T) {
 		visit(1, "http://b.example/", "B", "http://a.example/", event.TransLink, t0.Add(time.Minute)),
 	)
 	lens := s.Snapshot().Lens()
-	pa, _ := s.PageByURL("http://a.example/")
-	va := s.VisitsOfPage(pa.ID)[0]
-	raw, lensed := s.Out(va), lens.Out(va)
+	pa, _ := s.Snapshot().PageByURL("http://a.example/")
+	va := s.Snapshot().VisitsOfPage(pa.ID)[0]
+	raw, lensed := s.Snapshot().Out(va), lens.Out(va)
 	if len(raw) != len(lensed) || raw[0] != lensed[0] {
 		t.Fatalf("lens differs on redirect-free graph: raw %v lens %v", raw, lensed)
 	}

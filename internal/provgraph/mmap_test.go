@@ -135,9 +135,9 @@ func TestMmapCorruptNextGenDebrisIgnored(t *testing.T) {
 
 // TestMmapQueryDuringMutationAndCheckpoint is the aliasing safety net
 // for the mapped load (run it with -race): readers hammer the full read
-// surface of a mapped store while writers mutate the overlay — the
-// first write thaws the mapped columns into heap form mid-flight — and
-// a checkpoint commits and swaps generations underneath everyone.
+// surface of a mapped store while writers grow the tail over the mapped
+// columns (copying sealed rows on their first change) and a checkpoint
+// commits and swaps generations underneath everyone.
 func TestMmapQueryDuringMutationAndCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -149,7 +149,7 @@ func TestMmapQueryDuringMutationAndCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s = openStore(t, dir) // mapped, thaw deferred
+	s = openStore(t, dir) // mapped, empty tail
 	defer s.Close()
 
 	stop := make(chan struct{})
@@ -177,15 +177,14 @@ func TestMmapQueryDuringMutationAndCheckpoint(t *testing.T) {
 					}
 				}
 				_ = sn.Downloads()
-				_ = s.Stats()
+				_ = s.Snapshot().Stats()
 				_ = s.MappedInfo()
 			}
 		}()
 	}
 
-	// Writers: batches force the thaw on the first commit, then keep the
-	// overlay (and reseals) churning; a checkpoint swaps generations in
-	// the middle of it.
+	// Writers: batches keep the tail (and reseals) churning; a
+	// checkpoint swaps generations in the middle of it.
 	for round := 0; round < 6; round++ {
 		batch := genIngestEvents(50, t0.Add(time.Duration(10000+100*round)*time.Minute))
 		if err := s.ApplyBatch(batch); err != nil {

@@ -172,9 +172,10 @@ func TestPropertyEdgesRespectTime(t *testing.T) {
 			}
 		}
 		ok := true
-		s.EachNode(func(n Node) bool {
-			for _, e := range s.OutEdges(n.ID) {
-				to, found := s.NodeByID(e.To)
+		sn := s.Snapshot()
+		sn.NodesSince(0, func(n Node) bool {
+			for _, e := range sn.OutEdges(n.ID) {
+				to, found := sn.NodeByID(e.To)
 				if !found || to.Open.Before(n.Open) {
 					ok = false
 					return false
@@ -211,7 +212,7 @@ func TestPropertyRecoveryRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		want := s.Stats()
+		want := s.Snapshot().Stats()
 		wantEdges := edgeFingerprint(s)
 		if err := s.Close(); err != nil {
 			return false
@@ -222,7 +223,7 @@ func TestPropertyRecoveryRoundTrip(t *testing.T) {
 			return false
 		}
 		defer s2.Close()
-		if s2.Stats() != want {
+		if s2.Snapshot().Stats() != want {
 			return false
 		}
 		return edgeFingerprint(s2) == wantEdges
@@ -236,8 +237,9 @@ func TestPropertyRecoveryRoundTrip(t *testing.T) {
 // order-independent hash.
 func edgeFingerprint(s *Store) uint64 {
 	var h uint64
-	s.EachNode(func(n Node) bool {
-		for _, e := range s.OutEdges(n.ID) {
+	sn := s.Snapshot()
+	sn.NodesSince(0, func(n Node) bool {
+		for _, e := range sn.OutEdges(n.ID) {
 			x := uint64(e.From)*1_000_003 ^ uint64(e.To)*7919 ^ uint64(e.Kind)*104729 ^ uint64(e.At.UnixMicro())
 			// Mix and fold commutatively so iteration order is moot.
 			x ^= x >> 33
@@ -265,18 +267,18 @@ func TestPropertyVisitCountsMatchVisits(t *testing.T) {
 			}
 		}
 		total := 0
-		for _, page := range s.NodesOfKind(KindPage) {
-			vs := s.VisitsOfPage(page)
+		for _, page := range nodesOfKind(s.Snapshot(), KindPage) {
+			vs := s.Snapshot().VisitsOfPage(page)
 			total += len(vs)
 			// VisitSeq must be 1..len in order.
 			for i, v := range vs {
-				n, ok := s.NodeByID(v)
+				n, ok := s.Snapshot().NodeByID(v)
 				if !ok || n.VisitSeq != i+1 || n.Page != page {
 					return false
 				}
 			}
 		}
-		return total == s.Stats().Visits
+		return total == s.Snapshot().Stats().Visits
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
@@ -349,6 +351,18 @@ func snapshotDiff(want, got *Snapshot) string {
 		return fmt.Sprintf("OpenBetween = %v, want %v", g, w)
 	}
 	return ""
+}
+
+// nodesOfKind returns the IDs of every node of the given kind, in ID
+// order.
+func nodesOfKind(sn *Snapshot, kind NodeKind) []NodeID {
+	var out []NodeID
+	for id := NodeID(1); id <= sn.MaxNodeID(); id++ {
+		if k, _, ok := sn.KindPage(id); ok && k == kind {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // scheduleOp is one store-layout action a schedule takes between event

@@ -14,8 +14,8 @@
 //
 // The store journals raw browsing events (so the WAL doubles as a full
 // activity log) and checkpoints the materialised graph through
-// internal/storage. It implements graph.Graph, so every algorithm in
-// internal/graph runs on it directly.
+// internal/storage. Its snapshots implement graph.Graph, so every
+// algorithm in internal/graph runs on them directly.
 package provgraph
 
 import (
@@ -258,38 +258,21 @@ type Store struct {
 	mode    VersioningMode
 	replica bool // opened with Options.Replica; see replica.go
 
-	nodes  map[NodeID]*Node
-	outE   adjRows[Edge]
-	inE    adjRows[Edge]
-	outIDs adjRows[NodeID] // parallel adjacency for graph.Graph
-	inIDs  adjRows[NodeID]
-
-	urlIndex   *storage.BTree // URL -> page NodeID
-	termIndex  *storage.BTree // term -> search-term NodeID
-	openIndex  *storage.BTree // open time || node -> visit NodeID
-	pageVisits map[NodeID][]NodeID
-
-	bookmarkByURL map[string]NodeID
-	downloads     []NodeID
-	saveIndex     map[string]NodeID // download save path -> NodeID
+	// w is the write side: a live tail over the capture an in-flight
+	// reseal is flattening (w.base) or else over the sealed epoch
+	// (w.sealed). The store's own reads go through it, along the same
+	// lookup chain snapshots use (see epoch.go and tail.go).
+	w        chain
+	numNodes int
+	numEdges int
 
 	// Epoch-snapshot state (see epoch.go). gen is bumped on every
-	// mutation; the dirty sets record sealed entries invalidated since
-	// the last seal so snapshots can overlay just the changed tail.
-	// While a background reseal is in flight, pending holds the epoch
-	// boundary being flattened and the dirty sets track mutations
-	// relative to it instead of the published seal.
-	gen         atomic.Uint64
-	snap        atomic.Pointer[Snapshot]
-	sealed      *sealedEpoch
-	dirtyNode   map[NodeID]struct{}
-	dirtyOut    map[NodeID]struct{}
-	dirtyIn     map[NodeID]struct{}
-	dirtyVisits map[NodeID]struct{}
-	pending     *Snapshot     // capture an in-flight reseal is flattening
-	sealSeq     uint64        // bumped by epochReset to abort stale publishes
-	sealDone    chan struct{} // closed when the in-flight reseal finishes
-	sealGate    chan struct{} // test hook: reseals block on it before publishing
+	// mutation.
+	gen      atomic.Uint64
+	snap     atomic.Pointer[Snapshot]
+	sealSeq  uint64        // bumped by retention to abort stale publishes
+	sealDone chan struct{} // closed when the in-flight reseal finishes
+	sealGate chan struct{} // test hook: reseals block on it before publishing
 
 	// Checkpoint plumbing. textSource, when set (by the query engine),
 	// serialises the text index restricted to a watermark so checkpoints
@@ -305,24 +288,12 @@ type Store struct {
 	ckptGen      uint64
 	ckptGenValid bool
 
-	// Ingest scratch, guarded by mu: the WAL encode buffer and the
-	// secondary-index key buffer are reused across events, and nodes
-	// are carved out of block allocations (nodes are only ever freed
-	// wholesale, so blocks never leak individual entries).
-	enc       storage.Encoder
-	keyBuf    []byte
-	nodeBlock []Node
-
-	// thaw, when non-nil, materialises the write-side state (node slab,
-	// maps, B-trees, adjacency rows) that a checkpoint load deferred:
-	// snapshots serve queries straight from the mapped columns, and the
-	// heavy heap structures are only built on the first mutation or
-	// store-level (non-snapshot) read. Cleared after running once.
-	thaw func()
+	// enc is the WAL encode buffer, reused across events (guarded by mu).
+	enc storage.Encoder
 
 	// Checkpoint-residency accounting for MappedInfo: how many bytes the
 	// last load left backed by the file mapping vs materialised on the
-	// heap (thawing moves the slab estimate into heapLoadBytes).
+	// heap.
 	mappedBytes   int64
 	heapLoadBytes int64
 
@@ -340,16 +311,14 @@ type Store struct {
 	closed atomic.Bool
 	pins   atomic.Int64
 
-	// numNodes counts live nodes. Maintained separately from len(s.nodes)
-	// because a freshly mapped store defers populating s.nodes until thaw.
-	numNodes int
-
 	// Assembly state (per-tab), part of the persistent state because it
-	// is reconstructed deterministically from the event log.
-	tabCur         map[int]NodeID
-	lastVisitByURL map[string]NodeID
-	pendingSearch  map[int]pending
-	pendingForm    map[int]pending
+	// is reconstructed deterministically from the event log. embedOnly
+	// (VersionEdges only) holds the pages that have only ever loaded as
+	// inner content, which lastVisit needs.
+	tabCur        map[int]NodeID
+	pendingSearch map[int]pending
+	pendingForm   map[int]pending
+	embedOnly     map[NodeID]struct{}
 
 	// dedup is the sliding window of recently applied ingest event IDs
 	// (see dedup.go). Persistent state: IDs ride the WAL records of the
@@ -361,47 +330,11 @@ type Store struct {
 	scrubMu   sync.Mutex
 	scrubCur  scrubCursor
 	scrubStat ScrubStatus
-
-	nextNode NodeID
-	numEdges int
 }
 
 type pending struct {
 	node NodeID
 	url  string
-}
-
-// adjRows is a dense-by-NodeID adjacency column. Node IDs are dense
-// small integers, so per-node edge lists live in a flat slice instead
-// of a map: the ingest hot path appends without hashing, and checkpoint
-// bulk-load fills the whole column in one linear pass. Index 0 is
-// unused (node IDs start at 1); rows beyond the slice read as nil,
-// exactly like a map miss.
-type adjRows[T any] struct{ rows [][]T }
-
-// at returns the row for id (shared; callers must not modify).
-func (a *adjRows[T]) at(id NodeID) []T {
-	if int(id) >= len(a.rows) {
-		return nil
-	}
-	return a.rows[id]
-}
-
-// add appends v to id's row, growing the column as IDs advance.
-func (a *adjRows[T]) add(id NodeID, v T) {
-	if int(id) >= len(a.rows) {
-		a.growTo(id)
-	}
-	a.rows[id] = append(a.rows[id], v)
-}
-
-func (a *adjRows[T]) growTo(id NodeID) {
-	a.rows = append(a.rows, make([][]T, int(id)+1-len(a.rows))...)
-}
-
-// sized returns a column preallocated for IDs up to maxID.
-func adjSized[T any](maxID NodeID) adjRows[T] {
-	return adjRows[T]{rows: make([][]T, maxID+1)}
 }
 
 // Open opens (or creates) a provenance store in dir with default options.
@@ -410,24 +343,16 @@ func Open(dir string) (*Store, error) { return OpenWith(dir, Options{}) }
 // OpenWith opens (or creates) a provenance store in dir.
 func OpenWith(dir string, opts Options) (*Store, error) {
 	s := &Store{
-		mode:           opts.Mode,
-		replica:        opts.Replica,
-		nodes:          make(map[NodeID]*Node),
-		urlIndex:       storage.NewBTree(),
-		termIndex:      storage.NewBTree(),
-		openIndex:      storage.NewBTree(),
-		pageVisits:     make(map[NodeID][]NodeID),
-		bookmarkByURL:  make(map[string]NodeID),
-		saveIndex:      make(map[string]NodeID),
-		tabCur:         make(map[int]NodeID),
-		lastVisitByURL: make(map[string]NodeID),
-		pendingSearch:  make(map[int]pending),
-		pendingForm:    make(map[int]pending),
-		dedup:          newDedupWindow(opts.DedupWindow),
-		nextNode:       1,
+		mode:          opts.Mode,
+		replica:       opts.Replica,
+		w:             chain{t: newTail(0)},
+		tabCur:        make(map[int]NodeID),
+		pendingSearch: make(map[int]pending),
+		pendingForm:   make(map[int]pending),
+		embedOnly:     make(map[NodeID]struct{}),
+		dedup:         newDedupWindow(opts.DedupWindow),
 	}
 	s.pins.Store(1)
-	s.epochInit()
 	j, err := storage.OpenJournal(dir, "provgraph", storage.JournalCallbacks{
 		LoadSections: s.loadSections,
 		MapSnapshot:  !opts.NoMmap,
@@ -446,40 +371,16 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// thawLocked runs the deferred write-side materialisation left by a
-// mapped checkpoint load, once. Caller holds the write lock.
-func (s *Store) thawLocked() {
-	if s.thaw != nil {
-		f := s.thaw
-		s.thaw = nil
-		f()
-	}
-}
-
-// rlockThawed takes the read lock, first materialising the deferred
-// write-side state if a mapped load left it pending. Store-level reads
-// (as opposed to Snapshot reads, which run straight off the mapped
-// columns) use it in place of s.mu.RLock.
-func (s *Store) rlockThawed() {
-	s.mu.RLock()
-	if s.thaw == nil {
-		return
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	s.thawLocked()
-	s.mu.Unlock()
-	s.mu.RLock()
-}
-
 // MappedInfo reports where the bytes of the loaded checkpoint live.
 type MappedInfo struct {
 	// MappedBytes is the checkpoint footprint served by the read-only
 	// file mapping (resident at the kernel's discretion, reclaimable).
 	MappedBytes int64
 	// HeapBytes estimates checkpoint-derived bytes materialised on the
-	// Go heap: the whole file when mapping was off, plus the node slab
-	// and index structures if the store has thawed for writing.
+	// Go heap at load: the whole file when mapping was off, plus the
+	// edge attribute slices and the visit timeline, which every load
+	// decodes. Writes never add to it: they go to a tail over the loaded
+	// columns.
 	HeapBytes int64
 }
 
@@ -638,8 +539,8 @@ func (s *Store) RecoveredTextIndex() (*textindex.Index, NodeID, bool) {
 		return nil, 0, false
 	}
 	// Frozen load: the index serves queries straight off the payload
-	// (which aliases the mapped checkpoint when the store is mapped) and
-	// only materialises map-form postings if something writes to it.
+	// (which aliases the mapped checkpoint when the store is mapped);
+	// nodes indexed past the watermark go to a small map-form delta.
 	ix, err := textindex.LoadFrozen(payload)
 	if err != nil {
 		return nil, 0, false
@@ -769,24 +670,16 @@ func (s *Store) replayEvent(payload []byte) error {
 
 // ---- assembly ----
 
-// nodeBlockSize is how many nodes one block allocation carves out.
-const nodeBlockSize = 256
-
-func (s *Store) newNode(kind NodeKind, at time.Time) *Node {
-	// Nodes come out of block allocations: the store only ever frees
-	// nodes wholesale (retention rebuilds the maps but keeps surviving
-	// pointers), so blocks are never partially reclaimed and the apply
-	// path pays one allocation per nodeBlockSize nodes instead of one
-	// per node.
-	if len(s.nodeBlock) == 0 {
-		s.nodeBlock = make([]Node, nodeBlockSize)
-	}
-	n := &s.nodeBlock[0]
-	s.nodeBlock = s.nodeBlock[1:]
-	n.ID, n.Kind, n.Open = s.nextNode, kind, at
-	s.nextNode++
+// newNode appends n to the write side as the next node ID.
+func (s *Store) newNode(n Node) NodeID {
+	s.w.addNode(n)
 	s.numNodes++
-	s.nodes[n.ID] = n
+	return s.w.maxID
+}
+
+// node returns the write side's current copy of node id.
+func (s *Store) node(id NodeID) Node {
+	n, _ := s.w.NodeByID(id)
 	return n
 }
 
@@ -795,55 +688,24 @@ func (s *Store) addEdge(from, to NodeID, kind EdgeKind, at time.Time) {
 	if from == 0 || to == 0 || from == to {
 		return
 	}
-	e := Edge{From: from, To: to, Kind: kind, At: at}
-	s.outE.add(from, e)
-	s.inE.add(to, e)
-	s.outIDs.add(from, to)
-	s.inIDs.add(to, from)
+	s.w.addEdge(Edge{From: from, To: to, Kind: kind, At: at})
 	s.numEdges++
-	if lim := s.dirtyLimit(); lim > 0 {
-		if from <= lim {
-			s.dirtyOut[from] = struct{}{}
-		}
-		if to <= lim {
-			s.dirtyIn[to] = struct{}{}
-		}
-	}
-}
-
-// scratchKey loads k into the store's reusable key scratch for B-tree
-// lookups and inserts (the B-tree copies keys it inserts, so handing
-// it the scratch is safe). Caller holds the write lock; the buffer is
-// valid until the next scratchKey/appendTimeKey use.
-func (s *Store) scratchKey(k string) []byte {
-	s.keyBuf = append(s.keyBuf[:0], k...)
-	return s.keyBuf
 }
 
 // ensurePage returns the page identity node for url, creating it at time
-// at if needed.
-func (s *Store) ensurePage(url, title string, at time.Time) *Node {
-	if id, ok := s.urlIndex.Get(s.scratchKey(url)); ok {
-		p := s.nodes[NodeID(id)]
+// at if needed; created reports whether it did.
+func (s *Store) ensurePage(url, title string, at time.Time) (page NodeID, created bool) {
+	if p, ok := s.w.PageByURL(url); ok {
 		if p.Title == "" && title != "" {
 			p.Title = title
-			s.markDirtyNode(p.ID)
+			s.w.t.put(p)
 		}
-		return p
+		return p.ID, false
 	}
-	p := s.newNode(KindPage, at)
-	p.URL = url
-	p.Title = title
-	s.urlIndex.Put(s.keyBuf, uint64(p.ID))
-	return p
+	return s.newNode(Node{Kind: KindPage, URL: url, Title: title, Open: at}), true
 }
 
 func (s *Store) applyEvent(ev *event.Event) {
-	// A mapped open defers building the write-side structures; the first
-	// mutation (including WAL replay at open) materialises them.
-	if s.thaw != nil {
-		s.thawLocked()
-	}
 	// Every mutation moves the store to a new generation; lock-free
 	// readers use this to decide when a cached snapshot went stale.
 	defer s.gen.Add(1)
@@ -870,7 +732,7 @@ func (s *Store) applyEvent(ev *event.Event) {
 // visit in the same tab when it matches the referrer (or when the
 // navigation is typed/bookmark, where the "referrer" is simply the page
 // the user was looking at), otherwise the most recent visit of the
-// referrer URL in any tab.
+// referrer URL in any tab, otherwise the referrer's lastVisit.
 func (s *Store) originFor(ev *event.Event) NodeID {
 	cur := s.tabCur[ev.Tab]
 	if ev.Referrer == "" {
@@ -881,7 +743,7 @@ func (s *Store) originFor(ev *event.Event) NodeID {
 		}
 		return 0
 	}
-	if cur != 0 && s.nodes[cur].URL == ev.Referrer {
+	if cur != 0 && s.node(cur).URL == ev.Referrer {
 		return cur
 	}
 	// Another tab may hold the referrer (e.g. "open in new tab"). When
@@ -890,86 +752,114 @@ func (s *Store) originFor(ev *event.Event) NodeID {
 	// the same events (recovery, a follower) build a different graph.
 	var best NodeID
 	for _, v := range s.tabCur {
-		if v > best && s.nodes[v].URL == ev.Referrer {
+		if v > best && s.node(v).URL == ev.Referrer {
 			best = v
 		}
 	}
 	if best != 0 {
 		return best
 	}
-	return s.lastVisitByURL[ev.Referrer]
+	return s.lastVisit(ev.Referrer)
+}
+
+// lastVisit is the instance a URL resolves to when no tab shows it: the
+// page's most recent visit that did not load as inner content (an embed
+// or framed link). In VersionEdges mode the page is its own instance,
+// unless it has only ever loaded as inner content. 0 when there is none.
+//
+// The value is derived from persisted state (visit lists and their Via
+// column, and embedOnly), so a reopened store or a follower resolves
+// exactly as the live store did. After ExpireBefore it can name an
+// earlier retained visit when the latest one expired.
+func (s *Store) lastVisit(url string) NodeID {
+	p, ok := s.w.PageByURL(url)
+	if !ok {
+		return 0
+	}
+	if s.mode == VersionEdges {
+		if _, inner := s.embedOnly[p.ID]; inner {
+			return 0
+		}
+		return p.ID
+	}
+	vs := s.w.VisitsOfPage(p.ID)
+	for i := len(vs) - 1; i >= 0; i-- {
+		if via := s.node(vs[i]).Via; via != EdgeEmbed && via != EdgeFramedLink {
+			return vs[i]
+		}
+	}
+	return 0
 }
 
 func (s *Store) applyVisit(ev *event.Event) {
-	page := s.ensurePage(ev.URL, ev.Title, ev.Time)
+	page, created := s.ensurePage(ev.URL, ev.Title, ev.Time)
 	origin := s.originFor(ev)
+	// Inner content does not replace the page on display.
+	inner := ev.Transition == event.TransEmbed || ev.Transition == event.TransFramedLink
 
-	var v *Node
+	v := page
 	if s.mode == VersionEdges {
 		// E5 ablation: the page node doubles as the visit; edges carry
 		// the time stamps and the node graph may be cyclic.
-		v = page
-		if v.Open.IsZero() || ev.Time.Before(v.Open) {
-			v.Open = ev.Time
-			s.markDirtyNode(v.ID)
+		if p := s.node(page); p.Open.IsZero() || ev.Time.Before(p.Open) {
+			p.Open = ev.Time
+			s.w.t.put(p)
+		}
+		if !inner {
+			delete(s.embedOnly, page)
+		} else if created {
+			s.embedOnly[page] = struct{}{}
 		}
 	} else {
-		v = s.newNode(KindVisit, ev.Time)
-		v.URL = ev.URL
-		v.Title = ev.Title
-		v.Page = page.ID
-		v.Via = EdgeKind(ev.Transition)
-		s.pageVisits[page.ID] = append(s.pageVisits[page.ID], v.ID)
-		v.VisitSeq = len(s.pageVisits[page.ID])
-		s.keyBuf = appendTimeKey(s.keyBuf[:0], ev.Time, v.ID)
-		s.openIndex.Put(s.keyBuf, uint64(v.ID))
-		if page.ID <= s.dirtyLimit() {
-			s.dirtyVisits[page.ID] = struct{}{}
+		n := Node{Kind: KindVisit, URL: ev.URL, Title: ev.Title, Open: ev.Time, Page: page,
+			Via: EdgeKind(ev.Transition), VisitSeq: len(s.w.VisitsOfPage(page)) + 1}
+		if inner {
+			// An embed is never "open" in a tab; close it instantly.
+			n.Close = ev.Time
 		}
+		v = s.newNode(n)
 	}
 
 	if origin != 0 {
-		s.addEdge(origin, v.ID, EdgeKind(ev.Transition), ev.Time)
+		s.addEdge(origin, v, EdgeKind(ev.Transition), ev.Time)
 	}
 
 	// Bookmark clicks also descend from the bookmark object itself.
 	if ev.Transition == event.TransBookmark {
-		if b, ok := s.bookmarkByURL[ev.URL]; ok {
-			s.addEdge(b, v.ID, EdgeBookmarkClick, ev.Time)
+		if b, ok := s.w.bookmarkID(ev.URL); ok {
+			s.addEdge(b, v, EdgeBookmarkClick, ev.Time)
 		}
 	}
 
 	// Resolve a pending search/form submission for this tab: the results
 	// page descends from the term node.
 	if p, ok := s.pendingSearch[ev.Tab]; ok && p.url == ev.URL {
-		s.addEdge(p.node, v.ID, EdgeSearchResults, ev.Time)
+		s.addEdge(p.node, v, EdgeSearchResults, ev.Time)
 		delete(s.pendingSearch, ev.Tab)
 	}
 	if p, ok := s.pendingForm[ev.Tab]; ok && p.url == ev.URL {
-		s.addEdge(p.node, v.ID, EdgeFormResults, ev.Time)
+		s.addEdge(p.node, v, EdgeFormResults, ev.Time)
 		delete(s.pendingForm, ev.Tab)
 	}
 
-	// Inner content does not replace the page on display.
-	if ev.Transition == event.TransEmbed || ev.Transition == event.TransFramedLink {
-		if s.mode == VersionNodes {
-			// An embed is never "open" in a tab; close it instantly.
-			v.Close = ev.Time
-		}
+	if inner {
 		return
 	}
-
 	// The navigation replaces the tab's current page: close it (§3.2).
 	if s.mode == VersionNodes {
-		if prev := s.tabCur[ev.Tab]; prev != 0 && prev != v.ID {
-			if pn := s.nodes[prev]; pn.Close.IsZero() {
-				pn.Close = ev.Time
-				s.markDirtyNode(prev)
-			}
+		if prev := s.tabCur[ev.Tab]; prev != 0 && prev != v {
+			s.closeVisit(prev, ev.Time)
 		}
 	}
-	s.tabCur[ev.Tab] = v.ID
-	s.lastVisitByURL[ev.URL] = v.ID
+	s.tabCur[ev.Tab] = v
+}
+
+// closeVisit records the close time of a visit that is still open.
+func (s *Store) closeVisit(id NodeID, at time.Time) {
+	if n := s.node(id); n.Close.IsZero() {
+		n.Close = at
+		s.w.t.put(n)
+	}
 }
 
 func (s *Store) applyClose(ev *event.Event) {
@@ -978,41 +868,30 @@ func (s *Store) applyClose(ev *event.Event) {
 		return
 	}
 	if s.mode == VersionNodes {
-		if n := s.nodes[cur]; n.Close.IsZero() {
-			n.Close = ev.Time
-			s.markDirtyNode(cur)
-		}
+		s.closeVisit(cur, ev.Time)
 	}
 	delete(s.tabCur, ev.Tab)
 }
 
 func (s *Store) applyBookmarkAdd(ev *event.Event) {
-	b := s.newNode(KindBookmark, ev.Time)
-	b.URL = ev.URL
-	b.Title = ev.Title
-	s.bookmarkByURL[ev.URL] = b.ID
+	b := s.newNode(Node{Kind: KindBookmark, URL: ev.URL, Title: ev.Title, Open: ev.Time})
 	// The bookmark descends from the visit being bookmarked.
 	origin := s.tabCur[ev.Tab]
-	if origin == 0 || s.nodes[origin].URL != ev.URL {
-		origin = s.lastVisitByURL[ev.URL]
+	if origin == 0 || s.node(origin).URL != ev.URL {
+		origin = s.lastVisit(ev.URL)
 	}
-	s.addEdge(origin, b.ID, EdgeBookmarkCreate, ev.Time)
+	s.addEdge(origin, b, EdgeBookmarkCreate, ev.Time)
 }
 
 func (s *Store) applyDownload(ev *event.Event) {
-	d := s.newNode(KindDownload, ev.Time)
-	d.URL = ev.URL
-	d.Text = ev.SavePath
-	d.Title = ev.ContentType
-	s.downloads = append(s.downloads, d.ID)
-	s.saveIndex[ev.SavePath] = d.ID
+	d := s.newNode(Node{Kind: KindDownload, URL: ev.URL, Text: ev.SavePath, Title: ev.ContentType, Open: ev.Time})
 	origin := s.tabCur[ev.Tab]
 	if ev.Referrer != "" {
-		if o := s.lastVisitByURL[ev.Referrer]; o != 0 {
+		if o := s.lastVisit(ev.Referrer); o != 0 {
 			origin = o
 		}
 	}
-	s.addEdge(origin, d.ID, EdgeDownloadOf, ev.Time)
+	s.addEdge(origin, d, EdgeDownloadOf, ev.Time)
 }
 
 func (s *Store) applySearch(ev *event.Event) {
@@ -1020,47 +899,19 @@ func (s *Store) applySearch(ev *event.Event) {
 	// term string would let a visit that descends from the term's
 	// earlier results point back at it — exactly the cycle class §3.1
 	// breaks by versioning ("a new version of some object in the cycle
-	// must be created"). The term index tracks the latest instance.
-	t := s.newNode(KindSearchTerm, ev.Time)
-	t.Text = ev.Terms
-	s.scratchKey(ev.Terms)
-	if prev, ok := s.termIndex.Get(s.keyBuf); ok {
-		if pn := s.nodes[NodeID(prev)]; pn != nil {
-			t.VisitSeq = pn.VisitSeq + 1
-		}
-	} else {
-		t.VisitSeq = 1
+	// must be created"). The term lookup tracks the latest instance.
+	seq := 1
+	if prev, ok := s.w.TermNode(ev.Terms); ok {
+		seq = prev.VisitSeq + 1
 	}
-	s.termIndex.Put(s.keyBuf, uint64(t.ID))
+	t := s.newNode(Node{Kind: KindSearchTerm, Text: ev.Terms, Open: ev.Time, VisitSeq: seq})
 	// The term descends from the visit where it was issued.
-	s.addEdge(s.tabCur[ev.Tab], t.ID, EdgeSearchIssued, ev.Time)
-	s.pendingSearch[ev.Tab] = pending{node: t.ID, url: ev.URL}
+	s.addEdge(s.tabCur[ev.Tab], t, EdgeSearchIssued, ev.Time)
+	s.pendingSearch[ev.Tab] = pending{node: t, url: ev.URL}
 }
 
 func (s *Store) applyFormSubmit(ev *event.Event) {
-	f := s.newNode(KindFormEntry, ev.Time)
-	f.Text = ev.Terms
-	f.URL = ev.URL
-	s.addEdge(s.tabCur[ev.Tab], f.ID, EdgeFormFilled, ev.Time)
-	s.pendingForm[ev.Tab] = pending{node: f.ID, url: ev.URL}
-}
-
-// appendTimeKey appends the open-time index key to dst: big-endian
-// shifted micros followed by the node ID for uniqueness. The write path
-// reuses the store's key scratch; read paths (which hold only the read
-// lock and therefore must not share scratch) use the allocating timeKey.
-func appendTimeKey(dst []byte, t time.Time, id NodeID) []byte {
-	u := uint64(t.UnixMicro()) + (1 << 63)
-	for i := 0; i < 8; i++ {
-		dst = append(dst, byte(u>>(56-8*i)))
-	}
-	for i := 0; i < 8; i++ {
-		dst = append(dst, byte(uint64(id)>>(56-8*i)))
-	}
-	return dst
-}
-
-// timeKey builds the open-time index key in a fresh buffer.
-func timeKey(t time.Time, id NodeID) []byte {
-	return appendTimeKey(make([]byte, 0, 16), t, id)
+	f := s.newNode(Node{Kind: KindFormEntry, Text: ev.Terms, URL: ev.URL, Open: ev.Time})
+	s.addEdge(s.tabCur[ev.Tab], f, EdgeFormFilled, ev.Time)
+	s.pendingForm[ev.Tab] = pending{node: f, url: ev.URL}
 }

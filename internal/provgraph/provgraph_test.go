@@ -37,18 +37,18 @@ func TestVisitCreatesPageAndInstance(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	defer s.Close()
 	mustApply(t, s, visit(1, "http://a.example/", "A", "", event.TransTyped, t0))
-	page, ok := s.PageByURL("http://a.example/")
+	page, ok := s.Snapshot().PageByURL("http://a.example/")
 	if !ok {
 		t.Fatal("page missing")
 	}
 	if page.Kind != KindPage {
 		t.Fatalf("kind = %v", page.Kind)
 	}
-	vs := s.VisitsOfPage(page.ID)
+	vs := s.Snapshot().VisitsOfPage(page.ID)
 	if len(vs) != 1 {
 		t.Fatalf("visits = %v", vs)
 	}
-	v, _ := s.NodeByID(vs[0])
+	v, _ := s.Snapshot().NodeByID(vs[0])
 	if v.Kind != KindVisit || v.Page != page.ID || v.VisitSeq != 1 {
 		t.Fatalf("visit = %+v", v)
 	}
@@ -61,13 +61,13 @@ func TestLinkTraversalEdge(t *testing.T) {
 		visit(1, "http://a.example/", "A", "", event.TransTyped, t0),
 		visit(1, "http://b.example/", "B", "http://a.example/", event.TransLink, t0.Add(time.Minute)),
 	)
-	pb, _ := s.PageByURL("http://b.example/")
-	vb := s.VisitsOfPage(pb.ID)[0]
-	ins := s.InEdges(vb)
+	pb, _ := s.Snapshot().PageByURL("http://b.example/")
+	vb := s.Snapshot().VisitsOfPage(pb.ID)[0]
+	ins := s.Snapshot().InEdges(vb)
 	if len(ins) != 1 || ins[0].Kind != EdgeLink {
 		t.Fatalf("in edges = %+v", ins)
 	}
-	from, _ := s.NodeByID(ins[0].From)
+	from, _ := s.Snapshot().NodeByID(ins[0].From)
 	if from.URL != "http://a.example/" || from.Kind != KindVisit {
 		t.Fatalf("edge source = %+v", from)
 	}
@@ -82,9 +82,9 @@ func TestTypedNavigationKeepsRelationship(t *testing.T) {
 		visit(1, "http://a.example/", "A", "", event.TransTyped, t0),
 		visit(1, "http://b.example/", "B", "", event.TransTyped, t0.Add(time.Minute)),
 	)
-	pb, _ := s.PageByURL("http://b.example/")
-	vb := s.VisitsOfPage(pb.ID)[0]
-	ins := s.InEdges(vb)
+	pb, _ := s.Snapshot().PageByURL("http://b.example/")
+	vb := s.Snapshot().VisitsOfPage(pb.ID)[0]
+	ins := s.Snapshot().InEdges(vb)
 	if len(ins) != 1 || ins[0].Kind != EdgeTyped {
 		t.Fatalf("typed navigation edge missing: %+v", ins)
 	}
@@ -102,12 +102,12 @@ func TestRevisitCreatesNewVersion(t *testing.T) {
 		// ... and back to the search page.
 		visit(1, "http://search.example/", "Search", "http://film.example/", event.TransLink, t0.Add(2*time.Minute)),
 	)
-	ps, _ := s.PageByURL("http://search.example/")
-	vs := s.VisitsOfPage(ps.ID)
+	ps, _ := s.Snapshot().PageByURL("http://search.example/")
+	vs := s.Snapshot().VisitsOfPage(ps.ID)
 	if len(vs) != 2 {
 		t.Fatalf("search page has %d instances, want 2", len(vs))
 	}
-	v2, _ := s.NodeByID(vs[1])
+	v2, _ := s.Snapshot().NodeByID(vs[1])
 	if v2.VisitSeq != 2 {
 		t.Fatalf("second instance VisitSeq = %d", v2.VisitSeq)
 	}
@@ -123,20 +123,20 @@ func TestCloseTimestamps(t *testing.T) {
 		visit(1, "http://a.example/", "A", "", event.TransTyped, t0),
 		visit(1, "http://b.example/", "B", "http://a.example/", event.TransLink, t0.Add(10*time.Minute)),
 	)
-	pa, _ := s.PageByURL("http://a.example/")
-	va, _ := s.NodeByID(s.VisitsOfPage(pa.ID)[0])
+	pa, _ := s.Snapshot().PageByURL("http://a.example/")
+	va, _ := s.Snapshot().NodeByID(s.Snapshot().VisitsOfPage(pa.ID)[0])
 	if !va.Close.Equal(t0.Add(10 * time.Minute)) {
 		t.Fatalf("A close = %v, want navigation time", va.Close)
 	}
 	// B is still open.
-	pb, _ := s.PageByURL("http://b.example/")
-	vb, _ := s.NodeByID(s.VisitsOfPage(pb.ID)[0])
+	pb, _ := s.Snapshot().PageByURL("http://b.example/")
+	vb, _ := s.Snapshot().NodeByID(s.Snapshot().VisitsOfPage(pb.ID)[0])
 	if !vb.Close.IsZero() {
 		t.Fatalf("B close = %v, want zero (still open)", vb.Close)
 	}
 	// Explicit close event.
 	mustApply(t, s, &event.Event{Time: t0.Add(20 * time.Minute), Type: event.TypeClose, Tab: 1, URL: "http://b.example/"})
-	vb, _ = s.NodeByID(s.VisitsOfPage(pb.ID)[0])
+	vb, _ = s.Snapshot().NodeByID(s.Snapshot().VisitsOfPage(pb.ID)[0])
 	if !vb.Close.Equal(t0.Add(20 * time.Minute)) {
 		t.Fatalf("B close = %v after close event", vb.Close)
 	}
@@ -151,18 +151,18 @@ func TestTabsIsolateContext(t *testing.T) {
 		// Navigation in tab 1 must not chain from tab 2's page.
 		visit(1, "http://b.example/", "B", "http://a.example/", event.TransLink, t0.Add(2*time.Minute)),
 	)
-	pb, _ := s.PageByURL("http://b.example/")
-	ins := s.InEdges(s.VisitsOfPage(pb.ID)[0])
+	pb, _ := s.Snapshot().PageByURL("http://b.example/")
+	ins := s.Snapshot().InEdges(s.Snapshot().VisitsOfPage(pb.ID)[0])
 	if len(ins) != 1 {
 		t.Fatalf("in edges = %+v", ins)
 	}
-	from, _ := s.NodeByID(ins[0].From)
+	from, _ := s.Snapshot().NodeByID(ins[0].From)
 	if from.URL != "http://a.example/" {
 		t.Fatalf("edge from %s, want a.example", from.URL)
 	}
 	// Tab 1's navigation must not close tab 2's page.
-	px, _ := s.PageByURL("http://x.example/")
-	vx, _ := s.NodeByID(s.VisitsOfPage(px.ID)[0])
+	px, _ := s.Snapshot().PageByURL("http://x.example/")
+	vx, _ := s.Snapshot().NodeByID(s.Snapshot().VisitsOfPage(px.ID)[0])
 	if !vx.Close.IsZero() {
 		t.Fatal("tab 2 page closed by tab 1 navigation")
 	}
@@ -175,14 +175,14 @@ func TestNewTabEdge(t *testing.T) {
 		visit(1, "http://a.example/", "A", "", event.TransTyped, t0),
 		visit(2, "http://b.example/", "B", "http://a.example/", event.TransNewTab, t0.Add(time.Minute)),
 	)
-	pb, _ := s.PageByURL("http://b.example/")
-	ins := s.InEdges(s.VisitsOfPage(pb.ID)[0])
+	pb, _ := s.Snapshot().PageByURL("http://b.example/")
+	ins := s.Snapshot().InEdges(s.Snapshot().VisitsOfPage(pb.ID)[0])
 	if len(ins) != 1 || ins[0].Kind != EdgeNewTab {
 		t.Fatalf("new-tab edge = %+v", ins)
 	}
 	// Opener stays open (new tab doesn't replace it).
-	pa, _ := s.PageByURL("http://a.example/")
-	va, _ := s.NodeByID(s.VisitsOfPage(pa.ID)[0])
+	pa, _ := s.Snapshot().PageByURL("http://a.example/")
+	va, _ := s.Snapshot().NodeByID(s.Snapshot().VisitsOfPage(pa.ID)[0])
 	if !va.Close.IsZero() {
 		t.Fatal("opener closed by new-tab navigation")
 	}
@@ -198,28 +198,28 @@ func TestSearchTermNode(t *testing.T) {
 		visit(1, resultsURL, "rosebud - Search", "http://home.example/", event.TransLink, t0.Add(time.Minute+time.Second)),
 		visit(1, "http://films.example/kane", "Citizen Kane", resultsURL, event.TransSearchResult, t0.Add(2*time.Minute)),
 	)
-	term, ok := s.TermNode("rosebud")
+	term, ok := s.Snapshot().TermNode("rosebud")
 	if !ok {
 		t.Fatal("term node missing")
 	}
 	// term -> results visit edge
-	outs := s.OutEdges(term.ID)
+	outs := s.Snapshot().OutEdges(term.ID)
 	if len(outs) != 1 || outs[0].Kind != EdgeSearchResults {
 		t.Fatalf("term out edges = %+v", outs)
 	}
-	results, _ := s.NodeByID(outs[0].To)
+	results, _ := s.Snapshot().NodeByID(outs[0].To)
 	if results.URL != resultsURL {
 		t.Fatalf("results node = %+v", results)
 	}
 	// home visit -> term edge
-	ins := s.InEdges(term.ID)
+	ins := s.Snapshot().InEdges(term.ID)
 	if len(ins) != 1 || ins[0].Kind != EdgeSearchIssued {
 		t.Fatalf("term in edges = %+v", ins)
 	}
 	// Citizen Kane is a descendant of the term node.
-	kane, _ := s.PageByURL("http://films.example/kane")
-	kv := s.VisitsOfPage(kane.ID)[0]
-	if !reaches(s, term.ID, kv) {
+	kane, _ := s.Snapshot().PageByURL("http://films.example/kane")
+	kv := s.Snapshot().VisitsOfPage(kane.ID)[0]
+	if !reaches(s.Snapshot(), term.ID, kv) {
 		t.Fatal("Citizen Kane not reachable from the rosebud term node")
 	}
 }
@@ -248,14 +248,14 @@ func TestSearchTermVersioned(t *testing.T) {
 			visit(1, "http://search.example/?q=wine", "wine - Search", "http://home.example/", event.TransLink, at.Add(time.Minute+time.Second)),
 		)
 	}
-	if got := s.Stats().Terms; got != 3 {
+	if got := s.Snapshot().Stats().Terms; got != 3 {
 		t.Fatalf("term instances = %d, want 3 (one per issuance)", got)
 	}
-	term, _ := s.TermNode("wine")
+	term, _ := s.Snapshot().TermNode("wine")
 	if term.VisitSeq != 3 {
 		t.Fatalf("latest instance VisitSeq = %d, want 3", term.VisitSeq)
 	}
-	if got := len(s.OutEdges(term.ID)); got != 1 {
+	if got := len(s.Snapshot().OutEdges(term.ID)); got != 1 {
 		t.Fatalf("latest instance has %d result edges, want 1", got)
 	}
 	if cycle := s.VerifyDAG(); cycle != nil {
@@ -293,18 +293,18 @@ func TestBookmarkLifecycle(t *testing.T) {
 		// Later: navigate via the bookmark.
 		visit(1, "http://a.example/", "A", "", event.TransBookmark, t0.Add(time.Hour)),
 	)
-	bms := s.NodesOfKind(KindBookmark)
+	bms := nodesOfKind(s.Snapshot(), KindBookmark)
 	if len(bms) != 1 {
 		t.Fatalf("bookmarks = %v", bms)
 	}
 	b := bms[0]
 	// visit -> bookmark (creation)
-	ins := s.InEdges(b)
+	ins := s.Snapshot().InEdges(b)
 	if len(ins) != 1 || ins[0].Kind != EdgeBookmarkCreate {
 		t.Fatalf("bookmark in edges = %+v", ins)
 	}
 	// bookmark -> later visit (click)
-	outs := s.OutEdges(b)
+	outs := s.Snapshot().OutEdges(b)
 	if len(outs) != 1 || outs[0].Kind != EdgeBookmarkClick {
 		t.Fatalf("bookmark out edges = %+v", outs)
 	}
@@ -325,14 +325,14 @@ func TestDownloadLineageChain(t *testing.T) {
 			SavePath: "/home/u/x.exe", ContentType: "application/octet-stream",
 		},
 	)
-	dls := s.Downloads()
+	dls := s.Snapshot().Downloads()
 	if len(dls) != 1 {
 		t.Fatalf("downloads = %v", dls)
 	}
 	// Ancestor BFS from the download reaches the forum page.
-	forum, _ := s.PageByURL("http://forum.example/thread")
-	fv := s.VisitsOfPage(forum.ID)[0]
-	path, ok := graph.FindFirst(s, dls[0], graph.Backward, false, func(n NodeID) bool { return n == fv })
+	forum, _ := s.Snapshot().PageByURL("http://forum.example/thread")
+	fv := s.Snapshot().VisitsOfPage(forum.ID)[0]
+	path, ok := graph.FindFirst(s.Snapshot(), dls[0], graph.Backward, false, func(n NodeID) bool { return n == fv })
 	if !ok {
 		t.Fatal("forum ancestor unreachable from download")
 	}
@@ -349,9 +349,9 @@ func TestRedirectEdges(t *testing.T) {
 		visit(1, "http://short.example/r", "", "http://a.example/", event.TransLink, t0.Add(time.Minute)),
 		visit(1, "http://target.example/", "Target", "http://short.example/r", event.TransRedirectTemporary, t0.Add(time.Minute+time.Second)),
 	)
-	pt, _ := s.PageByURL("http://target.example/")
-	vt := s.VisitsOfPage(pt.ID)[0]
-	ins := s.InEdges(vt)
+	pt, _ := s.Snapshot().PageByURL("http://target.example/")
+	vt := s.Snapshot().VisitsOfPage(pt.ID)[0]
+	ins := s.Snapshot().InEdges(vt)
 	if len(ins) != 1 || ins[0].Kind != EdgeRedirectTemporary {
 		t.Fatalf("redirect edge = %+v", ins)
 	}
@@ -366,44 +366,17 @@ func TestFormSubmitNodes(t *testing.T) {
 		&event.Event{Time: t0.Add(time.Minute), Type: event.TypeFormSubmit, Tab: 1, URL: results, Terms: "red shoes size 9"},
 		visit(1, results, "Results", "http://store.example/", event.TransFormSubmit, t0.Add(time.Minute+time.Second)),
 	)
-	forms := s.NodesOfKind(KindFormEntry)
+	forms := nodesOfKind(s.Snapshot(), KindFormEntry)
 	if len(forms) != 1 {
 		t.Fatalf("form nodes = %v", forms)
 	}
-	f, _ := s.NodeByID(forms[0])
+	f, _ := s.Snapshot().NodeByID(forms[0])
 	if f.Text != "red shoes size 9" {
 		t.Fatalf("form text = %q", f.Text)
 	}
-	outs := s.OutEdges(forms[0])
+	outs := s.Snapshot().OutEdges(forms[0])
 	if len(outs) != 1 || outs[0].Kind != EdgeFormResults {
 		t.Fatalf("form out edges = %+v", outs)
-	}
-}
-
-func TestOverlappingIntervals(t *testing.T) {
-	s := openStore(t, t.TempDir())
-	defer s.Close()
-	mustApply(t, s,
-		visit(1, "http://wine.example/", "Wine", "", event.TransTyped, t0),
-		visit(2, "http://tickets.example/", "Plane tickets", "", event.TransTyped, t0.Add(5*time.Minute)),
-		// Close wine at +10m; tickets stays open.
-		&event.Event{Time: t0.Add(10 * time.Minute), Type: event.TypeClose, Tab: 1, URL: "http://wine.example/"},
-		// A later page that does NOT overlap wine.
-		visit(3, "http://later.example/", "Later", "", event.TransTyped, t0.Add(time.Hour)),
-	)
-	pw, _ := s.PageByURL("http://wine.example/")
-	wv := s.VisitsOfPage(pw.ID)[0]
-	co := s.OpenWith(wv)
-	urls := map[string]bool{}
-	for _, id := range co {
-		n, _ := s.NodeByID(id)
-		urls[n.URL] = true
-	}
-	if !urls["http://tickets.example/"] {
-		t.Fatalf("tickets not co-open with wine: %v", urls)
-	}
-	if urls["http://later.example/"] {
-		t.Fatal("non-overlapping page reported co-open")
 	}
 }
 
@@ -413,7 +386,7 @@ func TestOpenBetween(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustApply(t, s, visit(1, fmt.Sprintf("http://p%d.example/", i), "", "", event.TransTyped, t0.Add(time.Duration(i)*time.Hour)))
 	}
-	got := s.OpenBetween(t0.Add(3*time.Hour), t0.Add(6*time.Hour))
+	got := s.Snapshot().OpenBetween(t0.Add(3*time.Hour), t0.Add(6*time.Hour))
 	if len(got) != 3 {
 		t.Fatalf("OpenBetween = %d visits, want 3", len(got))
 	}
@@ -433,32 +406,32 @@ func TestPersistenceAcrossReopenAndCheckpoint(t *testing.T) {
 	}
 	// Post-checkpoint: click a result; edge must attach to recovered state.
 	mustApply(t, s, visit(1, "http://films.example/kane", "Citizen Kane", resultsURL, event.TransSearchResult, t0.Add(2*time.Minute)))
-	want := s.Stats()
+	want := s.Snapshot().Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := openStore(t, dir)
 	defer s2.Close()
-	if s2.Stats() != want {
-		t.Fatalf("stats after reopen = %+v, want %+v", s2.Stats(), want)
+	if s2.Snapshot().Stats() != want {
+		t.Fatalf("stats after reopen = %+v, want %+v", s2.Snapshot().Stats(), want)
 	}
-	term, ok := s2.TermNode("rosebud")
+	term, ok := s2.Snapshot().TermNode("rosebud")
 	if !ok {
 		t.Fatal("term lost")
 	}
-	kane, _ := s2.PageByURL("http://films.example/kane")
-	kv := s2.VisitsOfPage(kane.ID)
+	kane, _ := s2.Snapshot().PageByURL("http://films.example/kane")
+	kv := s2.Snapshot().VisitsOfPage(kane.ID)
 	if len(kv) != 1 {
 		t.Fatal("kane visit lost")
 	}
-	if !reaches(s2, term.ID, kv[0]) {
+	if !reaches(s2.Snapshot(), term.ID, kv[0]) {
 		t.Fatal("kane unreachable from term after recovery")
 	}
 	// Ingest continues: new navigation chains from the recovered tab state.
 	mustApply(t, s2, visit(1, "http://films.example/kane/cast", "Cast", "http://films.example/kane", event.TransLink, t0.Add(3*time.Minute)))
-	cast, _ := s2.PageByURL("http://films.example/kane/cast")
-	ins := s2.InEdges(s2.VisitsOfPage(cast.ID)[0])
+	cast, _ := s2.Snapshot().PageByURL("http://films.example/kane/cast")
+	ins := s2.Snapshot().InEdges(s2.Snapshot().VisitsOfPage(cast.ID)[0])
 	if len(ins) != 1 || ins[0].Kind != EdgeLink {
 		t.Fatalf("post-recovery edge = %+v", ins)
 	}
@@ -483,7 +456,7 @@ func TestDAGInvariantUnderLongSession(t *testing.T) {
 	if cycle := s.VerifyDAG(); cycle != nil {
 		t.Fatalf("instance graph has a cycle: %v", cycle)
 	}
-	st := s.Stats()
+	st := s.Snapshot().Stats()
 	if st.Pages != 3 || st.Visits != 60 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -500,7 +473,7 @@ func TestVersionEdgesModeAllowsPageCycles(t *testing.T) {
 		visit(1, "http://b.example/", "B", "http://a.example/", event.TransLink, t0.Add(time.Minute)),
 		visit(1, "http://a.example/", "A", "http://b.example/", event.TransLink, t0.Add(2*time.Minute)),
 	)
-	st := s.Stats()
+	st := s.Snapshot().Stats()
 	if st.Visits != 0 {
 		t.Fatalf("edge-versioned store created %d visit instances", st.Visits)
 	}
@@ -511,8 +484,8 @@ func TestVersionEdgesModeAllowsPageCycles(t *testing.T) {
 		t.Fatal("edge-versioned mode should permit a page-level cycle here")
 	}
 	// The edges still carry timestamps that order the traversals.
-	pa, _ := s.PageByURL("http://a.example/")
-	for _, e := range s.InEdges(pa.ID) {
+	pa, _ := s.Snapshot().PageByURL("http://a.example/")
+	for _, e := range s.Snapshot().InEdges(pa.ID) {
 		if e.At.IsZero() {
 			t.Fatal("edge missing timestamp")
 		}
@@ -529,7 +502,7 @@ func TestStatsCounts(t *testing.T) {
 		visit(1, "http://s.example/?q=q", "q", "http://a.example/", event.TransLink, t0.Add(3*time.Minute)),
 		&event.Event{Time: t0.Add(4 * time.Minute), Type: event.TypeDownload, Tab: 1, URL: "http://f.example/f.pdf", SavePath: "/tmp/f.pdf"},
 	)
-	st := s.Stats()
+	st := s.Snapshot().Stats()
 	if st.Pages != 2 || st.Visits != 2 || st.Bookmarks != 1 || st.Terms != 1 || st.Downloads != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -552,9 +525,9 @@ func TestEdgesAlwaysPointForwardInTime(t *testing.T) {
 		prev = u
 	}
 	bad := 0
-	s.EachNode(func(n Node) bool {
-		for _, e := range s.OutEdges(n.ID) {
-			to, _ := s.NodeByID(e.To)
+	s.Snapshot().NodesSince(0, func(n Node) bool {
+		for _, e := range s.Snapshot().OutEdges(n.ID) {
+			to, _ := s.Snapshot().NodeByID(e.To)
 			if to.Open.Before(n.Open) {
 				bad++
 			}

@@ -1,239 +1,13 @@
 package provgraph
 
-import (
-	"sort"
-	"time"
-
-	"browserprov/internal/graph"
-)
-
-// Out implements graph.Graph over the provenance edges.
-func (s *Store) Out(n NodeID) []NodeID {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	return s.outIDs.at(n)
-}
-
-// In implements graph.Graph over the provenance edges.
-func (s *Store) In(n NodeID) []NodeID {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	return s.inIDs.at(n)
-}
-
-// NodeByID returns a copy of the node with the given ID.
-func (s *Store) NodeByID(id NodeID) (Node, bool) {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	n, ok := s.nodes[id]
-	if !ok {
-		return Node{}, false
-	}
-	return *n, true
-}
-
-// PageByURL returns the page identity node for url.
-func (s *Store) PageByURL(url string) (Node, bool) {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	id, ok := s.urlIndex.Get([]byte(url))
-	if !ok {
-		return Node{}, false
-	}
-	return *s.nodes[NodeID(id)], true
-}
-
-// TermNode returns the search-term node for the exact term string.
-func (s *Store) TermNode(term string) (Node, bool) {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	id, ok := s.termIndex.Get([]byte(term))
-	if !ok {
-		return Node{}, false
-	}
-	return *s.nodes[NodeID(id)], true
-}
-
-// VisitsOfPage returns the visit instance IDs of a page in visit order.
-// In VersionEdges mode pages have no separate instances and the result is
-// empty.
-func (s *Store) VisitsOfPage(page NodeID) []NodeID {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	return append([]NodeID(nil), s.pageVisits[page]...)
-}
-
-// VisitCount returns the number of recorded visits of a page node. In
-// VersionEdges mode it counts incoming navigation edges instead.
-func (s *Store) VisitCount(page NodeID) int {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	return s.visitCountLocked(page)
-}
-
-func (s *Store) visitCountLocked(page NodeID) int {
-	if s.mode == VersionEdges {
-		n := len(s.inE.at(page))
-		if n == 0 {
-			// A page visited once by typing has no in-edges; it still
-			// was visited.
-			if _, ok := s.nodes[page]; ok {
-				return 1
-			}
-		}
-		return n
-	}
-	return len(s.pageVisits[page])
-}
-
-// Downloads returns the IDs of every download node, in creation order.
-func (s *Store) Downloads() []NodeID {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	return append([]NodeID(nil), s.downloads...)
-}
-
-// DownloadBySavePath returns the download node saved at path (the most
-// recent one, if several downloads share a save path).
-func (s *Store) DownloadBySavePath(path string) (Node, bool) {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	id, ok := s.saveIndex[path]
-	if !ok {
-		return Node{}, false
-	}
-	return *s.nodes[id], true
-}
-
-// NodesSince returns copies of every node with ID > watermark in ID
-// order. Node IDs are dense and monotonic, so incremental consumers
-// (e.g. the query engine's text index) can catch up in O(delta) instead
-// of rescanning all node IDs.
-func (s *Store) NodesSince(watermark NodeID) []Node {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	var out []Node
-	for id := watermark + 1; id < s.nextNode; id++ {
-		if n, ok := s.nodes[id]; ok {
-			out = append(out, *n)
-		}
-	}
-	return out
-}
-
-// OutEdges returns copies of n's outgoing edges.
-func (s *Store) OutEdges(n NodeID) []Edge {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	return append([]Edge(nil), s.outE.at(n)...)
-}
-
-// InEdges returns copies of n's incoming edges.
-func (s *Store) InEdges(n NodeID) []Edge {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	return append([]Edge(nil), s.inE.at(n)...)
-}
-
-// EachNode calls fn for every node in ID order until fn returns false.
-func (s *Store) EachNode(fn func(Node) bool) {
-	s.rlockThawed()
-	ids := make([]NodeID, 0, len(s.nodes))
-	for id := range s.nodes {
-		ids = append(ids, id)
-	}
-	s.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n, ok := s.NodeByID(id)
-		if !ok {
-			continue
-		}
-		if !fn(n) {
-			return
-		}
-	}
-}
-
-// NodesOfKind returns the IDs of every node of the given kind, in ID
-// order.
-func (s *Store) NodesOfKind(kind NodeKind) []NodeID {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	var out []NodeID
-	for id, n := range s.nodes {
-		if n.Kind == kind {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+import "browserprov/internal/graph"
 
 // AllNodeIDs returns every node ID in ID order.
-func (s *Store) AllNodeIDs() []NodeID {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	out := make([]NodeID, 0, len(s.nodes))
-	for id := range s.nodes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// OpenBetween returns the visit nodes whose open time t satisfies
-// lo <= t < hi, in open order.
-func (s *Store) OpenBetween(lo, hi time.Time) []NodeID {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	var out []NodeID
-	s.openIndex.AscendRange(timeKey(lo, 0), timeKey(hi, 0), func(_ []byte, v uint64) bool {
-		out = append(out, NodeID(v))
-		return true
-	})
-	return out
-}
-
-// Overlapping returns the visit nodes whose [open, close] interval
-// overlaps [lo, hi). A zero close is treated as "open until the end of
-// history" (§3.2: without a close, "every page is always open" — here
-// that only applies to genuinely unclosed visits).
-func (s *Store) Overlapping(lo, hi time.Time) []NodeID {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	var out []NodeID
-	// Any overlapping visit opened before hi; scan the open index up to
-	// hi and filter on close.
-	s.openIndex.AscendRange(nil, timeKey(hi, 0), func(_ []byte, v uint64) bool {
-		n := s.nodes[NodeID(v)]
-		if n.Close.IsZero() || n.Close.After(lo) {
-			out = append(out, n.ID)
-		}
-		return true
-	})
-	return out
-}
-
-// OpenWith returns the visit nodes co-displayed with visit v: those whose
-// interval overlaps v's. The direction rule of §3.2 (first-opened points
-// to later) is applied by the caller when a direction is needed.
-func (s *Store) OpenWith(v NodeID) []NodeID {
-	s.rlockThawed()
-	n, ok := s.nodes[v]
-	if !ok || n.Kind != KindVisit {
-		s.mu.RUnlock()
-		return nil
-	}
-	lo, hi := n.Open, n.Close
-	s.mu.RUnlock()
-	if hi.IsZero() {
-		hi = time.Unix(1<<40, 0) // effectively "forever"
-	}
-	var out []NodeID
-	for _, m := range s.Overlapping(lo, hi) {
-		if m != v {
-			out = append(out, m)
+func (sn *Snapshot) AllNodeIDs() []NodeID {
+	out := make([]NodeID, 0, sn.nNodes)
+	for id := NodeID(1); id <= sn.maxID; id++ {
+		if _, _, ok := sn.KindPage(id); ok {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -242,12 +16,14 @@ func (s *Store) OpenWith(v NodeID) []NodeID {
 // VerifyDAG checks the provenance invariant: the instance graph must be
 // acyclic (§3.1). It returns nil if the invariant holds, or one violating
 // cycle.
-func (s *Store) VerifyDAG() []NodeID {
-	nodes := s.AllNodeIDs()
-	return graph.FindCycle(s, nodes)
+func (sn *Snapshot) VerifyDAG() []NodeID {
+	return graph.FindCycle(sn, sn.AllNodeIDs())
 }
 
-// Stats summarises the store.
+// VerifyDAG checks the invariant over the store's current snapshot.
+func (s *Store) VerifyDAG() []NodeID { return s.Snapshot().VerifyDAG() }
+
+// Stats summarises the graph.
 type Stats struct {
 	Nodes     int
 	Edges     int
@@ -259,13 +35,13 @@ type Stats struct {
 	Forms     int
 }
 
-// Stats returns node/edge counts by kind.
-func (s *Store) Stats() Stats {
-	s.rlockThawed()
-	defer s.mu.RUnlock()
-	st := Stats{Nodes: len(s.nodes), Edges: s.numEdges}
-	for _, n := range s.nodes {
-		switch n.Kind {
+// Stats returns node/edge counts by kind. It reads only the kind column:
+// O(nodes), no strings decoded.
+func (sn *Snapshot) Stats() Stats {
+	st := Stats{Nodes: sn.nNodes, Edges: sn.nEdges}
+	for id := NodeID(1); id <= sn.maxID; id++ {
+		kind, _, _ := sn.KindPage(id)
+		switch kind {
 		case KindPage:
 			st.Pages++
 		case KindVisit:

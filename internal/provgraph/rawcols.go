@@ -22,11 +22,9 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Struct sizes for the load-time heap accounting MappedInfo reports.
-const (
-	nodeStructBytes = int64(unsafe.Sizeof(Node{}))
-	edgeStructBytes = int64(unsafe.Sizeof(Edge{}))
-)
+// edgeStructBytes sizes the load-time heap accounting MappedInfo
+// reports.
+const edgeStructBytes = int64(unsafe.Sizeof(Edge{}))
 
 // canAlias reports whether p can be reinterpreted in place as an array
 // of elemSize-byte little-endian values.
@@ -143,8 +141,9 @@ func nodeIDBytes(v []NodeID) []byte {
 // arrays aliasing the (typically memory-mapped) checkpoint file, plus
 // string columns served as substrings of shared blobs. A sealedEpoch
 // carrying a nodeCols reconstructs Node values on demand instead of
-// holding a ~140-byte-per-node slab on the heap; the slab only
-// materialises if the store thaws for writing (see Store.thawLocked).
+// holding a ~140-byte-per-node slab on the heap; writes never build
+// one either, since a node the write side changes is copied into its
+// tail (see tail.go).
 type nodeCols struct {
 	flags   []byte  // kind in the low bits + presence flags (nf*)
 	openUS  []int64 // open time, unix micros (0 = zero time)

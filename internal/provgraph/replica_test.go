@@ -77,7 +77,7 @@ func TestReplicateRecordMirrorsLeader(t *testing.T) {
 		t.Fatalf("follower NextLSN %d != leader %d", follower.NextLSN(), leader.NextLSN())
 	}
 	for i := 0; i < 20; i++ {
-		if _, ok := follower.PageByURL(fmt.Sprintf("http://s%d.example/", i)); !ok {
+		if _, ok := follower.Snapshot().PageByURL(fmt.Sprintf("http://s%d.example/", i)); !ok {
 			t.Fatalf("page %d missing on follower", i)
 		}
 	}
@@ -162,7 +162,7 @@ func TestReplicaSurvivesRestart(t *testing.T) {
 		t.Fatalf("resumed ship applied %d records, want 5", n)
 	}
 	for i := 0; i < 15; i++ {
-		if _, ok := follower.PageByURL(fmt.Sprintf("http://s%d.example/", i)); !ok {
+		if _, ok := follower.Snapshot().PageByURL(fmt.Sprintf("http://s%d.example/", i)); !ok {
 			t.Fatalf("page %d missing after resume", i)
 		}
 	}

@@ -28,7 +28,11 @@ const spliceFanoutLimit = 64
 //   - where an expired instance connected retained nodes, a splice edge
 //     preserves the reachability (so descendant queries stay sound);
 //   - page identity nodes survive only while they have retained visits
-//     or retained objects referencing their URL.
+//     or retained objects referencing their URL;
+//   - a later event whose referrer URL no tab shows attaches to that
+//     URL's latest retained visit (see lastVisit), which may be an
+//     earlier visit than the expired latest one — the same answer a
+//     store reopened from the post-expiration checkpoint gives.
 //
 // The post-expiration state is immediately checkpointed (the event log
 // cannot replay an expiration, so the snapshot must capture it); if the
@@ -44,118 +48,93 @@ func (s *Store) ExpireBefore(cutoff time.Time) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// The rewrite walks and rebuilds the write-side structures; a mapped
-	// open that deferred them must materialise first.
-	s.thawLocked()
+	old := s.buildSnapshot()
+	retained := retainedSet(old, cutoff)
 
-	retained := s.retainedSet(cutoff)
-
-	// Collect splice edges before mutating anything.
-	type splice struct {
-		from, to NodeID
-		at       time.Time
-	}
-	var splices []splice
-	for id, n := range s.nodes {
-		if retained[id] || n.Kind == KindPage {
+	// Splice edges around expired instances, read before anything is
+	// rebuilt.
+	var splices []Edge
+	for id := NodeID(1); id <= old.maxID; id++ {
+		kind, _, ok := old.KindPage(id)
+		if retained[id] || !ok || kind == KindPage {
 			continue
 		}
-		ins := s.inE.at(id)
-		outs := s.outE.at(id)
+		ins, outs := old.InEdges(id), old.OutEdges(id)
 		if len(ins)*len(outs) > spliceFanoutLimit {
 			continue
 		}
+		open, _, _ := old.OpenClose(id)
 		for _, ie := range ins {
 			if !retained[ie.From] {
 				continue
 			}
 			for _, oe := range outs {
-				if !retained[oe.To] {
-					continue
+				if retained[oe.To] {
+					splices = append(splices, Edge{From: ie.From, To: oe.To, Kind: EdgeExpiredSplice, At: open})
 				}
-				splices = append(splices, splice{from: ie.From, to: oe.To, at: n.Open})
 			}
 		}
 	}
 
-	// Rebuild node and edge state from the retained set.
+	// Rebuild the survivors as a tail over nothing, keeping their IDs
+	// (expired ones become gaps). The strings are cloned: checkpoint-
+	// loaded nodes hold zero-copy substrings of one shared column blob,
+	// and a survivor keeping that blob alive would keep every expired
+	// URL in it alive as well.
+	c := chain{t: newTail(0)}
 	removed := 0
-	oldNodes := s.nodes
-	oldOut := s.outE
-	s.nodes = make(map[NodeID]*Node, len(retained))
-	s.outE = adjRows[Edge]{}
-	s.inE = adjRows[Edge]{}
-	s.outIDs = adjRows[NodeID]{}
-	s.inIDs = adjRows[NodeID]{}
-	s.urlIndex = storage.NewBTree()
-	s.termIndex = storage.NewBTree()
-	s.openIndex = storage.NewBTree()
-	s.pageVisits = make(map[NodeID][]NodeID)
-	s.bookmarkByURL = make(map[string]NodeID)
-	s.downloads = nil
-	s.saveIndex = make(map[string]NodeID)
-	s.numEdges = 0
-	// The wholesale rewrite invalidates the sealed epoch: discard it and
-	// move to a new generation so cached snapshots expire.
-	s.epochReset()
+	for id := NodeID(1); id <= old.maxID; id++ {
+		n, ok := old.NodeByID(id)
+		if ok && !retained[id] {
+			removed++
+		}
+		if !ok || !retained[id] {
+			c.addNode(Node{})
+			continue
+		}
+		n.URL = strings.Clone(n.URL)
+		n.Title = strings.Clone(n.Title)
+		n.Text = strings.Clone(n.Text)
+		c.addNode(n)
+	}
+	numEdges := len(splices)
+	for id := NodeID(1); id <= old.maxID; id++ {
+		if !retained[id] {
+			continue
+		}
+		for _, e := range old.OutEdges(id) {
+			if retained[e.To] {
+				c.addEdge(e)
+				numEdges++
+			}
+		}
+	}
+	for _, e := range splices {
+		c.addEdge(e)
+	}
+	s.numNodes -= removed
+	s.numEdges = numEdges
+	ep := flattenEpoch(&Snapshot{mode: s.mode, nNodes: s.numNodes, nEdges: numEdges, chain: c})
+
+	// Install the flattened survivors as the sealed epoch under an empty
+	// tail. Any in-flight reseal was built from the old graph: bumping
+	// sealSeq makes its publish a no-op.
+	s.w = chain{maxID: c.maxID, t: newTail(c.maxID), sealed: ep}
+	s.sealSeq++
 	s.gen.Add(1)
-	// And it invalidates any registered text-index checkpoint source:
-	// the engine's index still holds the purged history, and a later
-	// checkpoint saving it would resurrect expired terms on restart.
-	// The replacement engine (History rebuilds it after expiration)
-	// re-registers.
+	s.snap.Store(nil)
+	// The rewrite also invalidates any registered text-index checkpoint
+	// source: the engine's index still holds the purged history, and a
+	// later checkpoint saving it would resurrect expired terms on
+	// restart. The replacement engine (History rebuilds it after
+	// expiration) re-registers.
 	s.textSource = nil
 	s.recoveredText = nil
-
-	ids := make([]NodeID, 0, len(oldNodes))
-	for id := range oldNodes {
-		ids = append(ids, id)
-	}
-	sortNodeIDs(ids)
-	// Nodes are block-allocated (see newNode): copy survivors out of
-	// their blocks so expired neighbors in the same block — and the
-	// privacy-sensitive URLs/terms they reference — actually become
-	// unreachable, and drop the current partial block with them. The
-	// strings are cloned too: checkpoint-loaded nodes hold zero-copy
-	// substrings of one shared column blob, and a survivor keeping that
-	// blob alive would keep every expired URL in it alive as well.
-	s.nodeBlock = nil
-	for _, id := range ids {
-		if !retained[id] {
-			removed++
-			continue
-		}
-		cp := *oldNodes[id]
-		cp.URL = strings.Clone(cp.URL)
-		cp.Title = strings.Clone(cp.Title)
-		cp.Text = strings.Clone(cp.Text)
-		s.nodes[id] = &cp
-		s.indexNode(&cp)
-	}
-	for _, id := range ids {
-		if !retained[id] {
-			continue
-		}
-		for _, e := range oldOut.at(id) {
-			if retained[e.To] {
-				s.addEdge(e.From, e.To, e.Kind, e.At)
-			}
-		}
-	}
-	for _, sp := range splices {
-		s.addEdge(sp.from, sp.to, EdgeExpiredSplice, sp.at)
-	}
-	s.numNodes = len(s.nodes)
 
 	// Assembly state referencing expired nodes is dropped.
 	for tab, v := range s.tabCur {
 		if !retained[v] {
 			delete(s.tabCur, tab)
-		}
-	}
-	for url, v := range s.lastVisitByURL {
-		if !retained[v] {
-			delete(s.lastVisitByURL, url)
 		}
 	}
 	for tab, p := range s.pendingSearch {
@@ -168,21 +147,25 @@ func (s *Store) ExpireBefore(cutoff time.Time) (int, error) {
 			delete(s.pendingForm, tab)
 		}
 	}
+	for p := range s.embedOnly {
+		if !retained[p] {
+			delete(s.embedOnly, p)
+		}
+	}
 
 	// The event log cannot reproduce this state; checkpoint now, under
 	// the lock (Checkpoint's background path would release it, and
 	// events applied between the rewrite and its checkpoint would
 	// replay over pre-expiration state on recovery). The dump is the
-	// same checkpoint Checkpoint writes, with one deliberate omission: no text-postings section — the engine's
-	// index still references the purged history, and persisting it
-	// would resurrect expired terms after a restart.
-	sn := s.snapshotLocked()
+	// same checkpoint Checkpoint writes, with one deliberate omission:
+	// no text-postings section — the engine's index still references
+	// the purged history, and persisting it would resurrect expired
+	// terms after a restart.
 	asm := s.captureAssemblyLocked()
 	ticket, err := s.j.BeginCheckpoint()
 	if err != nil {
 		return removed, err
 	}
-	ep := flattenEpoch(sn)
 	if err := ticket.WriteSections(func(w *storage.SectionWriter) error {
 		return writeSnapshotV3(w, ep, asm, nil, 0)
 	}); err != nil {
@@ -194,28 +177,30 @@ func (s *Store) ExpireBefore(cutoff time.Time) (int, error) {
 	return removed, nil
 }
 
-// retainedSet computes the survivors of an expiration at cutoff.
-func (s *Store) retainedSet(cutoff time.Time) map[NodeID]bool {
-	retained := make(map[NodeID]bool, len(s.nodes))
+// retainedSet computes the survivors of an expiration at cutoff,
+// indexed by node ID.
+func retainedSet(sn *Snapshot, cutoff time.Time) []bool {
+	retained := make([]bool, sn.maxID+1)
 
 	// Recent instances and permanent objects survive.
 	var pins []NodeID
-	for id, n := range s.nodes {
+	for id := NodeID(1); id <= sn.maxID; id++ {
+		kind, _, ok := sn.KindPage(id)
 		switch {
-		case n.Kind == KindPage:
-			// Decided after visits are known.
-		case n.Kind == KindDownload || n.Kind == KindBookmark:
+		case !ok || kind == KindPage:
+			// Gaps never survive; pages are decided after visits are known.
+		case kind == KindDownload || kind == KindBookmark:
 			retained[id] = true
 			pins = append(pins, id)
-		case !n.Open.Before(cutoff):
-			retained[id] = true
+		default:
+			if open, _, _ := sn.OpenClose(id); !open.Before(cutoff) {
+				retained[id] = true
+			}
 		}
 	}
 	// Lineage pinning: the full ancestor closure of downloads and
-	// bookmarks survives regardless of age. (Traverses raw adjacency —
-	// the caller holds the write lock, so the locking graph.Graph view
-	// must not be used here.)
-	seen := make(map[NodeID]bool, len(pins)*4)
+	// bookmarks survives regardless of age.
+	seen := make([]bool, sn.maxID+1)
 	queue := append([]NodeID(nil), pins...)
 	for _, p := range pins {
 		seen[p] = true
@@ -224,7 +209,7 @@ func (s *Store) retainedSet(cutoff time.Time) map[NodeID]bool {
 		n := queue[0]
 		queue = queue[1:]
 		retained[n] = true
-		for _, m := range s.inIDs.at(n) {
+		for _, m := range sn.In(n) {
 			if !seen[m] {
 				seen[m] = true
 				queue = append(queue, m)
@@ -232,11 +217,11 @@ func (s *Store) retainedSet(cutoff time.Time) map[NodeID]bool {
 		}
 	}
 	// Pages survive while something retained references them.
-	for id, n := range s.nodes {
-		if n.Kind != KindPage {
+	for id := NodeID(1); id <= sn.maxID; id++ {
+		if kind, _, _ := sn.KindPage(id); kind != KindPage {
 			continue
 		}
-		for _, v := range s.pageVisits[id] {
+		for _, v := range sn.VisitsOfPage(id) {
 			if retained[v] {
 				retained[id] = true
 				break
@@ -245,31 +230,14 @@ func (s *Store) retainedSet(cutoff time.Time) map[NodeID]bool {
 	}
 	// Bookmarks keep their page identity alive too (the URL remains
 	// meaningful in the UI even with zero retained visits).
-	for url := range s.bookmarkByURL {
-		if pid, ok := s.urlIndex.Get([]byte(url)); ok {
-			retained[NodeID(pid)] = true
+	for _, b := range pins {
+		if n, _ := sn.NodeByID(b); n.Kind == KindBookmark {
+			if p, ok := sn.PageByURL(n.URL); ok {
+				retained[p.ID] = true
+			}
 		}
 	}
 	return retained
-}
-
-// indexNode rebuilds the secondary index entries for n after a rewrite.
-func (s *Store) indexNode(n *Node) {
-	switch n.Kind {
-	case KindPage:
-		s.urlIndex.Put(s.scratchKey(n.URL), uint64(n.ID))
-	case KindVisit:
-		s.pageVisits[n.Page] = append(s.pageVisits[n.Page], n.ID)
-		s.keyBuf = appendTimeKey(s.keyBuf[:0], n.Open, n.ID)
-		s.openIndex.Put(s.keyBuf, uint64(n.ID))
-	case KindSearchTerm:
-		s.termIndex.Put(s.scratchKey(n.Text), uint64(n.ID))
-	case KindBookmark:
-		s.bookmarkByURL[n.URL] = n.ID
-	case KindDownload:
-		s.downloads = append(s.downloads, n.ID)
-		s.saveIndex[n.Text] = n.ID
-	}
 }
 
 func sortNodeIDs(ids []NodeID) {

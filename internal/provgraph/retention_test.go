@@ -42,7 +42,7 @@ func TestExpireRemovesOldKeepsRecent(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	defer s.Close()
 	cutoff := buildExpirableHistory(t, s)
-	before := s.Stats()
+	before := s.Snapshot().Stats()
 	removed, err := s.ExpireBefore(cutoff)
 	if err != nil {
 		t.Fatal(err)
@@ -50,19 +50,19 @@ func TestExpireRemovesOldKeepsRecent(t *testing.T) {
 	if removed == 0 {
 		t.Fatal("nothing expired")
 	}
-	after := s.Stats()
+	after := s.Snapshot().Stats()
 	if after.Nodes >= before.Nodes {
 		t.Fatalf("nodes %d -> %d", before.Nodes, after.Nodes)
 	}
 	// Recent pages survive.
 	for i := 0; i < 5; i++ {
-		if _, ok := s.PageByURL(fmt.Sprintf("http://new%d.example/", i)); !ok {
+		if _, ok := s.Snapshot().PageByURL(fmt.Sprintf("http://new%d.example/", i)); !ok {
 			t.Fatalf("recent page %d expired", i)
 		}
 	}
 	// Old plain pages are gone.
 	for i := 0; i < 10; i++ {
-		if _, ok := s.PageByURL(fmt.Sprintf("http://old%d.example/", i)); ok {
+		if _, ok := s.Snapshot().PageByURL(fmt.Sprintf("http://old%d.example/", i)); ok {
 			t.Fatalf("old page %d survived", i)
 		}
 	}
@@ -75,20 +75,20 @@ func TestExpirePinsDownloadLineage(t *testing.T) {
 	if _, err := s.ExpireBefore(cutoff); err != nil {
 		t.Fatal(err)
 	}
-	dls := s.Downloads()
+	dls := s.Snapshot().Downloads()
 	if len(dls) != 1 {
 		t.Fatalf("downloads after expire = %d", len(dls))
 	}
 	// The full ancestor chain must still be walkable to the forum.
-	forum, ok := s.PageByURL("http://forum.example/")
+	forum, ok := s.Snapshot().PageByURL("http://forum.example/")
 	if !ok {
 		t.Fatal("forum page expired despite being in download lineage")
 	}
-	fv := s.VisitsOfPage(forum.ID)
+	fv := s.Snapshot().VisitsOfPage(forum.ID)
 	if len(fv) != 1 {
 		t.Fatalf("forum visits = %d", len(fv))
 	}
-	path, found := graph.FindFirst(s, dls[0], graph.Backward, false, func(n NodeID) bool { return n == fv[0] })
+	path, found := graph.FindFirst(s.Snapshot(), dls[0], graph.Backward, false, func(n NodeID) bool { return n == fv[0] })
 	if !found {
 		t.Fatal("download lineage broken by expiration")
 	}
@@ -104,10 +104,10 @@ func TestExpireKeepsBookmarks(t *testing.T) {
 	if _, err := s.ExpireBefore(cutoff); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.NodesOfKind(KindBookmark)) != 1 {
+	if len(nodesOfKind(s.Snapshot(), KindBookmark)) != 1 {
 		t.Fatal("bookmark expired")
 	}
-	if _, ok := s.PageByURL("http://keep.example/"); !ok {
+	if _, ok := s.Snapshot().PageByURL("http://keep.example/"); !ok {
 		t.Fatal("bookmarked page identity expired")
 	}
 }
@@ -133,22 +133,22 @@ func TestExpireSplicesConnectivity(t *testing.T) {
 	if _, err := s.ExpireBefore(cutoff); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.PageByURL("http://middle.example/"); ok {
+	if _, ok := s.Snapshot().PageByURL("http://middle.example/"); ok {
 		t.Fatal("middle page survived")
 	}
-	origin, _ := s.PageByURL("http://origin.example/")
-	ov := s.VisitsOfPage(origin.ID)[0]
-	recentPage, ok := s.PageByURL("http://recent.example/")
+	origin, _ := s.Snapshot().PageByURL("http://origin.example/")
+	ov := s.Snapshot().VisitsOfPage(origin.ID)[0]
+	recentPage, ok := s.Snapshot().PageByURL("http://recent.example/")
 	if !ok {
 		t.Fatal("recent page expired")
 	}
-	rv := s.VisitsOfPage(recentPage.ID)[0]
-	if !reaches(s, ov, rv) {
+	rv := s.Snapshot().VisitsOfPage(recentPage.ID)[0]
+	if !reaches(s.Snapshot(), ov, rv) {
 		t.Fatal("connectivity lost: no splice edge bridged the expired middle")
 	}
 	// The splice edge is marked as such.
 	spliced := false
-	for _, e := range s.InEdges(rv) {
+	for _, e := range s.Snapshot().InEdges(rv) {
 		if e.Kind == EdgeExpiredSplice {
 			spliced = true
 		}
@@ -168,18 +168,18 @@ func TestExpirePreservesDAGAndPersists(t *testing.T) {
 	if cycle := s.VerifyDAG(); cycle != nil {
 		t.Fatalf("expiration created a cycle: %v", cycle)
 	}
-	want := s.Stats()
+	want := s.Snapshot().Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openStore(t, dir)
 	defer s2.Close()
-	if s2.Stats() != want {
-		t.Fatalf("stats after reopen = %+v, want %+v", s2.Stats(), want)
+	if s2.Snapshot().Stats() != want {
+		t.Fatalf("stats after reopen = %+v, want %+v", s2.Snapshot().Stats(), want)
 	}
 	// The store keeps working post-expiration.
 	mustApply(t, s2, visit(9, "http://after.example/", "After", "", event.TransTyped, t0.Add(60*24*time.Hour)))
-	if _, ok := s2.PageByURL("http://after.example/"); !ok {
+	if _, ok := s2.Snapshot().PageByURL("http://after.example/"); !ok {
 		t.Fatal("ingest broken after expiration")
 	}
 }
@@ -195,7 +195,7 @@ func TestExpireEverythingRecentIsNoop(t *testing.T) {
 	if removed != 0 {
 		t.Fatalf("removed %d from all-recent history", removed)
 	}
-	if _, ok := s.PageByURL("http://a.example/"); !ok {
+	if _, ok := s.Snapshot().PageByURL("http://a.example/"); !ok {
 		t.Fatal("node lost in no-op expiration")
 	}
 }

@@ -294,7 +294,7 @@ func TestRepairStoreFallsBackAfterBitRot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantNodes = chk.Stats().Nodes
+		wantNodes = chk.Snapshot().Stats().Nodes
 		chk.Close()
 	}
 
@@ -312,10 +312,10 @@ func TestRepairStoreFallsBackAfterBitRot(t *testing.T) {
 		t.Fatalf("reopen after repair: %v", err)
 	}
 	defer s2.Close()
-	if got := s2.Stats().Nodes; got != wantNodes {
+	if got := s2.Snapshot().Stats().Nodes; got != wantNodes {
 		t.Fatalf("nodes after repair = %d, want %d", got, wantNodes)
 	}
-	if _, ok := s2.PageByURL("http://after.example/"); !ok {
+	if _, ok := s2.Snapshot().PageByURL("http://after.example/"); !ok {
 		t.Fatal("post-checkpoint event lost by repair")
 	}
 	if err := s2.Scrub(0, 0); err != nil {

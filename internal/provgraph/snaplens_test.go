@@ -227,7 +227,7 @@ func TestSnapLensTailRedirectOnSealedNode(t *testing.T) {
 
 	mustApply(t, s, visit(1, "http://z.example/", "Z", "http://m.example/", event.TransRedirectTemporary, t0.Add(2*time.Second)))
 	after := s.Snapshot()
-	if vm > after.sealed.maxID || redirectTarget(after.tailOut[vm]) == 0 {
+	if vm > after.sealed.maxID || redirectTarget(after.t.outE.lower[vm]) == 0 {
 		t.Fatal("fixture did not add a tail redirect to a sealed node")
 	}
 	pz, _ := after.PageByURL("http://z.example/")
@@ -559,7 +559,7 @@ func TestSnapLensTailRules(t *testing.T) {
 				if mode == VersionNodes {
 					vm = sn.VisitsOfPage(pm.ID)[0]
 				}
-				if vm > sn.sealed.maxID || redirectTarget(sn.tailOut[vm]) == 0 {
+				if vm > sn.sealed.maxID || redirectTarget(sn.t.outE.lower[vm]) == 0 {
 					t.Fatal("fixture did not add a redirect to a sealed node")
 				}
 				mustLensRule(t, sn, "computed")
@@ -576,7 +576,7 @@ func TestSnapLensTailRules(t *testing.T) {
 				if mode == VersionNodes {
 					vn = sn.VisitsOfPage(pn.ID)[0]
 				}
-				if _, ok := sn.tailOut[vn]; !ok || vn > sn.sealed.maxID {
+				if _, ok := sn.t.outE.lower[vn]; !ok || vn > sn.sealed.maxID {
 					t.Fatal("fixture did not add an out-edge to a sealed node")
 				}
 				mustLensRule(t, sn, "mixed")
@@ -595,7 +595,7 @@ func TestSnapLensTailRules(t *testing.T) {
 					visit(2, u("a"), "A", u("o"), event.TransLink, t0.Add(time.Minute+time.Second)))
 				sn := s.Snapshot()
 				pa, _ := sn.PageByURL(u("a"))
-				if _, ok := sn.tailIn[pa.ID]; !ok || redirectTarget(sn.sealed.outEdges(pa.ID)) == 0 {
+				if _, ok := sn.t.inE.lower[pa.ID]; !ok || redirectTarget(sn.sealed.outEdges(pa.ID)) == 0 {
 					t.Fatal("fixture did not add an in-edge to a spliced sealed node")
 				}
 				mustLensRule(t, sn, "computed")

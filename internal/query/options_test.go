@@ -103,7 +103,7 @@ func TestRecognizableThresholdOption(t *testing.T) {
 
 	strict := NewEngine(f.s, Options{RecognizableVisits: 5})
 	loose := NewEngine(f.s, Options{RecognizableVisits: 2})
-	page, _ := f.s.PageByURL("http://twice.example/")
+	page, _ := f.s.Snapshot().PageByURL("http://twice.example/")
 	if recognizable(t, strict, page) {
 		t.Fatal("2 visits recognizable under threshold 5")
 	}
@@ -117,8 +117,8 @@ func TestVisitCountAcrossInstances(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.visit(t, "http://multi.example/", "Multi", "", event.TransTyped)
 	}
-	page, _ := f.s.PageByURL("http://multi.example/")
-	if got := f.s.VisitCount(page.ID); got != 4 {
+	page, _ := f.s.Snapshot().PageByURL("http://multi.example/")
+	if got := f.s.Snapshot().VisitCount(page.ID); got != 4 {
 		t.Fatalf("VisitCount = %d", got)
 	}
 }

@@ -327,7 +327,7 @@ func TestDownloadLineageFindsRecognizableAncestor(t *testing.T) {
 	f := newFixture(t)
 	buildMalwareHistory(t, f)
 	e := NewEngine(f.s, Options{})
-	dls := f.s.Downloads()
+	dls := f.s.Snapshot().Downloads()
 	if len(dls) != 2 {
 		t.Fatalf("downloads = %d", len(dls))
 	}
@@ -396,7 +396,7 @@ func TestAncestorTerms(t *testing.T) {
 	f.visit(t, "http://shady.example/", "FREE", results, event.TransSearchResult)
 	f.download(t, "http://cdn.example/x.exe", "http://shady.example/", "/tmp/x.exe")
 	e := NewEngine(f.s, Options{})
-	dls := f.s.Downloads()
+	dls := f.s.Snapshot().Downloads()
 	terms, _, _ := e.View().AncestorTerms(ctx, dls[0])
 	if len(terms) != 1 || terms[0] != "free codecs" {
 		t.Fatalf("ancestor terms = %v", terms)
@@ -414,7 +414,7 @@ func TestRecognizablePredicate(t *testing.T) {
 	e := NewEngine(f.s, Options{})
 
 	page := func(url string) provgraph.Node {
-		p, ok := f.s.PageByURL(url)
+		p, ok := f.s.Snapshot().PageByURL(url)
 		if !ok {
 			t.Fatalf("page %s missing", url)
 		}
@@ -454,7 +454,7 @@ func TestLineageNoRecognizableAncestor(t *testing.T) {
 	f.visit(t, "http://unknown2.example/", "U2", "http://unknown1.example/", event.TransLink)
 	f.download(t, "http://unknown2.example/f.bin", "http://unknown2.example/", "/tmp/f.bin")
 	e := NewEngine(f.s, Options{})
-	lin, _, _ := e.View().DownloadLineage(ctx, f.s.Downloads()[0])
+	lin, _, _ := e.View().DownloadLineage(ctx, f.s.Snapshot().Downloads()[0])
 	if lin.Found {
 		t.Fatal("found a recognizable ancestor in an unrecognizable chain")
 	}

@@ -52,7 +52,7 @@ func TestSessionOfNode(t *testing.T) {
 	f.download(t, "http://two.example/f.zip", "http://two.example/", "/dl/f.zip")
 
 	e := NewEngine(f.s, Options{})
-	dl := f.s.Downloads()[0]
+	dl := f.s.Snapshot().Downloads()[0]
 	s, ok, _, _ := e.View().SessionOf(ctx, dl)
 	if !ok {
 		t.Fatal("download's session not found")
@@ -61,7 +61,7 @@ func TestSessionOfNode(t *testing.T) {
 	// the "two" visit, not "one".
 	hasTwo := false
 	for _, v := range s.Visits {
-		n, _ := f.s.NodeByID(v)
+		n, _ := f.s.Snapshot().NodeByID(v)
 		if n.URL == "http://two.example/" {
 			hasTwo = true
 		}

@@ -200,7 +200,7 @@ func TestDownloadLineageSentinels(t *testing.T) {
 		t.Fatalf("missing path err = %v, want ErrNoSuchDownload", err)
 	}
 	// A node that exists but is not a download is also no download.
-	page, _ := f.s.PageByURL("http://forum.example/")
+	page, _ := f.s.Snapshot().PageByURL("http://forum.example/")
 	if _, _, err := v.DownloadLineage(ctx, page.ID); !errors.Is(err, ErrNoSuchDownload) {
 		t.Fatalf("non-download node err = %v, want ErrNoSuchDownload", err)
 	}
@@ -223,7 +223,7 @@ func TestPerCallRecognizableThreshold(t *testing.T) {
 	e := NewEngine(f.s, Options{})
 	ctx := context.Background()
 	v := e.View()
-	dl := f.s.Downloads()[0]
+	dl := f.s.Snapshot().Downloads()[0]
 
 	// Default threshold (3): the forum (5 typed visits) is recognizable.
 	lin, _, err := v.DownloadLineage(ctx, dl)
@@ -239,7 +239,7 @@ func TestPerCallRecognizableThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page, _ := f.s.PageByURL("http://shady.example/landing")
+	page, _ := f.s.Snapshot().PageByURL("http://shady.example/landing")
 	if r.Recognizable(page) {
 		t.Fatal("2-visit page recognizable under threshold 100")
 	}

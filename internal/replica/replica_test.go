@@ -223,10 +223,10 @@ func TestFollowerBootstrapAndStream(t *testing.T) {
 	waitCaughtUp(t, l, f)
 
 	// The full read surface works on the replica.
-	if _, ok := f.Store().PageByURL("http://site-0.example/p0"); !ok {
+	if _, ok := f.Store().Snapshot().PageByURL("http://site-0.example/p0"); !ok {
 		t.Fatal("bootstrapped page missing on follower")
 	}
-	if _, ok := f.Store().PageByURL("http://site-3.example/p250"); !ok {
+	if _, ok := f.Store().Snapshot().PageByURL("http://site-3.example/p250"); !ok {
 		t.Fatal("streamed page missing on follower")
 	}
 
@@ -284,7 +284,7 @@ func TestFollowerLeaderRestartLostTail(t *testing.T) {
 		t.Fatal("lost-tail leader restart did not force a re-bootstrap")
 	}
 	// The divergent pages must be gone from the follower.
-	if _, ok := f.Store().PageByURL("http://site-12.example/p90"); ok {
+	if _, ok := f.Store().Snapshot().PageByURL("http://site-12.example/p90"); ok {
 		// p90 was in the lost tail (events 90..99 lost) — wait until the
 		// swap landed; assertConverged already did, so presence is a bug.
 		t.Fatal("follower still serves an event the leader lost")

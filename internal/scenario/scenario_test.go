@@ -137,8 +137,8 @@ func TestMalwareScenario(t *testing.T) {
 
 	// Find the infected download node.
 	var dl provgraph.NodeID
-	for _, id := range s.Downloads() {
-		n, _ := s.NodeByID(id)
+	for _, id := range s.Snapshot().Downloads() {
+		n, _ := s.Snapshot().NodeByID(id)
 		if n.Text == truth.SavePath {
 			dl = id
 		}

@@ -36,7 +36,7 @@ func TestShortRunProducesActivity(t *testing.T) {
 	if st.Sessions == 0 || st.Actions == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	gs := s.Stats()
+	gs := s.Snapshot().Stats()
 	if gs.Visits == 0 || gs.Pages == 0 {
 		t.Fatalf("graph stats = %+v", gs)
 	}
@@ -48,15 +48,15 @@ func TestShortRunProducesActivity(t *testing.T) {
 func TestRunIsDeterministic(t *testing.T) {
 	s1, _ := runDays(t, 2, 11)
 	s2, _ := runDays(t, 2, 11)
-	if s1.Stats() != s2.Stats() {
-		t.Fatalf("same seed, different histories: %+v vs %+v", s1.Stats(), s2.Stats())
+	if s1.Snapshot().Stats() != s2.Snapshot().Stats() {
+		t.Fatalf("same seed, different histories: %+v vs %+v", s1.Snapshot().Stats(), s2.Snapshot().Stats())
 	}
 }
 
 func TestDifferentSeedsDiffer(t *testing.T) {
 	s1, _ := runDays(t, 2, 11)
 	s2, _ := runDays(t, 2, 12)
-	if s1.Stats() == s2.Stats() {
+	if s1.Snapshot().Stats() == s2.Snapshot().Stats() {
 		t.Fatal("different seeds produced identical histories")
 	}
 }
@@ -73,7 +73,7 @@ func TestActionMixRepresented(t *testing.T) {
 	if st.Searches == 0 {
 		t.Fatal("no searches in 6 days")
 	}
-	gs := s.Stats()
+	gs := s.Snapshot().Stats()
 	if gs.Terms == 0 {
 		t.Fatal("no search-term nodes")
 	}
@@ -88,7 +88,7 @@ func TestActionMixRepresented(t *testing.T) {
 func TestVisitsHaveCloseTimes(t *testing.T) {
 	s, _ := runDays(t, 2, 19)
 	open, closed := 0, 0
-	s.EachNode(func(n provgraph.Node) bool {
+	s.Snapshot().NodesSince(0, func(n provgraph.Node) bool {
 		if n.Kind == provgraph.KindVisit {
 			if n.Close.IsZero() {
 				open++
@@ -112,7 +112,7 @@ func TestNodesPerDayCalibration(t *testing.T) {
 	// Check the default profile is in that range on a short run (scaled
 	// tolerance: simulation noise over 5 days is noticeable).
 	s, st := runDays(t, 5, 23)
-	gs := s.Stats()
+	gs := s.Snapshot().Stats()
 	perDay := float64(gs.Nodes) / float64(st.Days)
 	if perDay < 150 || perDay > 900 {
 		t.Fatalf("nodes/day = %.0f; calibration off (want ~316, generous band 150-900)", perDay)

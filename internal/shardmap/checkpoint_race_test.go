@@ -85,7 +85,7 @@ func TestCheckpointSweepRacesEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := h.Store().Stats().Visits
+		got := h.Store().Snapshot().Stats().Visits
 		h.Release()
 		if got != perTenant[id] {
 			t.Fatalf("tenant %s has %d visits, want %d", id, got, perTenant[id])

@@ -208,7 +208,7 @@ func TestBitRotQuarantineAndAutoRepair(t *testing.T) {
 
 	// The victim re-admits automatically with every event intact.
 	h := waitReadmitted(t, m, "victim")
-	got := h.Store().Stats().Nodes
+	got := h.Store().Snapshot().Stats().Nodes
 	scrubErr := h.Store().Scrub(0, 0)
 	h.Release()
 	if got != wantVictim {
@@ -361,7 +361,7 @@ func TestQuarantineWaitsForPinnedHandles(t *testing.T) {
 
 	h2 := waitReadmitted(t, m, "busy")
 	defer h2.Release()
-	if got := h2.Store().Stats().Nodes; got == 0 {
+	if got := h2.Store().Snapshot().Stats().Nodes; got == 0 {
 		t.Fatal("store lost data across quarantine")
 	}
 }

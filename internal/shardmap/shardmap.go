@@ -438,7 +438,7 @@ func (m *Map) TenantStats(tenant string) (TenantStats, error) {
 	}
 	defer h.Release()
 	st := h.Store()
-	counts := st.Stats()
+	counts := st.Snapshot().Stats()
 	ck := st.CheckpointInfo()
 	mi := st.MappedInfo()
 	return TenantStats{

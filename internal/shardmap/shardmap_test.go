@@ -41,7 +41,7 @@ func countNodes(t *testing.T, m *Map, tenant string) int {
 		t.Fatal(err)
 	}
 	defer h.Release()
-	return h.Store().Stats().Nodes
+	return h.Store().Snapshot().Stats().Nodes
 }
 
 // TestTenantIsolation: tenants see only their own data, routed to
@@ -59,10 +59,10 @@ func TestTenantIsolation(t *testing.T) {
 	hb, _ := m.Get("bob")
 	defer ha.Release()
 	defer hb.Release()
-	if got := ha.Store().Stats().Visits; got != 5 {
+	if got := ha.Store().Snapshot().Stats().Visits; got != 5 {
 		t.Fatalf("alice visits = %d, want 5", got)
 	}
-	if got := hb.Store().Stats().Visits; got != 9 {
+	if got := hb.Store().Snapshot().Stats().Visits; got != 9 {
 		t.Fatalf("bob visits = %d, want 9", got)
 	}
 	// Textual search on one tenant never surfaces the other's pages.
@@ -105,7 +105,7 @@ func TestEvictReopenReplaysWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := h.Store().Stats().Nodes
+	want := h.Store().Snapshot().Stats().Nodes
 	h.Release()
 
 	// Cap is 2: opening two other tenants forces primary out.

@@ -269,80 +269,6 @@ func btreeMin(n *btreeNode) ([]byte, uint64) {
 	return n.keys[0], n.values[0]
 }
 
-// BulkLoad replaces the tree's contents with a stream of strictly
-// ascending keys, building the tree bottom-up level by level instead of
-// paying N root-to-leaf descents with splits. Checkpoint recovery uses
-// it: the checkpoint persists each secondary index as a sorted
-// key/value stream, so rebuilding the index is one linear pass with
-// every node filled near capacity. next returns (key, value, true) per
-// entry and ok=false at the end; keys are copied, so next may reuse one
-// buffer. Feeding unsorted or duplicate keys is a caller bug and
-// corrupts lookups.
-func (t *BTree) BulkLoad(next func() (k []byte, v uint64, ok bool)) {
-	var keys [][]byte
-	var values []uint64
-	var arena []byte // key bytes bump-allocated in blocks, not per key
-	for {
-		k, v, ok := next()
-		if !ok {
-			break
-		}
-		if len(k) > cap(arena)-len(arena) {
-			arena = make([]byte, 0, max(64<<10, len(k)))
-		}
-		lo := len(arena)
-		arena = append(arena, k...)
-		keys = append(keys, arena[lo:len(arena):len(arena)])
-		values = append(values, v)
-	}
-	t.length = len(keys)
-	if len(keys) == 0 {
-		t.root = &btreeNode{}
-		return
-	}
-	const maxKeys = 2*btreeDegree - 1
-	children := []*btreeNode(nil)
-	// Build one level per iteration: distribute the current key run into
-	// as few nodes as the occupancy bound allows (each between t-1 and
-	// 2t-1 keys — the arithmetic below guarantees both whenever a split
-	// is needed at all), promote the separators between consecutive
-	// nodes, and repeat on the separators until one node holds them all.
-	for len(keys) > maxKeys {
-		n := len(keys)
-		m := (n + 1 + maxKeys) / (maxKeys + 1) // number of nodes this level
-		perNode := n - (m - 1)                 // keys staying at this level
-		base, rem := perNode/m, perNode%m
-		nodes := make([]*btreeNode, 0, m)
-		upKeys := make([][]byte, 0, m-1)
-		upValues := make([]uint64, 0, m-1)
-		ki, ci := 0, 0
-		for i := 0; i < m; i++ {
-			take := base
-			if i < rem {
-				take++
-			}
-			node := &btreeNode{
-				keys:   keys[ki : ki+take : ki+take],
-				values: values[ki : ki+take : ki+take],
-			}
-			ki += take
-			if children != nil {
-				node.children = children[ci : ci+take+1 : ci+take+1]
-				ci += take + 1
-			}
-			nodes = append(nodes, node)
-			if i < m-1 {
-				// The key between two nodes moves up a level.
-				upKeys = append(upKeys, keys[ki])
-				upValues = append(upValues, values[ki])
-				ki++
-			}
-		}
-		keys, values, children = upKeys, upValues, nodes
-	}
-	t.root = &btreeNode{keys: keys, values: values, children: children}
-}
-
 // AscendRange visits every key k with lo <= k < hi in ascending order.
 // A nil hi means "to the end"; a nil lo means "from the start". The
 // visitor returns false to stop early. The key slice passed to fn must

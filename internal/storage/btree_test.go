@@ -211,6 +211,7 @@ func TestBTreePropertyVsMap(t *testing.T) {
 				}
 			}
 		}
+		checkBTreeInvariants(t, bt)
 		if bt.Len() != len(ref) {
 			return false
 		}
@@ -297,92 +298,6 @@ func checkBTreeInvariants(t *testing.T, bt *BTree) {
 		return leafDepth
 	}
 	walk(bt.root, 0, true)
-}
-
-// TestBTreeBulkLoad sweeps sizes across the interesting boundaries
-// (empty, single leaf, one split, several levels) and checks the
-// bulk-built tree against a Put-built reference: same contents, same
-// iteration order, valid invariants, and still mutable afterwards.
-func TestBTreeBulkLoad(t *testing.T) {
-	sizes := []int{0, 1, 62, 63, 64, 127, 128, 1000, 4095, 4096, 20000}
-	for _, n := range sizes {
-		keyOf := func(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i*3)) }
-		i := 0
-		var buf []byte
-		bt := NewBTree()
-		bt.BulkLoad(func() ([]byte, uint64, bool) {
-			if i >= n {
-				return nil, 0, false
-			}
-			buf = append(buf[:0], keyOf(i)...) // stream may reuse one buffer
-			v := uint64(i) * 7
-			i++
-			return buf, v, true
-		})
-		if bt.Len() != n {
-			t.Fatalf("n=%d: Len = %d", n, bt.Len())
-		}
-		checkBTreeInvariants(t, bt)
-		for j := 0; j < n; j++ {
-			v, ok := bt.Get(keyOf(j))
-			if !ok || v != uint64(j)*7 {
-				t.Fatalf("n=%d: Get(%q) = %d,%v", n, keyOf(j), v, ok)
-			}
-		}
-		if _, ok := bt.Get([]byte("key-absent")); ok {
-			t.Fatalf("n=%d: phantom key", n)
-		}
-		idx := 0
-		bt.Ascend(func(k []byte, v uint64) bool {
-			if string(k) != string(keyOf(idx)) || v != uint64(idx)*7 {
-				t.Fatalf("n=%d: ascend[%d] = %q/%d", n, idx, k, v)
-			}
-			idx++
-			return true
-		})
-		if idx != n {
-			t.Fatalf("n=%d: ascend visited %d", n, idx)
-		}
-		// The bulk-built tree must keep working as a live index: inserts
-		// between existing keys, overwrites, deletes.
-		for j := 0; j < n || j < 10; j += 2 {
-			bt.Put([]byte(fmt.Sprintf("key-%08d", j*3+1)), 999)
-		}
-		checkBTreeInvariants(t, bt)
-		if n > 0 {
-			if !bt.Delete(keyOf(n / 2)) {
-				t.Fatalf("n=%d: delete of present key failed", n)
-			}
-			if _, ok := bt.Get(keyOf(n / 2)); ok {
-				t.Fatalf("n=%d: deleted key still present", n)
-			}
-			checkBTreeInvariants(t, bt)
-		}
-	}
-}
-
-// TestBTreeBulkLoadReplaces: bulk loading an already-populated tree
-// replaces its contents wholesale.
-func TestBTreeBulkLoadReplaces(t *testing.T) {
-	bt := NewBTree()
-	bt.Put([]byte("old"), 1)
-	done := false
-	bt.BulkLoad(func() ([]byte, uint64, bool) {
-		if done {
-			return nil, 0, false
-		}
-		done = true
-		return []byte("new"), 2, true
-	})
-	if _, ok := bt.Get([]byte("old")); ok {
-		t.Fatal("stale key survived BulkLoad")
-	}
-	if v, ok := bt.Get([]byte("new")); !ok || v != 2 {
-		t.Fatal("bulk-loaded key missing")
-	}
-	if bt.Len() != 1 {
-		t.Fatalf("Len = %d", bt.Len())
-	}
 }
 
 func TestBTreeKeyCopying(t *testing.T) {

@@ -17,9 +17,12 @@ import (
 // can ignore errors; queries then binary-search a small term directory
 // and stream-decode just the lists they touch into pooled scratch.
 //
-// The frozen form is read-only. The first write (Add), save, or
-// forward-direction read (TermsOf/VisitTermsOf) thaws it into the
-// ordinary map form in one pass and proceeds as before.
+// The frozen form itself is read-only. Documents added past its highest
+// doc go to the ordinary map form as a delta that every read merges in,
+// so the post-restart catch-up of a few new nodes costs only those
+// nodes. A save, a forward-direction read (TermsOf/VisitTermsOf) or a
+// re-add of a frozen doc thaws the frozen form into the map form in one
+// pass, merging the delta, and proceeds as before.
 
 // termRef is one entry of the frozen term directory.
 type termRef struct {
@@ -29,8 +32,9 @@ type termRef struct {
 }
 
 type frozenPostings struct {
-	data []byte
-	refs []termRef // term-sorted (SaveUnder writes terms sorted)
+	data   []byte
+	refs   []termRef // term-sorted (SaveUnder writes terms sorted)
+	maxDoc DocID     // highest doc in the stream; the delta holds only later docs
 }
 
 // aliasStr views b as a string without copying. Safe here: the payload
@@ -85,7 +89,9 @@ func LoadFrozen(data []byte) (*Index, error) {
 		}
 		prev = doc
 	}
-	ix.invNorm = make([]float64, maxDoc+1)
+	// Headroom for the post-restart catch-up: the first docs added past
+	// the stream extend the norm table in place instead of copying it.
+	ix.invNorm = make([]float64, maxDoc+1, maxDoc+1+1024)
 	for i, doc := range ix.docIDs {
 		ix.invNorm[doc] = 1 / math.Sqrt(float64(lens[i]))
 	}
@@ -129,7 +135,7 @@ func LoadFrozen(data []byte) (*Index, error) {
 		}
 		refs = append(refs, termRef{term: term, off: off, n: int(n)})
 	}
-	ix.frozen = &frozenPostings{data: data, refs: refs}
+	ix.frozen = &frozenPostings{data: data, refs: refs, maxDoc: maxDoc}
 	return ix, nil
 }
 
@@ -182,7 +188,8 @@ func (f *frozenPostings) freqUnder(r termRef, maxDoc DocID) int {
 }
 
 // thawFrozenLocked materialises the map form (postings lists and doc
-// lengths) from the frozen stream, once. Caller holds the write lock.
+// lengths) from the frozen stream, once, ahead of any delta postings
+// (whose docs all follow the stream's). Caller holds the write lock.
 // Term strings and the decoded lists keep aliasing nothing — lists are
 // fresh slices; term keys alias the payload, which outlives the index.
 func (ix *Index) thawFrozenLocked() {
@@ -202,10 +209,16 @@ func (ix *Index) thawFrozenLocked() {
 		ix.docLen[doc] = int(length)
 		prev = doc
 	}
-	ix.postings = make(map[string][]posting, len(f.refs))
+	delta := ix.postings
+	ix.postings = make(map[string][]posting, len(f.refs)+len(delta))
 	for _, r := range f.refs {
-		pl := make([]posting, 0, r.n)
-		ix.postings[r.term] = f.appendPostings(pl, r, ^DocID(0))
+		pl := make([]posting, 0, r.n+len(delta[r.term]))
+		ix.postings[r.term] = append(f.appendPostings(pl, r, ^DocID(0)), delta[r.term]...)
+	}
+	for term, pl := range delta {
+		if _, ok := ix.postings[term]; !ok {
+			ix.postings[term] = pl
+		}
 	}
 	// The forward direction stays deferred (see fwdStale): thawing for a
 	// write must not force the O(postings) forward rebuild too.

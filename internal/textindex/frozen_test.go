@@ -91,6 +91,54 @@ func TestFrozenThaw(t *testing.T) {
 	}
 }
 
+// TestFrozenTakesNewDocsAsDelta: documents added past the frozen
+// stream's highest doc leave it frozen, and every read merges them in
+// exactly as a map-form index that took the same steps answers.
+func TestFrozenTakesNewDocsAsDelta(t *testing.T) {
+	data := buildPersistIndex().Save()
+	ref, err := Load(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz, err := LoadFrozen(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []*Index{ref, fz} {
+		ix.Add(500, "fresh growth after restart rosebud")
+		ix.Add(501, "zanzibar kane")
+		ix.Add(501, "stacked onto a delta doc")
+	}
+	if fz.frozen == nil {
+		t.Fatal("adding docs past the frozen stream thawed it")
+	}
+	for _, q := range []string{"fresh", "growth topic", "rosebud", "kane", "zanzibar stacked"} {
+		for _, cut := range []DocID{42, 500, ^DocID(0)} {
+			if a, b := ref.SearchUnder(q, 20, cut), fz.SearchUnder(q, 20, cut); !reflect.DeepEqual(a, b) {
+				t.Fatalf("SearchUnder(%q, %d) diverged:\n%v\n%v", q, cut, a, b)
+			}
+		}
+	}
+	for _, term := range []string{"rosebud", "kane", "zanzibar", "absent"} {
+		if a, b := ref.DocFreq(term), fz.DocFreq(term); a != b {
+			t.Fatalf("DocFreq(%q) = %d, want %d", term, b, a)
+		}
+		if a, b := ref.DocFreqUnder(term, 500), fz.DocFreqUnder(term, 500); a != b {
+			t.Fatalf("DocFreqUnder(%q) = %d, want %d", term, b, a)
+		}
+	}
+	if a, b := ref.NumTerms(), fz.NumTerms(); a != b {
+		t.Fatalf("NumTerms = %d, want %d", b, a)
+	}
+	if a, b := ref.Terms(0), fz.Terms(0); !reflect.DeepEqual(a, b) {
+		t.Fatalf("Terms diverged:\n%v\n%v", a, b)
+	}
+	// A save thaws, merging the delta behind the frozen lists.
+	if a, b := ref.SaveUnder(^DocID(0)), fz.SaveUnder(^DocID(0)); !reflect.DeepEqual(a, b) {
+		t.Fatal("SaveUnder diverged after a delta thaw")
+	}
+}
+
 // TestFrozenRejectsCorrupt: the up-front validation walk must catch what
 // Load catches — later streaming decodes assume a clean stream.
 func TestFrozenRejectsCorrupt(t *testing.T) {

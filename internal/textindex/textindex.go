@@ -90,9 +90,9 @@ type Index struct {
 	// often forever on a read-mostly restart.
 	fwdStale bool
 	// frozen, when non-nil, holds the postings in their serialised form
-	// (typically aliasing a mapped checkpoint section); the postings and
-	// docLen maps are then empty until the first write or save thaws
-	// them. See frozen.go.
+	// (typically aliasing a mapped checkpoint section); the postings,
+	// forward and docLen maps then hold only the docs added since, until
+	// a save, forward read or re-add thaws it. See frozen.go.
 	frozen  *frozenPostings
 	docLen  map[DocID]int
 	docIDs  []DocID // all indexed docs, sorted ascending
@@ -133,7 +133,9 @@ func (ix *Index) Add(doc DocID, fields ...string) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.thawFrozenLocked()
+	if ix.frozen != nil && doc <= ix.frozen.maxDoc {
+		ix.thawFrozenLocked()
+	}
 	if _, known := ix.docLen[doc]; known {
 		// Only a re-add (stacking terms onto an existing doc) consults
 		// prior forward state; brand-new docs — the only thing the
@@ -202,24 +204,29 @@ func (ix *Index) NumDocs() int {
 func (ix *Index) NumTerms() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	n := len(ix.postings)
 	if ix.frozen != nil {
-		return len(ix.frozen.refs)
+		n += len(ix.frozen.refs)
+		for term := range ix.postings {
+			if _, ok := ix.frozen.lookup(term); ok {
+				n--
+			}
+		}
 	}
-	return len(ix.postings)
+	return n
 }
 
 // DocFreq returns the number of documents containing term.
 func (ix *Index) DocFreq(term string) int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	term = strings.ToLower(term)
+	n := len(ix.postings[term])
 	if ix.frozen != nil {
-		r, ok := ix.frozen.lookup(strings.ToLower(term))
-		if !ok {
-			return 0
-		}
-		return r.n
+		r, _ := ix.frozen.lookup(term)
+		n += r.n
 	}
-	return len(ix.postings[strings.ToLower(term)])
+	return n
 }
 
 // cutUnder returns the prefix of the doc-sorted posting list pl holding
@@ -241,14 +248,14 @@ func (ix *Index) NumDocsUnder(maxDoc DocID) int {
 func (ix *Index) DocFreqUnder(term string, maxDoc DocID) int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	term = strings.ToLower(term)
+	n := len(cutUnder(ix.postings[term], maxDoc))
 	if ix.frozen != nil {
-		r, ok := ix.frozen.lookup(strings.ToLower(term))
-		if !ok {
-			return 0
+		if r, ok := ix.frozen.lookup(term); ok {
+			n += ix.frozen.freqUnder(r, maxDoc)
 		}
-		return ix.frozen.freqUnder(r, maxDoc)
 	}
-	return len(cutUnder(ix.postings[strings.ToLower(term)], maxDoc))
+	return n
 }
 
 // Result is one search hit.
@@ -331,14 +338,12 @@ func (ix *Index) SearchUnder(query string, limit int, maxDoc DocID) []Result {
 		if stopwords[term] {
 			continue
 		}
-		var pl []posting
+		pl := cutUnder(ix.postings[term], maxDoc)
 		if ix.frozen != nil {
 			if r, ok := ix.frozen.lookup(term); ok {
-				sc.pl = ix.frozen.appendPostings(sc.pl[:0], r, maxDoc)
+				sc.pl = append(ix.frozen.appendPostings(sc.pl[:0], r, maxDoc), pl...)
 				pl = sc.pl
 			}
-		} else {
-			pl = cutUnder(ix.postings[term], maxDoc)
 		}
 		if len(pl) == 0 {
 			continue
@@ -373,20 +378,20 @@ func (ix *Index) SearchUnder(query string, limit int, maxDoc DocID) []Result {
 func (ix *Index) Terms(limit int) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var terms []string
-	var df func(term string) int
+	terms := make([]string, 0, len(ix.postings))
+	df := func(term string) int { return len(ix.postings[term]) }
 	if ix.frozen != nil {
-		terms = make([]string, 0, len(ix.frozen.refs))
 		for _, r := range ix.frozen.refs {
 			terms = append(terms, r.term)
 		}
-		df = func(term string) int { r, _ := ix.frozen.lookup(term); return r.n }
-	} else {
-		terms = make([]string, 0, len(ix.postings))
-		for t := range ix.postings {
+		df = func(term string) int { r, _ := ix.frozen.lookup(term); return r.n + len(ix.postings[term]) }
+	}
+	for t := range ix.postings {
+		if ix.frozen == nil {
+			terms = append(terms, t)
+		} else if _, ok := ix.frozen.lookup(t); !ok {
 			terms = append(terms, t)
 		}
-		df = func(term string) int { return len(ix.postings[term]) }
 	}
 	sort.Slice(terms, func(i, j int) bool {
 		di, dj := df(terms[i]), df(terms[j])
