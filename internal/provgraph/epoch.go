@@ -135,14 +135,15 @@ func (ep *sealedEpoch) kindPageAt(id NodeID) (NodeKind, NodeID, bool) {
 	return n.Kind, n.Page, n.Kind != 0
 }
 
-// openCloseAt returns the open and close times of the node with the
-// given ID (which must be <= maxID); ok is false for gaps.
-func (ep *sealedEpoch) openCloseAt(id NodeID) (open, close time.Time, ok bool) {
+// openCloseUSAt returns the open and close times, as unix microseconds,
+// of the node with the given ID (which must be <= maxID); ok is false
+// for gaps.
+func (ep *sealedEpoch) openCloseUSAt(id NodeID) (open, close int64, ok bool) {
 	if ep.cols != nil {
-		return ep.cols.openClose(id)
+		return ep.cols.openCloseUS(id)
 	}
 	n := &ep.nodes[id]
-	return n.Open, n.Close, n.Kind != 0
+	return micro(n.Open), micro(n.Close), n.Kind != 0
 }
 
 // ensureMaps builds the kind-derived lookup maps of a column-backed
@@ -573,19 +574,30 @@ func (c *chain) KindPage(id NodeID) (NodeKind, NodeID, bool) {
 // OpenClose returns the open and close times of node id, following the
 // same chain as NodeByID without decoding the node's strings.
 func (c *chain) OpenClose(id NodeID) (open, close time.Time, ok bool) {
+	o, cl, ok := c.OpenCloseUS(id)
+	return microTime(o), microTime(cl), ok
+}
+
+// OpenCloseUS returns the open and close times of node id as unix
+// microseconds, 0 for a zero time (a close never observed). It answers
+// from whichever layer holds id with one lookup, reading a
+// column-backed epoch's time columns raw. Stored times are whole
+// microseconds (applyEvent folds them to the journal's resolution), so
+// this loses nothing against NodeByID.
+func (c *chain) OpenCloseUS(id NodeID) (open, close int64, ok bool) {
 	if n, hit := c.t.node(id); hit {
 		if n == nil {
-			return time.Time{}, time.Time{}, false
+			return 0, 0, false
 		}
-		return n.Open, n.Close, true
+		return micro(n.Open), micro(n.Close), true
 	}
 	if c.base != nil {
-		return c.base.OpenClose(id)
+		return c.base.OpenCloseUS(id)
 	}
 	if c.sealed != nil && id <= c.sealed.maxID {
-		return c.sealed.openCloseAt(id)
+		return c.sealed.openCloseUSAt(id)
 	}
-	return time.Time{}, time.Time{}, false
+	return 0, 0, false
 }
 
 // NodesSince streams every node with ID > watermark in ID order,

@@ -705,10 +705,21 @@ func (s *Store) ensurePage(url, title string, at time.Time) (page NodeID, create
 	return s.newNode(Node{Kind: KindPage, URL: url, Title: title, Open: at}), true
 }
 
-func (s *Store) applyEvent(ev *event.Event) {
+func (s *Store) applyEvent(in *event.Event) {
 	// Every mutation moves the store to a new generation; lock-free
 	// readers use this to decide when a cached snapshot went stale.
 	defer s.gen.Add(1)
+	// The journal keeps times in whole microseconds (storage.Encoder.Time),
+	// so the graph stores the time a replay will decode, not the caller's
+	// finer one: a live store and its reopened copy must hold the same
+	// times. A finer time is folded on a copy; the caller's event is not
+	// touched, and a replayed one is already whole.
+	ev := in
+	if t := microTime(micro(in.Time)); t != in.Time {
+		e := *in
+		e.Time = t
+		ev = &e
+	}
 	switch ev.Type {
 	case event.TypeVisit:
 		s.applyVisit(ev)

@@ -3,7 +3,6 @@ package provgraph
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 	"unsafe"
 )
 
@@ -201,16 +200,18 @@ func (c *nodeCols) kindPage(id NodeID) (NodeKind, NodeID, bool) {
 	return NodeKind(f & nfKindMask), c.page[id], true
 }
 
-// openClose reads the open and close columns of id, as node does.
-func (c *nodeCols) openClose(id NodeID) (open, close time.Time, ok bool) {
+// openCloseUS reads the open and close columns of id raw, as unix
+// microseconds. A close the node lacks (nfClose unset) reads as 0, the
+// value node decodes to the zero time.
+func (c *nodeCols) openCloseUS(id NodeID) (open, close int64, ok bool) {
 	f := c.flags[id]
 	if f == 0 {
-		return time.Time{}, time.Time{}, false
+		return 0, 0, false
 	}
 	if f&nfClose != 0 {
-		close = microTime(c.closeUS[id])
+		close = c.closeUS[id]
 	}
-	return microTime(c.openUS[id]), close, true
+	return c.openUS[id], close, true
 }
 
 func (c *nodeCols) kind(id NodeID) NodeKind {

@@ -216,9 +216,16 @@ func retainedSet(sn *Snapshot, cutoff time.Time) []bool {
 			}
 		}
 	}
-	// Pages survive while something retained references them.
+	// Pages survive while something retained references them. An
+	// edge-versioned page has no visit instances: its visits are its
+	// Open and the times of its edges, so any of those at or after the
+	// cutoff keeps it.
 	for id := NodeID(1); id <= sn.maxID; id++ {
 		if kind, _, _ := sn.KindPage(id); kind != KindPage {
+			continue
+		}
+		if sn.mode == VersionEdges && pageActiveSince(sn, id, cutoff) {
+			retained[id] = true
 			continue
 		}
 		for _, v := range sn.VisitsOfPage(id) {
@@ -238,6 +245,22 @@ func retainedSet(sn *Snapshot, cutoff time.Time) []bool {
 		}
 	}
 	return retained
+}
+
+// pageActiveSince reports whether an edge-versioned page was opened, or
+// gained an in- or out-edge, at or after cutoff.
+func pageActiveSince(sn *Snapshot, page NodeID, cutoff time.Time) bool {
+	if open, _, _ := sn.OpenClose(page); !open.Before(cutoff) {
+		return true
+	}
+	for _, es := range [][]Edge{sn.InEdges(page), sn.OutEdges(page)} {
+		for _, e := range es {
+			if !e.At.Before(cutoff) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func sortNodeIDs(ids []NodeID) {

@@ -215,3 +215,44 @@ func TestExpireShrinksDisk(t *testing.T) {
 		t.Fatalf("disk grew across expiration: %d -> %d", before, after)
 	}
 }
+
+// TestExpireKeepsRecentPagesInBothModes: a page visited after the cutoff
+// survives an expiration whichever way the store versions visits. In
+// VersionEdges mode a page has no visit instances, so its recency is read
+// from its Open (typed after the cutoff) or from its edges (revisited
+// after the cutoff through a link).
+func TestExpireKeepsRecentPagesInBothModes(t *testing.T) {
+	const (
+		old   = "http://old.example/"
+		back  = "http://back.example/"
+		typed = "http://typed.example/"
+	)
+	cutoff := t0.Add(time.Hour)
+	for _, mode := range []VersioningMode{VersionNodes, VersionEdges} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, err := OpenWith(t.TempDir(), Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			mustApply(t, s,
+				visit(1, old, "Old", "", event.TransTyped, t0),
+				visit(2, back, "Back", "", event.TransTyped, t0.Add(time.Minute)),
+				visit(3, typed, "Typed", "", event.TransTyped, t0.Add(2*time.Hour)),
+				visit(3, back, "Back", typed, event.TransLink, t0.Add(2*time.Hour+time.Minute)),
+			)
+			if _, err := s.ExpireBefore(cutoff); err != nil {
+				t.Fatal(err)
+			}
+			sn := s.Snapshot()
+			for _, u := range []string{typed, back} {
+				if _, ok := sn.PageByURL(u); !ok {
+					t.Errorf("page %s, visited after the cutoff, was expired", u)
+				}
+			}
+			if _, ok := sn.PageByURL(old); ok {
+				t.Errorf("page %s, visited only before the cutoff, survived", old)
+			}
+		})
+	}
+}

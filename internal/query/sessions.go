@@ -38,25 +38,26 @@ func (r *Run) sessions() []Session {
 	sn := r.Snapshot()
 	var out []Session
 	var cur *Session
-	// OpenBetween over all time yields visits in open order.
+	// OpenBetween over all time yields visits in open order. Only the
+	// times are read: no visit's strings are decoded.
 	for _, v := range sn.OpenBetween(time.Time{}, time.Unix(1<<40, 0)) {
-		n, ok := sn.NodeByID(v)
+		open, close, ok := sn.OpenClose(v)
 		if !ok {
 			continue
 		}
-		if cur == nil || n.Open.Sub(cur.End) >= sessionGap {
-			out = append(out, Session{Start: n.Open, End: n.Open})
+		if cur == nil || open.Sub(cur.End) >= sessionGap {
+			out = append(out, Session{Start: open, End: open})
 			cur = &out[len(out)-1]
 		}
 		cur.Visits = append(cur.Visits, v)
-		if n.Open.After(cur.End) {
-			cur.End = n.Open
+		if open.After(cur.End) {
+			cur.End = open
 		}
 		// A close extends the sitting only if it happened while the user
 		// was plausibly still active; a close recorded hours later (tab
 		// replaced long after reading ended) is not activity.
-		if !n.Close.IsZero() && n.Close.After(cur.End) && n.Close.Sub(n.Open) < sessionGap {
-			cur.End = n.Close
+		if !close.IsZero() && close.After(cur.End) && close.Sub(open) < sessionGap {
+			cur.End = close
 		}
 	}
 	return out

@@ -47,6 +47,14 @@ const assumedDwell = 30 * time.Minute
 // associates with all later history.
 const maxDwell = 4 * time.Hour
 
+// The three durations above in unix microseconds, the unit the kernel
+// reads times in (Snapshot.OpenCloseUS).
+const (
+	sessionSlackUS = int64(sessionSlack / time.Microsecond)
+	assumedDwellUS = int64(assumedDwell / time.Microsecond)
+	maxDwellUS     = int64(maxDwell / time.Microsecond)
+)
+
 // span is a half-open display interval.
 type span struct{ start, end int64 } // unix micros
 
@@ -54,10 +62,13 @@ type span struct{ start, end int64 } // unix micros
 // tickets". Pages matching q are ranked by how much their visits
 // overlapped in time with visits of pages matching anchor.
 //
-// The anchor visits' padded intervals are merged into a sorted timeline,
-// so each query visit costs one binary search — the whole query is
-// O((|q visits| + |anchor visits|) log |anchor visits|), comfortably
-// inside the 200 ms budget at the paper's 25k-node scale.
+// Each anchor page's padded visit intervals are coalesced as they are
+// read, and the coalesced spans (m of them, at most one per anchor
+// visit and on real histories far fewer: one sitting's revisits of a
+// page collapse into one span) are sorted and merged into a timeline,
+// so each query visit costs one binary search. The whole query is
+// O(|anchor visits| + m log m + |q visits| log m), read entirely from
+// the snapshot's integer time columns.
 func (v *View) TimeContextualSearch(ctx context.Context, q, anchor string, k int, opts ...Option) ([]TimeHit, Meta, error) {
 	r, err := v.Begin(ctx, opts...)
 	if err != nil {
@@ -80,7 +91,7 @@ func (v *View) TimeContextualSearch(ctx context.Context, q, anchor string, k int
 		}
 		overlap := 0.0
 		for _, vid := range sn.VisitsOfPage(qp.page) {
-			open, close, ok := sn.OpenClose(vid)
+			open, close, ok := sn.OpenCloseUS(vid)
 			if !ok {
 				continue
 			}
@@ -106,32 +117,45 @@ func (v *View) TimeContextualSearch(ctx context.Context, q, anchor string, k int
 }
 
 // visitSpan returns the display interval of a visit opened and closed at
-// the given times, padded by pad on both sides, with assumedDwell
-// substituted for a missing close.
-func visitSpan(open, close time.Time, pad time.Duration) span {
-	if close.IsZero() || close.Before(open) {
-		close = open.Add(assumedDwell)
+// the given unix microseconds, padded by pad microseconds on both sides.
+// A missing close (0), or one before the open, is replaced by
+// assumedDwell; the dwell is capped at maxDwell.
+func visitSpan(open, close, pad int64) span {
+	if close == 0 || close < open {
+		close = open + assumedDwellUS
 	}
-	if close.Sub(open) > maxDwell {
-		close = open.Add(maxDwell)
+	if close-open > maxDwellUS {
+		close = open + maxDwellUS
 	}
-	return span{
-		start: open.Add(-pad).UnixMicro(),
-		end:   close.Add(pad).UnixMicro(),
-	}
+	return span{start: open - pad, end: close + pad}
 }
 
 // anchorTimeline collects all anchor visits' intervals, padded by
-// sessionSlack, merged and sorted by start.
+// sessionSlack, merged and sorted by start. A page's spans are
+// coalesced in visit order first: a span that overlaps (or touches) the
+// page's previous span widens it to their union instead of adding an
+// entry. Unions only ever join overlapping spans, so the covered time is
+// the same whatever order the visits come in, and the sort sees far
+// fewer entries.
 func anchorTimeline(sn *provgraph.Snapshot, aPages []pageMatch) []span {
 	var spans []span
 	for _, ap := range aPages {
+		prev := -1 // index of this page's latest span
 		for _, v := range sn.VisitsOfPage(ap.page) {
-			open, close, ok := sn.OpenClose(v)
+			open, close, ok := sn.OpenCloseUS(v)
 			if !ok {
 				continue
 			}
-			spans = append(spans, visitSpan(open, close, sessionSlack))
+			s := visitSpan(open, close, sessionSlackUS)
+			if prev >= 0 {
+				if p := &spans[prev]; s.start <= p.end && p.start <= s.end {
+					p.start = min(p.start, s.start)
+					p.end = max(p.end, s.end)
+					continue
+				}
+			}
+			spans = append(spans, s)
+			prev = len(spans) - 1
 		}
 	}
 	if len(spans) == 0 {
@@ -166,27 +190,13 @@ func timelineOverlap(timeline []span, v span) float64 {
 	i := sort.Search(len(timeline), func(i int) bool { return timeline[i].end > v.start })
 	total := int64(0)
 	for ; i < len(timeline) && timeline[i].start < v.end; i++ {
-		lo := max64(timeline[i].start, v.start)
-		hi := min64(timeline[i].end, v.end)
+		lo := max(timeline[i].start, v.start)
+		hi := min(timeline[i].end, v.end)
 		if hi > lo {
 			total += hi - lo
 		}
 	}
 	return float64(total) / 1e6
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 type pageMatch struct {
