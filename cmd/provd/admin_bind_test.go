@@ -27,13 +27,16 @@ func TestMain(m *testing.M) {
 
 // TestAdminBindFailureExits: in every mode, provd started with -admin
 // on an address that is already taken exits promptly and non-zero
-// instead of running without the probes a supervisor waits on.
+// instead of running without the probes a supervisor waits on. The
+// modes that capture do the same for a taken -listen address; a
+// follower binds no proxy.
 func TestAdminBindFailureExits(t *testing.T) {
 	held, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer held.Close()
+	taken := held.Addr().String()
 	modes := map[string][]string{
 		"single":   {"-dir", t.TempDir()},
 		"sharded":  {"-shard-root", t.TempDir()},
@@ -41,24 +44,33 @@ func TestAdminBindFailureExits(t *testing.T) {
 	}
 	for name, args := range modes {
 		t.Run(name, func(t *testing.T) {
-			args = append(args, "-admin", held.Addr().String(), "-listen", "127.0.0.1:0")
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-			defer cancel()
-			cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
-			cmd.Env = append(os.Environ(), provdArgsEnv+"="+strings.Join(args, "\n"))
-			start := time.Now()
-			out, err := cmd.CombinedOutput()
-			if ctx.Err() != nil {
-				t.Fatalf("provd still running %v after its admin bind failed:\n%s", time.Since(start), out)
-			}
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-				t.Fatalf("provd exited with %v, want a non-zero exit:\n%s", err, out)
-			}
-			if !strings.Contains(string(out), "admin listener") {
-				t.Fatalf("provd output does not name the admin listener:\n%s", out)
+			requireBindExit(t, "admin listener", append(args, "-admin", taken, "-listen", "127.0.0.1:0"))
+			if name != "follower" {
+				requireBindExit(t, "proxy listener", append(args, "-admin", "127.0.0.1:0", "-listen", taken))
 			}
 		})
+	}
+}
+
+// requireBindExit runs provd with args and requires it to exit promptly
+// and non-zero, naming the listener it could not bind.
+func requireBindExit(t *testing.T, listener string, args []string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), provdArgsEnv+"="+strings.Join(args, "\n"))
+	start := time.Now()
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("provd still running %v after its %s bind failed:\n%s", time.Since(start), listener, out)
+	}
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("provd exited with %v, want a non-zero exit:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), listener) {
+		t.Fatalf("provd output does not name the %s:\n%s", listener, out)
 	}
 }
 

@@ -287,6 +287,19 @@ func main() {
 			log.Fatalf("provd: admin listener: %v", err)
 		}
 		adminLn = ln
+		log.Printf("provd: admin listener on %s", ln.Addr())
+	}
+	// The proxy listener is bound the same way, so a taken -listen
+	// address fails startup instead of a goroutine after it. A follower
+	// records nothing of its own and binds no proxy.
+	var proxyLn net.Listener
+	if *follow == "" {
+		ln, err := net.Listen("tcp", *listen)
+		if err != nil {
+			log.Fatalf("provd: proxy listener: %v", err)
+		}
+		proxyLn = ln
+		log.Printf("provd: proxy listener on %s", ln.Addr())
 	}
 
 	// The journal fsyncs every SyncEvery commits, and a batch is one
@@ -317,7 +330,7 @@ func main() {
 		runSharded(&shardedConfig{
 			root:            *shardRoot,
 			cap:             *shardCap,
-			listen:          *listen,
+			proxyLn:         proxyLn,
 			adminLn:         adminLn,
 			sigc:            sigc,
 			searchHosts:     strings.Split(*searchHosts, ","),
@@ -417,13 +430,13 @@ func main() {
 	observer := capture.NewObserver(strings.Split(*searchHosts, ","), sink)
 	proxy := capture.NewProxy(observer)
 
-	srv := &http.Server{Addr: *listen, Handler: recoverPanics(proxy, func(r *http.Request, v any) {
+	srv := &http.Server{Handler: recoverPanics(proxy, func(r *http.Request, v any) {
 		guard.CountPanic()
 		log.Printf("provd: recovered panic in proxy handler (%s %s): %v", r.Method, r.URL, v)
 	})}
 	go func() {
-		log.Printf("provd: capturing on %s into %s", *listen, *dir)
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
+		log.Printf("provd: capturing on %s into %s", proxyLn.Addr(), *dir)
+		if err := srv.Serve(proxyLn); err != http.ErrServerClosed {
 			log.Fatal(err)
 		}
 	}()

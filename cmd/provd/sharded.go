@@ -31,7 +31,7 @@ const tenantHeader = "X-Prov-Tenant"
 type shardedConfig struct {
 	root            string
 	cap             int
-	listen          string
+	proxyLn         net.Listener     // bound by main
 	adminLn         net.Listener     // bound by main; nil disables the admin endpoints
 	sigc            <-chan os.Signal // SIGINT/SIGTERM, subscribed by main before startup
 	searchHosts     []string
@@ -369,10 +369,10 @@ func runSharded(cfg *shardedConfig) {
 		log.Printf("provd: recovered panic in proxy handler (%s %s): %v", r.Method, r.URL, v)
 	})
 
-	srv := &http.Server{Addr: cfg.listen, Handler: proxy}
+	srv := &http.Server{Handler: proxy}
 	go func() {
-		log.Printf("provd: capturing on %s into %s (sharded, cap %d)", cfg.listen, cfg.root, cfg.cap)
-		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
+		log.Printf("provd: capturing on %s into %s (sharded, cap %d)", cfg.proxyLn.Addr(), cfg.root, cfg.cap)
+		if err := srv.Serve(cfg.proxyLn); err != http.ErrServerClosed {
 			log.Fatal(err)
 		}
 	}()
