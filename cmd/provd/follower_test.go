@@ -1,20 +1,15 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"browserprov/internal/event"
-	"browserprov/internal/health"
-	"browserprov/internal/ingest"
 	"browserprov/internal/provgraph"
-	"browserprov/internal/query"
 	"browserprov/internal/replica"
 )
 
@@ -27,24 +22,19 @@ func provdVisit(i int) *event.Event {
 }
 
 // TestFollowerDaemonEndToEnd wires the two daemon halves the way main()
-// does — adminHandler with a replication server on the leader,
-// followerHandler over a live Follower on the replica — and checks the
+// does — the shell's admin handler over a storeBackend on the leader,
+// over a followerBackend tailing it on the replica — and checks the
 // operational contract: the follower catches up and goes ready, /ingest
 // redirects to the leader, and both /stats replies carry their side of
 // the replication accounting.
 func TestFollowerDaemonEndToEnd(t *testing.T) {
-	ldir := t.TempDir()
-	store, err := provgraph.Open(ldir)
+	sb, err := openStore(t.TempDir(), provgraph.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := sb.store
 	defer store.Close()
-	eng := query.NewEngine(store, query.Options{})
-	ing := ingest.NewServer(func(string) (ingest.Sink, func(), error) {
-		return store, func() {}, nil
-	}, ingest.ServerOptions{})
-	repl := replica.NewServer(store)
-	leader := httptest.NewServer(adminHandler(store, eng, ing, func() uint64 { return 0 }, repl, &health.Guard{}))
+	leader := httptest.NewServer(newShell(sb, shellConfig{}).admin())
 	defer leader.Close()
 
 	// History worth bootstrapping: a checkpointed prefix plus a WAL tail.
@@ -62,31 +52,18 @@ func TestFollowerDaemonEndToEnd(t *testing.T) {
 		}
 	}
 
-	var qeng atomic.Pointer[query.Engine]
-	f, err := replica.NewFollower(replica.FollowerOptions{
+	fb, err := newFollowerBackend(replica.FollowerOptions{
 		Dir: t.TempDir(), LeaderURL: leader.URL, ID: "e2e",
 		WaitMS: 100, RetryInterval: 25 * time.Millisecond,
 		Client: &http.Client{Timeout: 5 * time.Second},
-		OnSwap: func(_, next *provgraph.Store) {
-			qeng.Store(query.NewEngine(next, query.Options{}))
-		},
-		Logf: t.Logf,
-	})
+		Logf:   t.Logf,
+	}, 15*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qeng.Store(query.NewEngine(f.Store(), query.Options{}))
-	ctx, cancel := context.WithCancel(context.Background())
-	runDone := make(chan struct{})
-	go func() { defer close(runDone); f.Run(ctx) }()
-	defer func() {
-		cancel()
-		<-runDone
-		f.Store().Close()
-	}()
-	fsrv := httptest.NewServer(followerHandler(f, &qeng, &followerConfig{
-		leaderURL: leader.URL, maxLag: 15 * time.Second,
-	}))
+	defer fb.close()
+	f := fb.f
+	fsrv := httptest.NewServer(newShell(fb, shellConfig{}).admin())
 	defer fsrv.Close()
 
 	deadline := time.Now().Add(15 * time.Second)
@@ -155,9 +132,9 @@ func TestFollowerDaemonEndToEnd(t *testing.T) {
 	// An unreachable lag gate: with -max-lag 0 the same follower reports
 	// not-ready the moment anything is in flight; with generous lag it
 	// stays ready. Only the zero-lag edge is cheap to pin here.
-	strict := httptest.NewServer(followerHandler(f, &qeng, &followerConfig{
-		leaderURL: leader.URL, maxLag: 0,
-	}))
+	strictFB := &followerBackend{f: f, leaderURL: leader.URL, maxLag: 0}
+	strictFB.eng.Store(fb.eng.Load())
+	strict := httptest.NewServer(newShell(strictFB, shellConfig{}).admin())
 	defer strict.Close()
 	resp, err = http.Get(strict.URL + "/readyz")
 	if err != nil {

@@ -17,11 +17,9 @@ import (
 //
 // Proxy implements http.Handler; serve it with net/http.
 type Proxy struct {
-	observer *Observer
-	// route, when set, picks the Observer per request (multi-tenant
-	// capture). It runs before the request is cloned for upstream, so it
-	// may strip routing headers the origin must not see. Returning nil
-	// rejects the request.
+	// route picks the Observer per request. It runs before the request
+	// is cloned for upstream, so it may strip routing headers the origin
+	// must not see. Returning nil rejects the request.
 	route func(*http.Request) *Observer
 	// transport performs upstream fetches.
 	transport http.RoundTripper
@@ -30,18 +28,9 @@ type Proxy struct {
 	titleSniffLimit int
 }
 
-// NewProxy builds a proxy feeding observer.
+// NewProxy builds a proxy feeding every exchange to observer.
 func NewProxy(observer *Observer) *Proxy {
-	return &Proxy{
-		observer: observer,
-		transport: &http.Transport{
-			// The proxy must not follow redirects itself — the client
-			// does, and the Observer wants to see each hop.
-			DisableCompression:    true,
-			ResponseHeaderTimeout: 30 * time.Second,
-		},
-		titleSniffLimit: 64 << 10,
-	}
+	return NewRoutedProxy(func(*http.Request) *Observer { return observer })
 }
 
 // NewRoutedProxy builds a proxy that resolves the Observer per request —
@@ -50,9 +39,16 @@ func NewProxy(observer *Observer) *Proxy {
 // request (typically to strip the tenant header before it goes
 // upstream); returning nil rejects the exchange with 400.
 func NewRoutedProxy(route func(*http.Request) *Observer) *Proxy {
-	p := NewProxy(nil)
-	p.route = route
-	return p
+	return &Proxy{
+		route: route,
+		transport: &http.Transport{
+			// The proxy must not follow redirects itself — the client
+			// does, and the Observer wants to see each hop.
+			DisableCompression:    true,
+			ResponseHeaderTimeout: 30 * time.Second,
+		},
+		titleSniffLimit: 64 << 10,
+	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -66,14 +62,12 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	observer := p.observer
-	if p.route != nil {
-		// Resolve before cloning: route may strip the tenant header so it
-		// never leaves the proxy.
-		if observer = p.route(r); observer == nil {
-			http.Error(w, "capture: unroutable request (missing or invalid tenant)", http.StatusBadRequest)
-			return
-		}
+	// Resolve before cloning: route may strip the tenant header so it
+	// never leaves the proxy.
+	observer := p.route(r)
+	if observer == nil {
+		http.Error(w, "capture: unroutable request (missing or invalid tenant)", http.StatusBadRequest)
+		return
 	}
 
 	outReq := r.Clone(r.Context())

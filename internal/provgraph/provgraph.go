@@ -375,13 +375,13 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 type MappedInfo struct {
 	// MappedBytes is the checkpoint footprint served by the read-only
 	// file mapping (resident at the kernel's discretion, reclaimable).
-	MappedBytes int64
+	MappedBytes int64 `json:"mapped_bytes"`
 	// HeapBytes estimates checkpoint-derived bytes materialised on the
 	// Go heap at load: the whole file when mapping was off, plus the
 	// edge attribute slices and the visit timeline, which every load
 	// decodes. Writes never add to it: they go to a tail over the loaded
 	// columns.
-	HeapBytes int64
+	HeapBytes int64 `json:"heap_load_bytes"`
 }
 
 // MappedInfo returns the store's checkpoint-residency split.

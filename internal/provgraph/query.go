@@ -25,14 +25,14 @@ func (s *Store) VerifyDAG() []NodeID { return s.Snapshot().VerifyDAG() }
 
 // Stats summarises the graph.
 type Stats struct {
-	Nodes     int
-	Edges     int
-	Pages     int
-	Visits    int
-	Bookmarks int
-	Downloads int
-	Terms     int
-	Forms     int
+	Nodes     int `json:"nodes"`
+	Edges     int `json:"edges"`
+	Pages     int `json:"pages"`
+	Visits    int `json:"visits"`
+	Bookmarks int `json:"bookmarks"`
+	Downloads int `json:"downloads"`
+	Terms     int `json:"terms"`
+	Forms     int `json:"forms"`
 }
 
 // Stats returns node/edge counts by kind. It reads only the kind column:

@@ -368,24 +368,24 @@ func (m *Map) Close() error {
 type Stats struct {
 	// OpenTenants is the number of currently open stores (bounded by the
 	// cap); KnownTenants counts every tenant seen on disk or touched.
-	OpenTenants  int
-	KnownTenants int
+	OpenTenants  int `json:"open_tenants"`
+	KnownTenants int `json:"known_tenants"`
 	// Opens counts store opens; Reopens the subset that replayed
 	// existing on-disk state; Evictions the LRU closes under the cap.
-	Opens     uint64
-	Reopens   uint64
-	Evictions uint64
+	Opens     uint64 `json:"opens"`
+	Reopens   uint64 `json:"reopens"`
+	Evictions uint64 `json:"evictions"`
 	// Quarantined is the number of currently quarantined tenants;
 	// Quarantines/Repairs/RepairFailures are lifetime counters of the
 	// self-healing loop (see Quarantine).
-	Quarantined    int
-	Quarantines    uint64
-	Repairs        uint64
-	RepairFailures uint64
+	Quarantined    int    `json:"quarantined"`
+	Quarantines    uint64 `json:"quarantines"`
+	Repairs        uint64 `json:"repairs"`
+	RepairFailures uint64 `json:"repair_failures"`
 	// MappedBytes/HeapBytes aggregate MappedInfo over open stores: the
 	// resident checkpoint footprint the cap bounds.
-	MappedBytes int64
-	HeapBytes   int64
+	MappedBytes int64 `json:"mapped_bytes"`
+	HeapBytes   int64 `json:"heap_load_bytes"`
 }
 
 // Stats returns the global rollup across all tenants.
@@ -418,16 +418,16 @@ func (m *Map) Stats() Stats {
 
 // TenantStats is the per-tenant detail, gathered on demand.
 type TenantStats struct {
-	Tenant     string
-	Generation uint64
-	Nodes      int
-	Edges      int
-	SizeOnDisk int64
+	Tenant     string `json:"tenant"`
+	Generation uint64 `json:"generation"`
+	Nodes      int    `json:"nodes"`
+	Edges      int    `json:"edges"`
+	SizeOnDisk int64  `json:"size_on_disk_bytes"`
 	// Checkpoint health mirrors the single-store /stats fields.
-	CheckpointBytes int64
-	WALBytes        int64
-	MappedBytes     int64
-	HeapBytes       int64
+	CheckpointBytes int64 `json:"checkpoint_bytes"`
+	WALBytes        int64 `json:"wal_bytes"`
+	MappedBytes     int64 `json:"mapped_bytes"`
+	HeapBytes       int64 `json:"heap_load_bytes"`
 }
 
 // TenantStats opens (or touches) tenant and reports its store's stats.
