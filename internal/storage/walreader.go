@@ -47,7 +47,15 @@ type WALReader struct {
 	prevOK   bool
 	hdr      [walFrameHeader]byte
 	frameBuf []byte
+	// size is the file's size when last read. Appended bytes are final,
+	// so a frame ending below it is wholly present unless the file has
+	// since been truncated or swapped, which reset it.
+	size int64
 }
+
+// maxKeptFrameBuf bounds the frame buffer a reader keeps between small
+// frames.
+const maxKeptFrameBuf = 1 << 20
 
 // ErrWALTrimmed reports that the WAL no longer contains the requested
 // LSN: a checkpoint compacted it away. The reader is positioned nowhere
@@ -116,31 +124,47 @@ func (r *WALReader) ReadFrame() (frame []byte, lsn uint64, err error) {
 			return nil, 0, fmt.Errorf("%w: frame length %d at offset %d", ErrWALReaderCorrupt, length, r.off)
 		}
 		total := walFrameHeader + int(length)
-		if cap(r.frameBuf) < total {
-			r.frameBuf = make([]byte, total)
+		// Check the claimed length against the bytes the file holds
+		// before allocating for it: a rotted or torn header must not cost
+		// up to 64 MiB.
+		end := r.off + int64(total)
+		if end > r.size {
+			if err := r.statSize(); err != nil {
+				return nil, 0, err
+			}
 		}
-		buf := r.frameBuf[:total]
-		copy(buf, r.hdr[:])
-		n, err = r.f.ReadAt(buf[walFrameHeader:], r.off+walFrameHeader)
-		if err != nil && err != io.EOF {
-			return nil, 0, err
-		}
-		if n < int(length) {
-			// A torn payload is the writer's unfinished tail unless a
+		if end > r.size {
+			// A short frame is the writer's unfinished tail unless a
 			// CRC-valid frame follows it: then rot in the length field
 			// moved the boundary past EOF, and waiting would stall forever.
-			// Re-read before calling it corruption, as ScrubWALFile does.
+			// Look again before calling it corruption, as ScrubWALFile does.
 			if _, found, err := walSuccessor(r.f, r.off, length); err != nil {
 				return nil, 0, err
 			} else if !found {
 				return nil, 0, nil // torn tail: the writer will finish it
 			}
-			if n, err = r.f.ReadAt(buf[walFrameHeader:], r.off+walFrameHeader); err != nil && err != io.EOF {
+			if err := r.statSize(); err != nil {
 				return nil, 0, err
 			}
-			if n < int(length) {
+			if end > r.size {
 				return nil, 0, fmt.Errorf("%w: lsn %d at offset %d: frame overruns a valid successor", ErrWALReaderCorrupt, lsn, r.off)
 			}
+		}
+		// Keep the buffer for the next frame, but not one sized for a
+		// rare large frame once frames are small again.
+		if cap(r.frameBuf) < total || cap(r.frameBuf) > maxKeptFrameBuf && total <= maxKeptFrameBuf {
+			r.frameBuf = make([]byte, total)
+		}
+		buf := r.frameBuf[:total]
+		copy(buf, r.hdr[:])
+		if n, err := r.f.ReadAt(buf[walFrameHeader:], r.off+walFrameHeader); n < int(length) {
+			// Truncated in place since its size was read; the next call
+			// rescans.
+			r.size = 0
+			if err == io.EOF {
+				err = nil
+			}
+			return nil, 0, err
 		}
 		crc := crc32.Checksum(buf[4:], castagnoli)
 		if crc != wantCRC {
@@ -164,6 +188,16 @@ func (r *WALReader) ReadFrame() (frame []byte, lsn uint64, err error) {
 	}
 }
 
+// statSize records the size of the file under the reader.
+func (r *WALReader) statSize() error {
+	fi, err := r.f.Stat()
+	if err != nil {
+		return err
+	}
+	r.size = fi.Size()
+	return nil
+}
+
 // refresh decides whether the file under the reader changed identity
 // (rename swap) or shrank (in-place reset) and repositions for a
 // rescan. Returns true if the caller should retry reading.
@@ -184,7 +218,7 @@ func (r *WALReader) refresh() (bool, error) {
 			// In-place truncate (synchronous checkpoint Reset): everything
 			// we had read is checkpoint-covered now. Rescan from the top;
 			// the skip logic finds our LSN or reports ErrWALTrimmed.
-			r.off = 0
+			r.off, r.size = 0, 0
 			return true, nil
 		}
 		return false, nil // genuinely nothing new
@@ -195,7 +229,7 @@ func (r *WALReader) refresh() (bool, error) {
 	}
 	r.f.Close()
 	r.f = f
-	r.off = 0
+	r.off, r.size = 0, 0
 	return true, nil
 }
 

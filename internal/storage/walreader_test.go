@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -637,5 +639,58 @@ func TestScrubWALFileDuringResetKeepTail(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("scrub during ResetKeepTail churn: %v", err)
+	}
+}
+
+func TestWALReaderOversizeHeaderAllocatesNothing(t *testing.T) {
+	// A 116-byte file whose one header claims a 60 MiB payload: the
+	// reader must see that the file cannot hold it and report a torn tail
+	// without sizing a buffer for the claim.
+	data := make([]byte, 116)
+	binary.LittleEndian.PutUint32(data[4:], 60<<20)
+	path := filepath.Join(t.TempDir(), "o.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenWALReader(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	frame, _, err := r.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if frame != nil || err != nil {
+		t.Fatalf("frame=%v err=%v, want nothing yet and no error", frame != nil, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("ReadFrame allocated %d bytes for a 116-byte file, want < 1 MiB", got)
+	}
+}
+
+func TestWALReaderDropsOversizeBuffer(t *testing.T) {
+	// After a frame larger than maxKeptFrameBuf, the next small frame
+	// must not keep the large buffer alive.
+	path := filepath.Join(t.TempDir(), "b.wal")
+	w, err := CreateWAL(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	appendFlush(t, w, make([]byte, 2*maxKeptFrameBuf))
+	appendFlush(t, w, []byte("small"))
+	r, err := OpenWALReader(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for want := uint64(0); want < 2; want++ {
+		if frame, lsn, err := r.ReadFrame(); frame == nil || err != nil || lsn != want {
+			t.Fatalf("frame %d: got lsn %d, frame=%v err=%v", want, lsn, frame != nil, err)
+		}
+	}
+	if c := cap(r.frameBuf); c > maxKeptFrameBuf {
+		t.Fatalf("reader keeps a %d-byte buffer after a small frame", c)
 	}
 }
