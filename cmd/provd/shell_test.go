@@ -2,12 +2,19 @@ package main
 
 import (
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 
+	"browserprov/internal/capture"
 	"browserprov/internal/event"
+	"browserprov/internal/ingest"
 	"browserprov/internal/provgraph"
 )
 
@@ -70,5 +77,59 @@ func TestApplySalvagingKeepsValidNeighbours(t *testing.T) {
 	}
 	if got := sb.store.Snapshot().Stats().Visits; got != 2 {
 		t.Fatalf("visits = %d after salvaging, want the 2 valid ones", got)
+	}
+}
+
+// TestShellPipesConcurrent drives the capture pipes of a sharded shell
+// from several goroutines at once — routing, observing, flushing and
+// reading /stats fields concurrently — and checks that every captured
+// visit lands in its tenant's store.
+func TestShellPipesConcurrent(t *testing.T) {
+	sb, err := openShards(t.TempDir(), 2, "default", provgraph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newShell(sb, shellConfig{})
+	const tenants, perTenant = 4, 150
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < perTenant; j++ {
+				u, _ := url.Parse(fmt.Sprintf("http://t%d.example/p%d", i, j))
+				r := httptest.NewRequest(http.MethodGet, u.String(), nil)
+				r.Header.Set(ingest.TenantHeader, fmt.Sprintf("t%d", i))
+				s.route(r).Observe(capture.Observation{URL: u, Status: http.StatusOK, ContentType: "text/html"})
+			}
+		}(i)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := 0; k < 20; k++ {
+			s.flush("test")
+			_ = s.shellStats()
+		}
+	}()
+	wg.Wait()
+	<-done
+	s.flush("final")
+	if st := s.shellStats(); st.FlushErrors != 0 || st.DroppedEvents != 0 {
+		t.Fatalf("flush errors %d, dropped %d", st.FlushErrors, st.DroppedEvents)
+	}
+	for i := 0; i < tenants; i++ {
+		h, err := sb.m.Get(fmt.Sprintf("t%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := h.Store().Snapshot().Stats().Visits
+		h.Release()
+		if got != perTenant {
+			t.Errorf("tenant t%d: %d visits, want %d", i, got, perTenant)
+		}
+	}
+	if err := sb.close(); err != nil {
+		t.Fatal(err)
 	}
 }
