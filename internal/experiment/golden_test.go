@@ -224,3 +224,32 @@ func firstDiff(want, got []byte) string {
 	}
 	return "no differing line"
 }
+
+// TestPaperExperimentGoldens pins the non-timing outputs of E4 and E5
+// at one fixed small configuration: every E4 field, and per versioning
+// mode E5's graph size, checkpointed footprint, DAG verdict and rosebud
+// rank, with the lens and HITS ablations' counts and ranks. E5's Bytes
+// is SizeOnDisk after a checkpoint, so a change to the journal's
+// footprint moves this file. Durations are never written.
+func TestPaperExperimentGoldens(t *testing.T) {
+	var buf bytes.Buffer
+	e4 := RunE4(buildSmall(t, 6, 47), query.Options{Budget: -1})
+	fmt.Fprintf(&buf, "e4 rosebud_rank %d baseline %d\n", e4.RosebudRank, e4.RosebudBaselineRank)
+	fmt.Fprintf(&buf, "e4 gardener_found %v term %q\n", e4.GardenerTermFound, e4.GardenerTerm)
+	fmt.Fprintf(&buf, "e4 wine_rank %d baseline %d\n", e4.WineRank, e4.WineBaselineRank)
+	fmt.Fprintf(&buf, "e4 malware_lineage_ok %v descendants %d of %d\n",
+		e4.MalwareLineageOK, e4.MalwareDescendants, e4.MalwareDescendantsWant)
+
+	e5, err := RunE5(Config{Seed: 53, Days: 4, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []ModeReport{e5.NodeVersioning, e5.EdgeVersioning} {
+		fmt.Fprintf(&buf, "e5 %s nodes %d edges %d bytes %d dag %v rosebud_rank %d\n",
+			m.Mode, m.Nodes, m.Edges, m.Bytes, m.DAG, m.RosebudRank)
+	}
+	fmt.Fprintf(&buf, "e5 lens redirect_hits raw %d lens %d rosebud_rank raw %d lens %d\n",
+		e5.Lens.RawRedirectHits, e5.Lens.LensRedirectHits, e5.Lens.RosebudRankRaw, e5.Lens.RosebudRankLens)
+	fmt.Fprintf(&buf, "e5 hits rosebud_rank off %d on %d\n", e5.HITS.RosebudRankOff, e5.HITS.RosebudRankOn)
+	checkGolden(t, "paper_experiments.golden", buf.Bytes())
+}
