@@ -177,12 +177,12 @@ type E1Result struct {
 
 // RunE1 checkpoints both stores (so both are in pure snapshot form, the
 // analogue of the paper comparing two SQLite database files) and
-// measures their sizes. The provenance footprint counts its state as a
-// record dump (Store.RecordDumpBytes) in place of the checkpoint file,
-// plus the journal's WAL and metadata: E1 measures schema overhead, so
-// both schemas must sit on the identical record substrate — the
-// raw-column checkpoint is a format built for mapped loading, and
-// counting it would turn the comparison into a format benchmark.
+// measures their sizes. Each footprint counts the store's state as a
+// record dump (RecordDumpBytes) in place of its checkpoint file, plus
+// the journal's WAL and metadata: E1 measures schema overhead, so both
+// schemas sit on the identical record substrate. A checkpoint is a
+// format built for loading, and counting it would turn the comparison
+// into a format benchmark.
 func RunE1(w *Workload) (E1Result, error) {
 	if err := w.Places.Checkpoint(); err != nil {
 		return E1Result{}, fmt.Errorf("places checkpoint: %w", err)
@@ -190,13 +190,17 @@ func RunE1(w *Workload) (E1Result, error) {
 	if err := w.Prov.Checkpoint(); err != nil {
 		return E1Result{}, fmt.Errorf("prov checkpoint: %w", err)
 	}
-	dump, err := w.Prov.RecordDumpBytes()
+	placesDump, err := w.Places.RecordDumpBytes()
+	if err != nil {
+		return E1Result{}, fmt.Errorf("places record dump: %w", err)
+	}
+	provDump, err := w.Prov.RecordDumpBytes()
 	if err != nil {
 		return E1Result{}, fmt.Errorf("prov record dump: %w", err)
 	}
 	r := E1Result{
-		PlacesBytes:      w.Places.SizeOnDisk(),
-		ProvBytes:        w.Prov.SizeOnDisk() - w.Prov.CheckpointInfo().Bytes + dump,
+		PlacesBytes:      w.Places.SizeOnDisk() - w.Places.CheckpointBytes() + placesDump,
+		ProvBytes:        w.Prov.SizeOnDisk() - w.Prov.CheckpointInfo().Bytes + provDump,
 		PaperOverheadPct: PaperOverheadPct,
 		PaperAbsoluteMB:  PaperAbsoluteBudgetMB,
 	}

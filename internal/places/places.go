@@ -1,7 +1,7 @@
 // Package places implements the baseline history store: a from-scratch
 // reimplementation of the logical schema of Mozilla Firefox 3's "Places"
 // system (moz_places, moz_historyvisits, moz_bookmarks, moz_inputhistory,
-// moz_annos, moz_keywords) over the engine in internal/storage.
+// moz_annos, moz_keywords) over the journal in internal/storage.
 //
 // Places is the paper's baseline: its provenance schema is measured as a
 // 39.5 % storage overhead *over Places* (§4). This package therefore
@@ -9,6 +9,12 @@
 // transition type, bookmarks and downloads in separate side tables — and
 // deliberately does NOT record the relationships the paper says browsers
 // miss (typed-location edges, open/close intervals, search-term nodes).
+//
+// The tables live in memory; every mutation is logged to the journal's
+// WAL, and a checkpoint writes every row as one length-prefixed record
+// of a single section. Experiment E1 sizes the same records as a heap-
+// file dump (RecordDumpBytes), the substrate it measures the provenance
+// schema on too.
 package places
 
 import (
@@ -93,14 +99,12 @@ type Store struct {
 	inputs    []InputHistory
 	annos     []Anno
 
-	urlIndex   *storage.BTree // URL -> PlaceID
-	dateIndex  *storage.BTree // visit date (big-endian micros) || VisitID -> VisitID
+	urlIndex   map[string]PlaceID
 	placeVisit map[PlaceID][]VisitID
 
-	nextPlace  PlaceID
-	nextVisit  VisitID
-	nextRow    uint64          // bookmarks + annos share a row counter
-	lastVisitB map[int]VisitID // per-tab last visit, for from_visit chaining
+	nextPlace PlaceID
+	nextVisit VisitID
+	nextRow   uint64 // bookmarks + annos share a row counter
 }
 
 // Open opens (or creates) a Places store in dir.
@@ -108,16 +112,14 @@ func Open(dir string) (*Store, error) {
 	s := &Store{
 		places:     make(map[PlaceID]*Place),
 		visits:     make(map[VisitID]*Visit),
-		urlIndex:   storage.NewBTree(),
-		dateIndex:  storage.NewBTree(),
+		urlIndex:   make(map[string]PlaceID),
 		placeVisit: make(map[PlaceID][]VisitID),
 		nextPlace:  1,
 		nextVisit:  1,
 		nextRow:    1,
-		lastVisitB: make(map[int]VisitID),
 	}
 	j, err := storage.OpenJournal(dir, "places", storage.JournalCallbacks{
-		LoadSnapshot: s.loadSnapshot,
+		LoadSections: s.loadSections,
 		Replay:       s.applyOp,
 	})
 	if err != nil {
@@ -141,18 +143,53 @@ func (s *Store) Sync() error {
 	return s.j.Sync()
 }
 
-// Checkpoint snapshots the store and resets its WAL.
+// Checkpoint writes every row into the records section of a fresh
+// checkpoint and drops the WAL prefix it covers. Writers wait for it.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.j.Checkpoint(s.writeSnapshot)
+	t, err := s.j.BeginCheckpoint()
+	if err != nil {
+		return err
+	}
+	if err := t.WriteSections(func(w *storage.SectionWriter) error {
+		return w.WriteSection(secRecords, func(e *storage.Encoder) error {
+			return s.writeRecords(func(rec []byte) error {
+				e.Bytes2(rec)
+				return nil
+			})
+		})
+	}); err != nil {
+		return err
+	}
+	return s.j.CommitCheckpoint(t)
 }
 
-// SizeOnDisk returns the durable footprint in bytes (experiment E1).
+// SizeOnDisk returns the durable footprint in bytes: checkpoint, WAL
+// and journal metadata.
 func (s *Store) SizeOnDisk() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.j.SizeOnDisk()
+}
+
+// CheckpointBytes returns the size of the current checkpoint file (0
+// if there is none).
+func (s *Store) CheckpointBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.j.SnapshotSize()
+}
+
+// RecordDumpBytes returns the size of the store's rows written as a
+// heap-file record dump, the records a checkpoint holds (experiment
+// E1).
+func (s *Store) RecordDumpBytes() (int64, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return storage.RecordDumpBytes(func(h *storage.HeapFile) error {
+		return s.writeRecords(h.Append)
+	})
 }
 
 // Apply ingests one browsing event, mirroring what Firefox 3 records.
@@ -223,11 +260,11 @@ func (s *Store) logAndApply(op byte, encode func(*storage.Encoder)) error {
 }
 
 func (s *Store) lastVisitOfURLLocked(url string) VisitID {
-	pid, ok := s.urlIndex.Get([]byte(url))
+	pid, ok := s.urlIndex[url]
 	if !ok {
 		return 0
 	}
-	vs := s.placeVisit[PlaceID(pid)]
+	vs := s.placeVisit[pid]
 	if len(vs) == 0 {
 		return 0
 	}
@@ -240,11 +277,11 @@ func (s *Store) lastVisitOfURLLocked(url string) VisitID {
 func (s *Store) PlaceByURL(url string) (Place, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	pid, ok := s.urlIndex.Get([]byte(url))
+	pid, ok := s.urlIndex[url]
 	if !ok {
 		return Place{}, false
 	}
-	return *s.places[PlaceID(pid)], true
+	return *s.places[pid], true
 }
 
 // PlaceByID returns the place row with the given ID.
@@ -278,18 +315,6 @@ func (s *Store) VisitsOfPlace(id PlaceID) []Visit {
 	for _, vid := range ids {
 		out = append(out, *s.visits[vid])
 	}
-	return out
-}
-
-// VisitsBetween returns visits with lo <= date < hi in date order.
-func (s *Store) VisitsBetween(lo, hi time.Time) []Visit {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Visit
-	s.dateIndex.AscendRange(dateKey(lo, 0), dateKey(hi, 0), func(_ []byte, v uint64) bool {
-		out = append(out, *s.visits[VisitID(v)])
-		return true
-	})
 	return out
 }
 
@@ -330,33 +355,6 @@ func (s *Store) EachPlace(fn func(Place) bool) {
 	}
 }
 
-// TitleSearch is the textual history search a stock browser offers: a
-// case-insensitive substring match against titles and URLs, ranked by
-// frecency. It is the baseline the contextual search (E4) is compared
-// against.
-func (s *Store) TitleSearch(term string, limit int) []Place {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	needle := strings.ToLower(term)
-	var out []Place
-	for _, p := range s.places {
-		if strings.Contains(strings.ToLower(p.Title), needle) ||
-			strings.Contains(strings.ToLower(p.URL), needle) {
-			out = append(out, *p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Frecency != out[j].Frecency {
-			return out[i].Frecency > out[j].Frecency
-		}
-		return out[i].ID < out[j].ID
-	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
 // Stats summarises table populations.
 type Stats struct {
 	Places    int
@@ -377,21 +375,6 @@ func (s *Store) Stats() Stats {
 		Inputs:    len(s.inputs),
 		Annos:     len(s.annos),
 	}
-}
-
-func dateKey(t time.Time, vid VisitID) []byte {
-	key := make([]byte, 16)
-	us := t.UnixMicro()
-	// Shift to unsigned so byte order matches time order for pre-1970
-	// times too.
-	u := uint64(us) + (1 << 63)
-	for i := 0; i < 8; i++ {
-		key[i] = byte(u >> (56 - 8*i))
-	}
-	for i := 0; i < 8; i++ {
-		key[8+i] = byte(uint64(vid) >> (56 - 8*i))
-	}
-	return key
 }
 
 // revHost reverses the host portion of a URL the way Places does (so that

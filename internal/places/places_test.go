@@ -1,11 +1,15 @@
 package places
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"browserprov/internal/event"
+	"browserprov/internal/storage"
 )
 
 var t0 = time.Date(2008, 11, 1, 9, 0, 0, 0, time.UTC) // start of the paper's 79-day window
@@ -175,67 +179,6 @@ func TestInputHistoryUseCount(t *testing.T) {
 	}
 }
 
-func TestVisitsBetween(t *testing.T) {
-	s := openStore(t, t.TempDir())
-	defer s.Close()
-	for i := 0; i < 10; i++ {
-		if err := s.Apply(visit(fmt.Sprintf("http://p%d.example/", i), "", "", event.TransLink, t0.Add(time.Duration(i)*time.Hour))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.VisitsBetween(t0.Add(2*time.Hour), t0.Add(5*time.Hour))
-	if len(got) != 3 {
-		t.Fatalf("VisitsBetween = %d visits, want 3", len(got))
-	}
-	if !got[0].Date.Equal(t0.Add(2 * time.Hour)) {
-		t.Fatalf("first visit at %v", got[0].Date)
-	}
-}
-
-func TestTitleSearchSubstring(t *testing.T) {
-	s := openStore(t, t.TempDir())
-	defer s.Close()
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(s.Apply(visit("http://search.example/?q=rosebud", "rosebud - Search", "", event.TransTyped, t0)))
-	must(s.Apply(visit("http://films.example/citizen-kane", "Citizen Kane (1941)", "http://search.example/?q=rosebud", event.TransSearchResult, t0.Add(time.Minute))))
-	got := s.TitleSearch("rosebud", 10)
-	if len(got) != 1 {
-		t.Fatalf("TitleSearch(rosebud) = %d results, want 1 (only the search page matches textually)", len(got))
-	}
-	if got[0].URL != "http://search.example/?q=rosebud" {
-		t.Fatalf("result = %s", got[0].URL)
-	}
-	// The causally-related Citizen Kane page is NOT found — the gap the
-	// provenance store closes in E4.
-	for _, p := range got {
-		if p.URL == "http://films.example/citizen-kane" {
-			t.Fatal("textual search unexpectedly found the descendant page")
-		}
-	}
-}
-
-func TestFrecencyOrdersTitleSearch(t *testing.T) {
-	s := openStore(t, t.TempDir())
-	defer s.Close()
-	for i := 0; i < 5; i++ {
-		if err := s.Apply(visit("http://wine.example/popular", "wine reviews", "", event.TransTyped, t0.Add(time.Duration(i)*time.Hour))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Apply(visit("http://wine.example/obscure", "wine list", "", event.TransLink, t0)); err != nil {
-		t.Fatal(err)
-	}
-	got := s.TitleSearch("wine", 10)
-	if len(got) != 2 || got[0].URL != "http://wine.example/popular" {
-		t.Fatalf("TitleSearch order = %+v", got)
-	}
-}
-
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -341,4 +284,71 @@ func TestSizeOnDiskGrows(t *testing.T) {
 	if after := s.SizeOnDisk(); after <= before {
 		t.Fatalf("SizeOnDisk %d -> %d; expected growth", before, after)
 	}
+}
+
+// TestOpenRefusesHeapCheckpoint: a Places directory whose checkpoint is
+// a heap file of the store's records (what older releases wrote) fails
+// to open with ErrBadVersion and leaves every file as it was.
+func TestOpenRefusesHeapCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	for i := 0; i < 50; i++ {
+		if err := s.Apply(visit(fmt.Sprintf("http://p%d.example/", i%7), "P", "", event.TransLink, t0.Add(time.Duration(i)*time.Minute))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(visit("http://tail.example/", "Tail", "", event.TransTyped, t0.Add(time.Hour))); err != nil {
+		t.Fatal(err)
+	}
+	h, err := storage.CreateHeapFile(filepath.Join(dir, "places.snap.000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.writeRecords(h.Append); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := dirFiles(t, dir)
+	if re, err := Open(dir); !errors.Is(err, storage.ErrBadVersion) {
+		if err == nil {
+			re.Close()
+		}
+		t.Fatalf("Open err = %v, want ErrBadVersion", err)
+	}
+	after := dirFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused open changed the file set: %d -> %d files", len(before), len(after))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Fatalf("refused open changed %s", name)
+		}
+	}
+}
+
+// dirFiles reads every file in dir, keyed by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
 }

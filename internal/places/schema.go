@@ -19,7 +19,11 @@ const (
 	opInput    = 4
 )
 
-// Snapshot record kinds.
+// secRecords is the checkpoint section holding every row, each a
+// length-prefixed record of one of the kinds below.
+const secRecords = 1
+
+// Checkpoint record kinds.
 const (
 	snapPlace    = 1
 	snapVisit    = 2
@@ -135,17 +139,17 @@ func (s *Store) applyOp(payload []byte) error {
 // ensurePlace returns the PlaceID for url, creating the row if needed and
 // upgrading an empty title.
 func (s *Store) ensurePlace(url, title string) PlaceID {
-	if pid, ok := s.urlIndex.Get([]byte(url)); ok {
-		p := s.places[PlaceID(pid)]
+	if pid, ok := s.urlIndex[url]; ok {
+		p := s.places[pid]
 		if p.Title == "" && title != "" {
 			p.Title = title
 		}
-		return PlaceID(pid)
+		return pid
 	}
 	id := s.nextPlace
 	s.nextPlace++
 	s.places[id] = &Place{ID: id, URL: url, Title: title, RevHost: revHost(url)}
-	s.urlIndex.Put([]byte(url), uint64(id))
+	s.urlIndex[url] = id
 	return id
 }
 
@@ -157,7 +161,6 @@ func (s *Store) applyVisit(url, title string, when time.Time, tr event.Transitio
 	v := &Visit{ID: vid, FromVisit: from, Place: pid, Date: when, Type: tr}
 	s.visits[vid] = v
 	s.placeVisit[pid] = append(s.placeVisit[pid], vid)
-	s.dateIndex.Put(dateKey(when, vid), uint64(vid))
 	p.VisitCount++
 	if tr == event.TransTyped {
 		p.Typed++
@@ -168,13 +171,12 @@ func (s *Store) applyVisit(url, title string, when time.Time, tr event.Transitio
 	p.Frecency += frecencyBonus(tr)
 }
 
-// writeSnapshot dumps all tables into the checkpoint heap file.
-func (s *Store) writeSnapshot(h *storage.HeapFile) error {
+// writeRecords encodes every row as one record and hands each to put,
+// in a fixed order: places and visits by ID, then bookmarks, input
+// history and annotations in row order, then the ID counters. put must
+// copy the record; its buffer is reused.
+func (s *Store) writeRecords(put func(rec []byte) error) error {
 	enc := storage.NewEncoder(256)
-	put := func() error {
-		_, err := h.Append(enc.Bytes())
-		return err
-	}
 	// Places, in ID order for determinism.
 	ids := make([]PlaceID, 0, len(s.places))
 	for id := range s.places {
@@ -193,7 +195,7 @@ func (s *Store) writeSnapshot(h *storage.HeapFile) error {
 		enc.Varint(int64(p.Typed))
 		enc.Varint(int64(p.Frecency))
 		enc.Time(p.LastVisit)
-		if err := put(); err != nil {
+		if err := put(enc.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -211,7 +213,7 @@ func (s *Store) writeSnapshot(h *storage.HeapFile) error {
 		enc.Uvarint(uint64(v.Place))
 		enc.Time(v.Date)
 		enc.Uvarint(uint64(v.Type))
-		if err := put(); err != nil {
+		if err := put(enc.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -222,7 +224,7 @@ func (s *Store) writeSnapshot(h *storage.HeapFile) error {
 		enc.Uvarint(uint64(b.Place))
 		enc.String(b.Title)
 		enc.Time(b.DateAdded)
-		if err := put(); err != nil {
+		if err := put(enc.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -232,7 +234,7 @@ func (s *Store) writeSnapshot(h *storage.HeapFile) error {
 		enc.Uvarint(uint64(in.Place))
 		enc.String(in.Input)
 		enc.Float64(in.UseCount)
-		if err := put(); err != nil {
+		if err := put(enc.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -244,7 +246,7 @@ func (s *Store) writeSnapshot(h *storage.HeapFile) error {
 		enc.String(a.Name)
 		enc.String(a.Content)
 		enc.Time(a.DateAdded)
-		if err := put(); err != nil {
+		if err := put(enc.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -253,154 +255,173 @@ func (s *Store) writeSnapshot(h *storage.HeapFile) error {
 	enc.Uvarint(uint64(s.nextPlace))
 	enc.Uvarint(uint64(s.nextVisit))
 	enc.Uvarint(s.nextRow)
-	return put()
+	return put(enc.Bytes())
 }
 
-// loadSnapshot restores all tables from a checkpoint heap file.
-func (s *Store) loadSnapshot(h *storage.HeapFile) error {
-	return h.Scan(func(_ storage.RecordID, rec []byte) error {
-		d := storage.NewDecoder(rec)
-		kind, err := d.Uvarint()
+// loadSections restores all tables from a checkpoint's records section.
+func (s *Store) loadSections(f *storage.SectionFile) error {
+	defer f.Close()
+	p, err := f.Section(secRecords)
+	if err != nil {
+		return err
+	}
+	if p == nil {
+		return fmt.Errorf("places: checkpoint %s has no records section", f.Path())
+	}
+	for d := storage.NewDecoder(p); d.Remaining() > 0; {
+		rec, err := d.Bytes2()
 		if err != nil {
 			return err
 		}
-		switch kind {
-		case snapPlace:
-			var p Place
-			var id uint64
-			if id, err = d.Uvarint(); err != nil {
-				return err
-			}
-			p.ID = PlaceID(id)
-			if p.URL, err = d.String(); err != nil {
-				return err
-			}
-			if p.Title, err = d.String(); err != nil {
-				return err
-			}
-			if p.RevHost, err = d.String(); err != nil {
-				return err
-			}
-			vc, err := d.Varint()
-			if err != nil {
-				return err
-			}
-			p.VisitCount = int(vc)
-			ty, err := d.Varint()
-			if err != nil {
-				return err
-			}
-			p.Typed = int(ty)
-			fr, err := d.Varint()
-			if err != nil {
-				return err
-			}
-			p.Frecency = int(fr)
-			if p.LastVisit, err = d.Time(); err != nil {
-				return err
-			}
-			s.places[p.ID] = &p
-			s.urlIndex.Put([]byte(p.URL), uint64(p.ID))
-		case snapVisit:
-			var v Visit
-			id, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			v.ID = VisitID(id)
-			from, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			v.FromVisit = VisitID(from)
-			pl, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			v.Place = PlaceID(pl)
-			if v.Date, err = d.Time(); err != nil {
-				return err
-			}
-			tr, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			v.Type = event.Transition(tr)
-			s.visits[v.ID] = &v
-			s.placeVisit[v.Place] = append(s.placeVisit[v.Place], v.ID)
-			s.dateIndex.Put(dateKey(v.Date, v.ID), uint64(v.ID))
-		case snapBookmark:
-			var b Bookmark
-			if b.ID, err = d.Uvarint(); err != nil {
-				return err
-			}
-			pl, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			b.Place = PlaceID(pl)
-			if b.Title, err = d.String(); err != nil {
-				return err
-			}
-			if b.DateAdded, err = d.Time(); err != nil {
-				return err
-			}
-			s.bookmarks = append(s.bookmarks, b)
-		case snapInput:
-			var in InputHistory
-			pl, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			in.Place = PlaceID(pl)
-			if in.Input, err = d.String(); err != nil {
-				return err
-			}
-			if in.UseCount, err = d.Float64(); err != nil {
-				return err
-			}
-			s.inputs = append(s.inputs, in)
-		case snapAnno:
-			var a Anno
-			if a.ID, err = d.Uvarint(); err != nil {
-				return err
-			}
-			pl, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			a.Place = PlaceID(pl)
-			if a.Name, err = d.String(); err != nil {
-				return err
-			}
-			if a.Content, err = d.String(); err != nil {
-				return err
-			}
-			if a.DateAdded, err = d.Time(); err != nil {
-				return err
-			}
-			s.annos = append(s.annos, a)
-		case snapCounters:
-			np, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			nv, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			nr, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			s.nextPlace = PlaceID(np)
-			s.nextVisit = VisitID(nv)
-			s.nextRow = nr
-		default:
-			return fmt.Errorf("places: unknown snapshot record kind %d", kind)
+		if err := s.loadRecord(rec); err != nil {
+			return err
 		}
-		return nil
-	})
+	}
+	return nil
+}
+
+// loadRecord restores one checkpoint record.
+func (s *Store) loadRecord(rec []byte) error {
+	d := storage.NewDecoder(rec)
+	kind, err := d.Uvarint()
+	if err != nil {
+		return err
+	}
+	switch kind {
+	case snapPlace:
+		var p Place
+		var id uint64
+		if id, err = d.Uvarint(); err != nil {
+			return err
+		}
+		p.ID = PlaceID(id)
+		if p.URL, err = d.String(); err != nil {
+			return err
+		}
+		if p.Title, err = d.String(); err != nil {
+			return err
+		}
+		if p.RevHost, err = d.String(); err != nil {
+			return err
+		}
+		vc, err := d.Varint()
+		if err != nil {
+			return err
+		}
+		p.VisitCount = int(vc)
+		ty, err := d.Varint()
+		if err != nil {
+			return err
+		}
+		p.Typed = int(ty)
+		fr, err := d.Varint()
+		if err != nil {
+			return err
+		}
+		p.Frecency = int(fr)
+		if p.LastVisit, err = d.Time(); err != nil {
+			return err
+		}
+		s.places[p.ID] = &p
+		s.urlIndex[p.URL] = p.ID
+	case snapVisit:
+		var v Visit
+		id, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		v.ID = VisitID(id)
+		from, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		v.FromVisit = VisitID(from)
+		pl, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		v.Place = PlaceID(pl)
+		if v.Date, err = d.Time(); err != nil {
+			return err
+		}
+		tr, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		v.Type = event.Transition(tr)
+		s.visits[v.ID] = &v
+		s.placeVisit[v.Place] = append(s.placeVisit[v.Place], v.ID)
+	case snapBookmark:
+		var b Bookmark
+		if b.ID, err = d.Uvarint(); err != nil {
+			return err
+		}
+		pl, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		b.Place = PlaceID(pl)
+		if b.Title, err = d.String(); err != nil {
+			return err
+		}
+		if b.DateAdded, err = d.Time(); err != nil {
+			return err
+		}
+		s.bookmarks = append(s.bookmarks, b)
+	case snapInput:
+		var in InputHistory
+		pl, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		in.Place = PlaceID(pl)
+		if in.Input, err = d.String(); err != nil {
+			return err
+		}
+		if in.UseCount, err = d.Float64(); err != nil {
+			return err
+		}
+		s.inputs = append(s.inputs, in)
+	case snapAnno:
+		var a Anno
+		if a.ID, err = d.Uvarint(); err != nil {
+			return err
+		}
+		pl, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		a.Place = PlaceID(pl)
+		if a.Name, err = d.String(); err != nil {
+			return err
+		}
+		if a.Content, err = d.String(); err != nil {
+			return err
+		}
+		if a.DateAdded, err = d.Time(); err != nil {
+			return err
+		}
+		s.annos = append(s.annos, a)
+	case snapCounters:
+		np, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		nv, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		nr, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		s.nextPlace = PlaceID(np)
+		s.nextVisit = VisitID(nv)
+		s.nextRow = nr
+	default:
+		return fmt.Errorf("places: unknown checkpoint record kind %d", kind)
+	}
+	return nil
 }
 
 func sortPlaceIDs(ids []PlaceID) {

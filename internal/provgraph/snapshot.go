@@ -1,8 +1,6 @@
 package provgraph
 
 import (
-	"os"
-	"path/filepath"
 	"sort"
 
 	"browserprov/internal/event"
@@ -119,28 +117,9 @@ func (s *Store) RecordDumpBytes() (int64, error) {
 	asm := s.captureAssemblyLocked()
 	s.mu.Unlock()
 
-	dir, err := os.MkdirTemp("", "provgraph-records-")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "dump")
-	h, err := storage.CreateHeapFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if err := writeRecordDump(h, sn.flatEpoch(), asm); err != nil {
-		h.Close()
-		return 0, err
-	}
-	if err := h.Close(); err != nil {
-		return 0, err
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
+	return storage.RecordDumpBytes(func(h *storage.HeapFile) error {
+		return writeRecordDump(h, sn.flatEpoch(), asm)
+	})
 }
 
 // writeRecordDump writes ep and asm into h: all nodes in ID order, all
@@ -148,10 +127,7 @@ func (s *Store) RecordDumpBytes() (int64, error) {
 // dedup window.
 func writeRecordDump(h *storage.HeapFile, ep *sealedEpoch, asm assemblyCapture) error {
 	enc := storage.NewEncoder(256)
-	put := func() error {
-		_, err := h.Append(enc.Bytes())
-		return err
-	}
+	put := func() error { return h.Append(enc.Bytes()) }
 	for id := NodeID(1); id <= ep.maxID; id++ {
 		n, ok := ep.nodeAt(id)
 		if !ok {

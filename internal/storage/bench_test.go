@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"testing"
 )
@@ -99,91 +97,8 @@ func BenchmarkHeapAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Append(rec); err != nil {
+		if err := h.Append(rec); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHeapScan(b *testing.B) {
-	h, err := CreateHeapFile(filepath.Join(b.TempDir(), "bench.heap"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Close()
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if _, err := h.Append([]byte(fmt.Sprintf("record-%d-with-some-payload", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		if err := h.Scan(func(_ RecordID, _ []byte) error {
-			count++
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if count != n {
-			b.Fatalf("scanned %d", count)
-		}
-	}
-}
-
-func BenchmarkBTreePut(b *testing.B) {
-	bt := NewBTree()
-	keys := make([][]byte, 100000)
-	for i := range keys {
-		keys[i] = make([]byte, 8)
-		binary.BigEndian.PutUint64(keys[i], rand.New(rand.NewSource(int64(i))).Uint64())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Put(keys[i%len(keys)], uint64(i))
-	}
-}
-
-func BenchmarkBTreeGet(b *testing.B) {
-	bt := NewBTree()
-	const n = 100000
-	keys := make([][]byte, n)
-	for i := range keys {
-		keys[i] = make([]byte, 8)
-		binary.BigEndian.PutUint64(keys[i], uint64(i)*2654435761)
-		bt.Put(keys[i], uint64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := bt.Get(keys[i%n]); !ok {
-			b.Fatal("miss")
-		}
-	}
-}
-
-func BenchmarkBTreeAscendRange(b *testing.B) {
-	bt := NewBTree()
-	const n = 100000
-	for i := 0; i < n; i++ {
-		var k [8]byte
-		binary.BigEndian.PutUint64(k[:], uint64(i))
-		bt.Put(k[:], uint64(i))
-	}
-	var lo, hi [8]byte
-	binary.BigEndian.PutUint64(lo[:], n/4)
-	binary.BigEndian.PutUint64(hi[:], n/4+1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		bt.AscendRange(lo[:], hi[:], func(_ []byte, _ uint64) bool {
-			count++
-			return true
-		})
-		if count != 1000 {
-			b.Fatalf("range visited %d", count)
 		}
 	}
 }

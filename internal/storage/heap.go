@@ -2,19 +2,21 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
+	"os"
+	"path/filepath"
 )
 
-// A HeapFile is an append-oriented collection of variable-length records
-// stored in slotted pages inside a PageFile. It is the on-disk format for
-// store snapshots (checkpoints): records are appended sequentially and
-// later read back with Get or a full Scan.
+// A HeapFile is an append-only file of variable-length records stored
+// in slotted pages inside a PageFile. It is the record substrate of
+// experiment E1: both schemas are dumped into one (RecordDumpBytes) so
+// that their sizes differ by schema, not by container format. Nothing
+// reads a heap file back; its page, slot and overflow layout matters
+// because E1's numbers are its page counts.
 //
-// Every page payload begins with a one-byte page kind so that slotted and
-// overflow pages can never be confused during a scan.
+// Every page payload begins with a one-byte page kind so that slotted
+// and overflow pages can never be confused.
 //
-// Slotted page payout:
+// Slotted page payload:
 //
 //	[kind u8][numSlots u16][dataEnd u16] [slot0 off u16,len u16] ... free ... [recN]...[rec0]
 //
@@ -47,29 +49,6 @@ const (
 	overflowHeader = 9 // kind u8 + next page u32 + chunk length u32
 )
 
-// ErrBadRecordID indicates a RecordID that does not name a live record.
-var ErrBadRecordID = errors.New("storage: invalid record id")
-
-// RecordID names a record in a HeapFile: page number in the high 48 bits,
-// slot index in the low 16.
-type RecordID uint64
-
-// NewRecordID composes a RecordID from a page number and slot index.
-func NewRecordID(page uint32, slot uint16) RecordID {
-	return RecordID(uint64(page)<<16 | uint64(slot))
-}
-
-// Page returns the page number component.
-func (id RecordID) Page() uint32 { return uint32(id >> 16) }
-
-// Slot returns the slot index component.
-func (id RecordID) Slot() uint16 { return uint16(id & 0xFFFF) }
-
-// String implements fmt.Stringer.
-func (id RecordID) String() string {
-	return fmt.Sprintf("%d/%d", id.Page(), id.Slot())
-}
-
 // CreateHeapFile creates a new heap file at path.
 func CreateHeapFile(path string) (*HeapFile, error) {
 	pf, err := CreatePageFile(path)
@@ -79,23 +58,31 @@ func CreateHeapFile(path string) (*HeapFile, error) {
 	return &HeapFile{pf: pf}, nil
 }
 
-// OpenHeapFile opens an existing heap file at path.
-func OpenHeapFile(path string) (*HeapFile, error) {
-	pf, err := OpenPageFile(path)
+// RecordDumpBytes writes records into a temporary heap file through
+// write and returns the file's size; the file is removed before it
+// returns. Experiment E1 measures each schema's state this way.
+func RecordDumpBytes(write func(h *HeapFile) error) (int64, error) {
+	dir, err := os.MkdirTemp("", "record-dump-")
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &HeapFile{pf: pf}, nil
+	defer os.RemoveAll(dir)
+	h, err := CreateHeapFile(filepath.Join(dir, "dump"))
+	if err != nil {
+		return 0, err
+	}
+	if err := write(h); err != nil {
+		h.Close()
+		return 0, err
+	}
+	if err := h.Close(); err != nil {
+		return 0, err
+	}
+	return h.Size(), nil
 }
 
 // Size returns the file size in bytes.
 func (h *HeapFile) Size() int64 { return h.pf.Size() }
-
-// Path returns the underlying file path.
-func (h *HeapFile) Path() string { return h.pf.Path() }
-
-// Sync flushes the heap file to stable storage.
-func (h *HeapFile) Sync() error { return h.flushCur() }
 
 // Close flushes and closes the heap file.
 func (h *HeapFile) Close() error {
@@ -108,25 +95,11 @@ func (h *HeapFile) Close() error {
 	return h.pf.Close()
 }
 
-func (h *HeapFile) flushCur() error {
-	if h.curPage != 0 && h.curPayload != nil {
-		if err := h.pf.WritePage(h.curPage, h.curPayload); err != nil {
-			return err
-		}
-	}
-	return h.pf.Sync()
-}
-
 func heapNumSlots(p []byte) uint16 { return binary.LittleEndian.Uint16(p[1:]) }
 func heapDataEnd(p []byte) uint16  { return binary.LittleEndian.Uint16(p[3:]) }
 
 func heapSetNumSlots(p []byte, v uint16) { binary.LittleEndian.PutUint16(p[1:], v) }
 func heapSetDataEnd(p []byte, v uint16)  { binary.LittleEndian.PutUint16(p[3:], v) }
-
-func heapSlot(p []byte, i uint16) (off, length uint16) {
-	base := heapPageHeader + int(i)*slotSize
-	return binary.LittleEndian.Uint16(p[base:]), binary.LittleEndian.Uint16(p[base+2:])
-}
 
 func heapSetSlot(p []byte, i uint16, off, length uint16) {
 	base := heapPageHeader + int(i)*slotSize
@@ -152,12 +125,12 @@ func newHeapPayload() []byte {
 }
 
 // inlineLimit is the largest record body (marker byte included) stored
-// inline; larger records use an overflow chain. Chosen so that at least
-// four large records fit per page.
+// inline; larger records use an overflow chain. Three bodies at the
+// limit share a slotted page.
 const inlineLimit = PagePayload / 4
 
-// Append stores rec and returns its RecordID. The record bytes are copied.
-func (h *HeapFile) Append(rec []byte) (RecordID, error) {
+// Append stores rec. The record bytes are copied.
+func (h *HeapFile) Append(rec []byte) error {
 	if len(rec)+1 <= inlineLimit {
 		body := make([]byte, 0, len(rec)+1)
 		body = append(body, recInline)
@@ -166,7 +139,7 @@ func (h *HeapFile) Append(rec []byte) (RecordID, error) {
 	}
 	first, err := h.writeOverflow(rec)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var body [9]byte
 	body[0] = recOverflow
@@ -175,18 +148,18 @@ func (h *HeapFile) Append(rec []byte) (RecordID, error) {
 	return h.appendBody(body[:])
 }
 
-func (h *HeapFile) appendBody(body []byte) (RecordID, error) {
+func (h *HeapFile) appendBody(body []byte) error {
 	need := len(body) + slotSize
 	if h.curPage == 0 || heapFreeSpace(h.curPayload) < need {
 		// Flush the current page and start a fresh one.
 		if h.curPage != 0 {
 			if err := h.pf.WritePage(h.curPage, h.curPayload); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		n, err := h.pf.AllocPage()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		h.curPage = n
 		h.curPayload = newHeapPayload()
@@ -199,7 +172,7 @@ func (h *HeapFile) appendBody(body []byte) (RecordID, error) {
 	heapSetSlot(p, slot, off, uint16(len(body)))
 	heapSetNumSlots(p, slot+1)
 	heapSetDataEnd(p, off)
-	return NewRecordID(h.curPage, slot), nil
+	return nil
 }
 
 // writeOverflow writes rec across a chain of overflow pages, returning the
@@ -230,100 +203,4 @@ func (h *HeapFile) writeOverflow(rec []byte) (uint32, error) {
 		next = n
 	}
 	return next, nil
-}
-
-func (h *HeapFile) readPage(n uint32) ([]byte, error) {
-	if n == h.curPage && h.curPayload != nil {
-		return h.curPayload, nil
-	}
-	return h.pf.ReadPage(n)
-}
-
-// Get returns the record named by id. The returned slice is fresh.
-func (h *HeapFile) Get(id RecordID) ([]byte, error) {
-	page, slot := id.Page(), id.Slot()
-	if page == 0 || page >= h.pf.NumPages() {
-		return nil, fmt.Errorf("%w: %s", ErrBadRecordID, id)
-	}
-	p, err := h.readPage(page)
-	if err != nil {
-		return nil, err
-	}
-	if len(p) < heapPageHeader || p[0] != pageKindSlotted || slot >= heapNumSlots(p) {
-		return nil, fmt.Errorf("%w: %s", ErrBadRecordID, id)
-	}
-	off, length := heapSlot(p, slot)
-	if int(off)+int(length) > len(p) || length == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrBadRecordID, id)
-	}
-	return h.materialize(p[off : off+length])
-}
-
-func (h *HeapFile) materialize(body []byte) ([]byte, error) {
-	switch body[0] {
-	case recInline:
-		out := make([]byte, len(body)-1)
-		copy(out, body[1:])
-		return out, nil
-	case recOverflow:
-		if len(body) != 9 {
-			return nil, fmt.Errorf("storage: malformed overflow stub")
-		}
-		first := binary.LittleEndian.Uint32(body[1:])
-		total := binary.LittleEndian.Uint32(body[5:])
-		out := make([]byte, 0, total)
-		page := first
-		for page != 0 {
-			p, err := h.readPage(page)
-			if err != nil {
-				return nil, err
-			}
-			if len(p) < overflowHeader || p[0] != pageKindOverflow {
-				return nil, fmt.Errorf("storage: page %d is not an overflow page", page)
-			}
-			next := binary.LittleEndian.Uint32(p[1:])
-			clen := binary.LittleEndian.Uint32(p[5:])
-			if overflowHeader+int(clen) > len(p) {
-				return nil, fmt.Errorf("storage: bad overflow chunk length on page %d", page)
-			}
-			out = append(out, p[overflowHeader:overflowHeader+int(clen)]...)
-			page = next
-		}
-		if uint32(len(out)) != total {
-			return nil, fmt.Errorf("storage: overflow chain length %d != %d", len(out), total)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("storage: unknown record marker %#x", body[0])
-	}
-}
-
-// Scan calls fn for every record in append order. If fn returns an error
-// the scan stops and returns it. The record slice passed to fn is freshly
-// allocated and owned by fn.
-func (h *HeapFile) Scan(fn func(id RecordID, rec []byte) error) error {
-	for page := uint32(1); page < h.pf.NumPages(); page++ {
-		p, err := h.readPage(page)
-		if err != nil {
-			return err
-		}
-		if len(p) < heapPageHeader || p[0] != pageKindSlotted {
-			continue
-		}
-		slots := heapNumSlots(p)
-		for s := uint16(0); s < slots; s++ {
-			off, length := heapSlot(p, s)
-			if int(off)+int(length) > len(p) || length == 0 {
-				return fmt.Errorf("storage: corrupt slot %d on page %d", s, page)
-			}
-			rec, err := h.materialize(p[off : off+length])
-			if err != nil {
-				return err
-			}
-			if err := fn(NewRecordID(page, s), rec); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -2,204 +2,160 @@ package storage
 
 import (
 	"bytes"
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
 
-func newTestHeap(t *testing.T) *HeapFile {
+// writeHeap appends recs to a fresh heap file, closes it and returns its
+// path. It checks that Size agrees with the file on disk.
+func writeHeap(t *testing.T, recs [][]byte) string {
 	t.Helper()
-	h, err := CreateHeapFile(filepath.Join(t.TempDir(), "h.heap"))
+	path := filepath.Join(t.TempDir(), "h.heap")
+	h, err := CreateHeapFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { h.Close() })
-	return h
+	for _, r := range recs {
+		if err := h.Append(r); err != nil {
+			t.Fatalf("Append(%d bytes): %v", len(r), err)
+		}
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != h.Size() {
+		t.Fatalf("Size() = %d, file is %d bytes", h.Size(), fi.Size())
+	}
+	return path
+}
+
+// heapRecords decodes every record of the heap file at path in append
+// order, walking the slotted pages and following overflow chains as the
+// writer lays them out, and failing on any page it cannot account for.
+func heapRecords(t *testing.T, path string) [][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(n uint32) []byte {
+		t.Helper()
+		p, err := filePage(raw, int(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	var out [][]byte
+	for n := uint32(1); int(n) < len(raw)/PageSize; n++ {
+		p := page(n)
+		if p[0] == pageKindOverflow {
+			continue
+		}
+		if p[0] != pageKindSlotted {
+			t.Fatalf("page %d: kind %#x", n, p[0])
+		}
+		for s := uint16(0); s < heapNumSlots(p); s++ {
+			slot := p[heapPageHeader+int(s)*slotSize:]
+			off, length := binary.LittleEndian.Uint16(slot), binary.LittleEndian.Uint16(slot[2:])
+			body := p[off : off+length]
+			switch body[0] {
+			case recInline:
+				out = append(out, body[1:])
+			case recOverflow:
+				var rec []byte
+				for next := binary.LittleEndian.Uint32(body[1:]); next != 0; {
+					op := page(next)
+					if op[0] != pageKindOverflow {
+						t.Fatalf("page %d in an overflow chain has kind %#x", next, op[0])
+					}
+					rec = append(rec, op[overflowHeader:overflowHeader+binary.LittleEndian.Uint32(op[5:])]...)
+					next = binary.LittleEndian.Uint32(op[1:])
+				}
+				if total := binary.LittleEndian.Uint32(body[5:]); uint32(len(rec)) != total {
+					t.Fatalf("overflow chain holds %d bytes, stub says %d", len(rec), total)
+				}
+				out = append(out, rec)
+			default:
+				t.Fatalf("page %d slot %d: record marker %#x", n, s, body[0])
+			}
+		}
+	}
+	return out
+}
+
+// checkRecords asserts that got holds exactly want, in order.
+func checkRecords(t *testing.T, got, want [][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d: %d bytes decoded, want %d identical bytes", i, len(got[i]), len(want[i]))
+		}
+	}
 }
 
 func TestHeapAppendGet(t *testing.T) {
-	h := newTestHeap(t)
 	recs := [][]byte{
 		[]byte("alpha"),
 		[]byte(""),
 		[]byte("a slightly longer record with some text in it"),
 		bytes.Repeat([]byte{0x42}, 1000),
 	}
-	var ids []RecordID
-	for _, r := range recs {
-		id, err := h.Append(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for i, id := range ids {
-		got, err := h.Get(id)
-		if err != nil {
-			t.Fatalf("Get(%s): %v", id, err)
-		}
-		if !bytes.Equal(got, recs[i]) {
-			t.Fatalf("record %d: got %d bytes, want %d", i, len(got), len(recs[i]))
-		}
-	}
+	checkRecords(t, heapRecords(t, writeHeap(t, recs)), recs)
 }
 
 func TestHeapOverflowRecords(t *testing.T) {
-	h := newTestHeap(t)
 	sizes := []int{inlineLimit, inlineLimit + 1, PagePayload, PagePayload * 3, 100_000}
-	var ids []RecordID
-	var want [][]byte
+	var recs [][]byte
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range sizes {
 		rec := make([]byte, n)
 		rng.Read(rec)
-		id, err := h.Append(rec)
-		if err != nil {
-			t.Fatalf("Append(%d bytes): %v", n, err)
-		}
-		ids = append(ids, id)
-		want = append(want, rec)
+		recs = append(recs, rec)
 	}
-	for i, id := range ids {
-		got, err := h.Get(id)
-		if err != nil {
-			t.Fatalf("Get(%s): %v", id, err)
-		}
-		if !bytes.Equal(got, want[i]) {
-			t.Fatalf("overflow record %d (%d bytes) mismatched", i, len(want[i]))
-		}
-	}
+	checkRecords(t, heapRecords(t, writeHeap(t, recs)), recs)
 }
 
 func TestHeapScanOrder(t *testing.T) {
-	h := newTestHeap(t)
 	const n = 5000
+	var recs [][]byte
 	for i := 0; i < n; i++ {
-		rec := []byte(fmt.Sprintf("record-%06d", i))
-		if _, err := h.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, []byte(fmt.Sprintf("record-%06d", i)))
 	}
-	i := 0
-	err := h.Scan(func(_ RecordID, rec []byte) error {
-		want := fmt.Sprintf("record-%06d", i)
-		if string(rec) != want {
-			return fmt.Errorf("scan %d: got %q, want %q", i, rec, want)
-		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i != n {
-		t.Fatalf("scanned %d records, want %d", i, n)
-	}
+	checkRecords(t, heapRecords(t, writeHeap(t, recs)), recs)
 }
 
+// TestHeapScanSkipsOverflowPages: an overflow record's chain pages sit
+// between slotted pages, and its slot still decodes in append order.
 func TestHeapScanSkipsOverflowPages(t *testing.T) {
-	h := newTestHeap(t)
-	big := bytes.Repeat([]byte("x"), PagePayload*2)
-	if _, err := h.Append([]byte("small-1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Append(big); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Append([]byte("small-2")); err != nil {
-		t.Fatal(err)
-	}
-	var got []int
-	if err := h.Scan(func(_ RecordID, rec []byte) error {
-		got = append(got, len(rec))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{len("small-1"), len(big), len("small-2")}
-	if len(got) != len(want) {
-		t.Fatalf("scan yielded %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: length %d, want %d", i, got[i], want[i])
-		}
-	}
+	recs := [][]byte{[]byte("small-1"), bytes.Repeat([]byte("x"), PagePayload*2), []byte("small-2")}
+	checkRecords(t, heapRecords(t, writeHeap(t, recs)), recs)
 }
 
+// TestHeapPersistence: Close writes out the page still receiving
+// appends, so every record is in the file once it returns.
 func TestHeapPersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "p.heap")
-	h, err := CreateHeapFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []RecordID
+	var recs [][]byte
 	for i := 0; i < 1000; i++ {
-		id, err := h.Append([]byte(fmt.Sprintf("persist-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+		recs = append(recs, []byte(fmt.Sprintf("persist-%d", i)))
 	}
-	if err := h.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	h2, err := OpenHeapFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Close()
-	for i, id := range ids {
-		got, err := h2.Get(id)
-		if err != nil {
-			t.Fatalf("Get(%s) after reopen: %v", id, err)
-		}
-		if want := fmt.Sprintf("persist-%d", i); string(got) != want {
-			t.Fatalf("record %d after reopen = %q, want %q", i, got, want)
-		}
-	}
-}
-
-func TestHeapBadRecordID(t *testing.T) {
-	h := newTestHeap(t)
-	if _, err := h.Append([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	cases := []RecordID{
-		0,                     // page 0 is the file header
-		NewRecordID(1, 999),   // slot out of range
-		NewRecordID(999, 0),   // page out of range
-		NewRecordID(1<<20, 5), // far out of range
-	}
-	for _, id := range cases {
-		if _, err := h.Get(id); !errors.Is(err, ErrBadRecordID) {
-			t.Fatalf("Get(%s) = %v, want ErrBadRecordID", id, err)
-		}
-	}
-}
-
-func TestHeapRecordIDComposition(t *testing.T) {
-	id := NewRecordID(0xABCDEF, 0x1234)
-	if id.Page() != 0xABCDEF {
-		t.Fatalf("Page = %x", id.Page())
-	}
-	if id.Slot() != 0x1234 {
-		t.Fatalf("Slot = %x", id.Slot())
-	}
+	checkRecords(t, heapRecords(t, writeHeap(t, recs)), recs)
 }
 
 func TestHeapManyRecordsRandomSizes(t *testing.T) {
-	h := newTestHeap(t)
 	rng := rand.New(rand.NewSource(7))
-	type entry struct {
-		id  RecordID
-		rec []byte
-	}
-	var entries []entry
+	var recs [][]byte
 	for i := 0; i < 2000; i++ {
 		n := rng.Intn(200)
 		if rng.Intn(50) == 0 {
@@ -207,33 +163,48 @@ func TestHeapManyRecordsRandomSizes(t *testing.T) {
 		}
 		rec := make([]byte, n)
 		rng.Read(rec)
-		id, err := h.Append(rec)
+		recs = append(recs, rec)
+	}
+	checkRecords(t, heapRecords(t, writeHeap(t, recs)), recs)
+}
+
+// TestHeapSizeAtInlineAndOverflowBoundaries pins the file sizes the
+// writer produces where its layout changes: how many records share a
+// slotted page, where a record leaves the page for an overflow chain,
+// and where that chain takes a second page. E1 reports these sizes.
+func TestHeapSizeAtInlineAndOverflowBoundaries(t *testing.T) {
+	const chunk = PagePayload - overflowHeader
+	recs := func(n, size int) [][]byte {
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = bytes.Repeat([]byte{byte(i)}, size)
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		recs  [][]byte
+		pages int64
+	}{
+		{"empty", nil, 1},
+		{"815 empty records fill a page", recs(815, 0), 2},
+		{"the 816th starts another", recs(816, 0), 3},
+		{"largest inline record", recs(1, inlineLimit-1), 2},
+		{"three largest inline records share a page", recs(3, inlineLimit-1), 2},
+		{"the fourth starts another", recs(4, inlineLimit-1), 3},
+		{"smallest overflow record", recs(1, inlineLimit), 3},
+		{"one full overflow chunk", recs(1, chunk), 3},
+		{"one byte past a chunk", recs(1, chunk+1), 4},
+	}
+	for _, c := range cases {
+		path := writeHeap(t, c.recs)
+		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries = append(entries, entry{id, rec})
-	}
-	for i, e := range entries {
-		got, err := h.Get(e.id)
-		if err != nil {
-			t.Fatalf("Get %d: %v", i, err)
+		if want := c.pages * PageSize; fi.Size() != want {
+			t.Errorf("%s: %d bytes, want %d (%d pages)", c.name, fi.Size(), want, c.pages)
 		}
-		if !bytes.Equal(got, e.rec) {
-			t.Fatalf("record %d (%d bytes) mismatched", i, len(e.rec))
-		}
-	}
-	// Scan must visit exactly the inserted records in order.
-	i := 0
-	if err := h.Scan(func(_ RecordID, rec []byte) error {
-		if !bytes.Equal(rec, entries[i].rec) {
-			return fmt.Errorf("scan %d mismatched (%d bytes vs %d)", i, len(rec), len(entries[i].rec))
-		}
-		i++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if i != len(entries) {
-		t.Fatalf("scan count = %d, want %d", i, len(entries))
+		checkRecords(t, heapRecords(t, path), c.recs)
 	}
 }

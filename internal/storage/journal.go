@@ -16,13 +16,17 @@ import (
 //
 //   - every mutation is encoded and appended to a WAL before it is
 //     applied in memory;
-//   - a checkpoint streams the full in-memory state into a fresh heap
-//     file snapshot, atomically switches the metadata to point at it,
-//     and resets the WAL;
-//   - on open, the journal loads the newest snapshot and replays the
-//     WAL suffix over it.
+//   - a checkpoint fences the WAL (BeginCheckpoint), streams the
+//     store's state into a fresh sectioned snapshot file
+//     (CheckpointTicket.WriteSections), then atomically switches the
+//     metadata to name it and drops the WAL prefix it covers
+//     (CommitCheckpoint);
+//   - on open, the journal hands the newest snapshot to LoadSections
+//     and replays the WAL suffix over it.
 //
-// The on-disk footprint (snapshot + WAL) is what experiment E1 measures.
+// The snapshot is always a current-version sectioned file (see
+// section.go); a snapshot in any other format fails OpenJournal with
+// ErrBadVersion.
 type Journal struct {
 	dir  string
 	name string
@@ -59,21 +63,17 @@ type Journal struct {
 
 // JournalCallbacks supplies the store-specific halves of recovery.
 type JournalCallbacks struct {
-	// LoadSnapshot is called with the snapshot heap file when the
-	// snapshot is in the record-oriented heap format. Opening a journal
-	// whose snapshot is a heap file fails when it is nil.
-	LoadSnapshot func(h *HeapFile) error
-	// LoadSections is called with the open section file when the
-	// snapshot is in the sectioned columnar format. Section payloads are
+	// LoadSections is called with the open snapshot file. Section
+	// payloads are
 	// checksummed lazily on first access; the loader owns deciding which
 	// sections to touch. The callback takes ownership of the file's
 	// reference: a loader that keeps aliases into section payloads must
 	// keep the SectionFile and Close it when those aliases die (the
-	// journal itself never closes it). Opening a journal whose snapshot
-	// is sectioned fails when it is nil.
+	// journal itself never closes it). Opening a journal that has a
+	// snapshot fails when it is nil.
 	LoadSections func(f *SectionFile) error
-	// MapSnapshot asks for sectioned snapshots to be memory-mapped
-	// instead of read onto the heap (best effort; platforms without
+	// MapSnapshot asks for the snapshot to be memory-mapped instead of
+	// read onto the heap (best effort; platforms without
 	// mmap fall back to the heap read).
 	MapSnapshot bool
 	// Replay applies one logged mutation during recovery.
@@ -140,40 +140,17 @@ func OpenJournal(dir, name string, cb JournalCallbacks) (*Journal, error) {
 		if fi, err := fs.Stat(j.snapPath); err == nil {
 			j.snapTime = fi.ModTime()
 		}
-		// The snapshot format is sniffed from the file itself: a
-		// sectioned checkpoint bulk-loads through LoadSections, anything
-		// else is a record-oriented heap file for LoadSnapshot. A format
-		// the caller has no loader for is an error, never skipped: a
-		// skipped snapshot would open the store with only the WAL tail.
-		if IsSectionFile(j.snapPath) {
-			if cb.LoadSections == nil {
-				return nil, fmt.Errorf("storage: snapshot %s is sectioned but no LoadSections callback is set", j.snapPath)
-			}
-			sf, err := OpenSectionFile(j.snapPath, cb.MapSnapshot)
-			if err != nil {
-				return nil, fmt.Errorf("storage: open snapshot: %w", err)
-			}
-			if err := cb.LoadSections(sf); err != nil {
-				sf.Close()
-				return nil, fmt.Errorf("storage: load snapshot: %w", err)
-			}
-			j.snapSize = sf.Size()
-		} else {
-			if cb.LoadSnapshot == nil {
-				return nil, fmt.Errorf("%w: snapshot %s is not sectioned and no LoadSnapshot callback is set", ErrBadVersion, j.snapPath)
-			}
-			h, err := OpenHeapFile(j.snapPath)
-			if err != nil {
-				return nil, fmt.Errorf("storage: open snapshot: %w", err)
-			}
-			j.snapSize = h.Size()
-			if err := cb.LoadSnapshot(h); err != nil {
-				h.Close()
-				return nil, fmt.Errorf("storage: load snapshot: %w", err)
-			}
-			if err := h.Close(); err != nil {
-				return nil, err
-			}
+		if cb.LoadSections == nil {
+			return nil, fmt.Errorf("storage: snapshot %s exists but no LoadSections callback is set", j.snapPath)
+		}
+		sf, err := OpenSectionFile(j.snapPath, cb.MapSnapshot)
+		if err != nil {
+			return nil, fmt.Errorf("storage: open snapshot: %w", err)
+		}
+		j.snapSize = sf.Size() // before the loader, which may Close sf
+		if err := cb.LoadSections(sf); err != nil {
+			sf.Close()
+			return nil, fmt.Errorf("storage: load snapshot: %w", err)
 		}
 	}
 	replay := func(_ uint64, payload []byte) error {
@@ -327,67 +304,6 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Checkpoint writes a fresh snapshot through write, switches the journal
-// to it, and resets the WAL. After Checkpoint returns, recovery needs
-// only the new snapshot.
-func (j *Journal) Checkpoint(write func(h *HeapFile) error) error {
-	if err := j.wal.Sync(); err != nil {
-		return err
-	}
-	newGen := j.gen + 1
-	path := j.snapFile(newGen)
-	h, err := CreateHeapFile(path)
-	if err != nil {
-		return err
-	}
-	if err := write(h); err != nil {
-		h.Close()
-		os.Remove(path)
-		return fmt.Errorf("storage: checkpoint write: %w", err)
-	}
-	if err := h.Sync(); err != nil {
-		h.Close()
-		os.Remove(path)
-		return err
-	}
-	size := h.Size()
-	if err := h.Close(); err != nil {
-		os.Remove(path)
-		return err
-	}
-	startLSN := j.wal.NextLSN()
-	if err := j.writeMeta(j.nextMeta(newGen, startLSN)); err != nil {
-		os.Remove(path)
-		return err
-	}
-	if j.keepPrev {
-		// Retention: keep the outgoing snapshot and the WAL suffix at or
-		// past ITS fence; only the prefix the previous generation covered
-		// is finally dropped.
-		walOff := j.wal.Size() // fence of the new generation: end of log
-		trimAt := j.fenceOff
-		if err := j.wal.ResetKeepTail(trimAt); err != nil {
-			return err
-		}
-		j.retirePrev(j.gen, j.startLSN, j.snapPath, walOff, trimAt)
-	} else {
-		if err := j.wal.Reset(startLSN); err != nil {
-			return err
-		}
-		// Best-effort removal of the superseded snapshot.
-		if j.snapPath != "" {
-			os.Remove(j.snapPath)
-		}
-	}
-	j.gen = newGen
-	j.snapPath = path
-	j.snapSize = size
-	j.snapTime = time.Now()
-	j.startLSN = startLSN
-	j.unsynced = 0
-	return nil
-}
-
 // nextMeta builds the metadata naming generation gen, carrying the
 // outgoing generation as the retention fallback when RetainPrev is on.
 func (j *Journal) nextMeta(gen, startLSN uint64) journalMeta {
@@ -419,10 +335,10 @@ func (j *Journal) retirePrev(outGen, outStartLSN uint64, outSnap string, walOff,
 	j.fenceOff = walOff - trimAt
 }
 
-// ---- background (sectioned) checkpoints ----
+// ---- checkpoints ----
 //
-// A synchronous Checkpoint holds the store's write lock for the whole
-// dump. The split protocol below lets the dump itself run off-lock:
+// A checkpoint runs in three steps, so a store can write the snapshot
+// itself without holding its lock:
 //
 //	BeginCheckpoint   (under the store lock)  — fence the WAL
 //	ticket.WriteSections (off-lock)           — stream the snapshot

@@ -9,40 +9,56 @@ import (
 
 // kvStore is a minimal journaled store used to exercise the Journal
 // harness: an in-memory map whose mutations are logged and whose
-// checkpoints dump the whole map.
+// checkpoints write the whole map into one section.
 type kvStore struct {
 	j *Journal
 	m map[string]string
 }
 
-func openKV(t *testing.T, dir string) *kvStore {
+func openKV(t *testing.T, dir string) *kvStore { return openKVJournal(t, dir, false) }
+
+// openKVJournal opens the kvStore harness in dir, keeping a previous
+// checkpoint generation when retainPrev is set.
+func openKVJournal(t *testing.T, dir string, retainPrev bool) *kvStore {
 	t.Helper()
 	s := &kvStore{m: make(map[string]string)}
 	j, err := OpenJournal(dir, "kv", JournalCallbacks{
-		LoadSnapshot: func(h *HeapFile) error {
-			return h.Scan(func(_ RecordID, rec []byte) error {
-				d := NewDecoder(rec)
-				k, err := d.String()
-				if err != nil {
-					return err
-				}
-				v, err := d.String()
-				if err != nil {
-					return err
-				}
-				s.m[k] = v
-				return nil
-			})
-		},
-		Replay: func(p []byte) error {
-			return s.apply(p)
-		},
+		RetainPrev:   retainPrev,
+		LoadSections: s.load,
+		Replay:       s.apply,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.j = j
 	return s
+}
+
+// load restores the map from section 1 of a checkpoint: a count, then
+// that many key and value strings.
+func (s *kvStore) load(f *SectionFile) error {
+	defer f.Close()
+	p, err := f.Section(1)
+	if err != nil {
+		return err
+	}
+	d := NewDecoder(p)
+	n, err := d.Uvarint()
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < n; i++ {
+		k, err := d.String()
+		if err != nil {
+			return err
+		}
+		v, err := d.String()
+		if err != nil {
+			return err
+		}
+		s.m[k] = v
+	}
+	return nil
 }
 
 func (s *kvStore) apply(p []byte) error {
@@ -70,18 +86,26 @@ func (s *kvStore) set(k, v string) error {
 	return nil
 }
 
+// checkpoint runs the journal's checkpoint protocol synchronously:
+// fence, write one section holding the whole map, commit.
 func (s *kvStore) checkpoint() error {
-	return s.j.Checkpoint(func(h *HeapFile) error {
-		for k, v := range s.m {
-			e := NewEncoder(len(k) + len(v) + 8)
-			e.String(k)
-			e.String(v)
-			if _, err := h.Append(e.Bytes()); err != nil {
-				return err
+	ticket, err := s.j.BeginCheckpoint()
+	if err != nil {
+		return err
+	}
+	if err := ticket.WriteSections(func(w *SectionWriter) error {
+		return w.WriteSection(1, func(e *Encoder) error {
+			e.Uvarint(uint64(len(s.m)))
+			for k, v := range s.m {
+				e.String(k)
+				e.String(v)
 			}
-		}
-		return nil
-	})
+			return nil
+		})
+	}); err != nil {
+		return err
+	}
+	return s.j.CommitCheckpoint(ticket)
 }
 
 func TestJournalRecoverFromWALOnly(t *testing.T) {

@@ -119,7 +119,7 @@ func (f *SectionFile) parse() error {
 	data, path := f.data, f.path
 	if len(data) < sectionFileHeader ||
 		binary.LittleEndian.Uint32(data[0:]) != sectionMagic {
-		return fmt.Errorf("%w: %s", ErrNotSectioned, path)
+		return fmt.Errorf("%w: %w: %s", ErrBadVersion, ErrNotSectioned, path)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != sectionVersion {
 		return fmt.Errorf("%w: %s has version %d, want %d", ErrBadVersion, path, v, sectionVersion)

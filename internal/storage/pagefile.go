@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -30,11 +29,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Pagefile errors.
 var (
-	// ErrChecksum indicates a page whose stored CRC does not match its
-	// contents; the page is treated as corrupt.
-	ErrChecksum = errors.New("storage: page checksum mismatch")
-	// ErrBadMagic indicates a file that is not an engine page file.
-	ErrBadMagic = errors.New("storage: bad file magic")
 	// ErrBadVersion indicates an unsupported file format version.
 	ErrBadVersion = errors.New("storage: unsupported file format version")
 	// ErrPageBounds indicates a page number past the end of the file.
@@ -43,8 +37,10 @@ var (
 	ErrClosed = errors.New("storage: file is closed")
 )
 
-// PageFile is a checksummed, page-granular file. Page 0 is reserved for
-// the file header; data pages are numbered from 1.
+// PageFile writes a checksummed, page-granular file: each page carries
+// a CRC32C over its payload length and payload. Page 0 is reserved for
+// the file header; data pages are numbered from 1. HeapFile is its one
+// user.
 //
 // PageFile is not safe for concurrent use; callers serialise access.
 type PageFile struct {
@@ -68,29 +64,6 @@ func CreatePageFile(path string) (*PageFile, error) {
 	return pf, nil
 }
 
-// OpenPageFile opens an existing page file, validating its header.
-func OpenPageFile(path string) (*PageFile, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open %s: %w", path, err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if fi.Size()%PageSize != 0 || fi.Size() == 0 {
-		f.Close()
-		return nil, fmt.Errorf("storage: %s: size %d is not page aligned", path, fi.Size())
-	}
-	pf := &PageFile{f: f, path: path, pages: uint32(fi.Size() / PageSize)}
-	if err := pf.readHeader(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return pf, nil
-}
-
 func (pf *PageFile) writeHeader() error {
 	var payload [PagePayload]byte
 	binary.LittleEndian.PutUint32(payload[0:], fileHeaderMagic)
@@ -98,29 +71,8 @@ func (pf *PageFile) writeHeader() error {
 	return pf.writePageRaw(0, payload[:])
 }
 
-func (pf *PageFile) readHeader() error {
-	payload, err := pf.ReadPage(0)
-	if err != nil {
-		return err
-	}
-	if binary.LittleEndian.Uint32(payload[0:]) != fileHeaderMagic {
-		return fmt.Errorf("%w: %s", ErrBadMagic, pf.path)
-	}
-	if v := binary.LittleEndian.Uint32(payload[4:]); v != fileFormatVersion {
-		return fmt.Errorf("%w: %s has version %d", ErrBadVersion, pf.path, v)
-	}
-	return nil
-}
-
-// NumPages returns the number of pages in the file, including the header
-// page. Valid data page numbers are 1..NumPages-1.
-func (pf *PageFile) NumPages() uint32 { return pf.pages }
-
 // Size returns the file size in bytes.
 func (pf *PageFile) Size() int64 { return int64(pf.pages) * PageSize }
-
-// Path returns the file path.
-func (pf *PageFile) Path() string { return pf.path }
 
 // AllocPage extends the file by one zeroed page and returns its number.
 func (pf *PageFile) AllocPage() (uint32, error) {
@@ -162,40 +114,6 @@ func (pf *PageFile) writePageRaw(n uint32, payload []byte) error {
 		return fmt.Errorf("storage: write page %d of %s: %w", n, pf.path, err)
 	}
 	return nil
-}
-
-// ReadPage reads and verifies page n, returning its payload (a fresh
-// slice sized to the stored payload length).
-func (pf *PageFile) ReadPage(n uint32) ([]byte, error) {
-	if pf.closed {
-		return nil, ErrClosed
-	}
-	if n >= pf.pages {
-		return nil, fmt.Errorf("%w: read page %d of %d", ErrPageBounds, n, pf.pages)
-	}
-	var page [PageSize]byte
-	if _, err := pf.f.ReadAt(page[:], int64(n)*PageSize); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("storage: read page %d of %s: %w", n, pf.path, err)
-	}
-	want := binary.LittleEndian.Uint32(page[0:])
-	if crc32.Checksum(page[4:], castagnoli) != want {
-		return nil, fmt.Errorf("%w: page %d of %s", ErrChecksum, n, pf.path)
-	}
-	plen := binary.LittleEndian.Uint32(page[4:])
-	if plen > PagePayload {
-		return nil, fmt.Errorf("storage: page %d of %s: invalid payload length %d", n, pf.path, plen)
-	}
-	out := make([]byte, plen)
-	copy(out, page[pageHeaderSize:pageHeaderSize+plen])
-	return out, nil
-}
-
-// Sync flushes the file to stable storage.
-func (pf *PageFile) Sync() error {
-	if pf.closed {
-		return ErrClosed
-	}
-	return pf.f.Sync()
 }
 
 // Close syncs and closes the file. Close is idempotent.

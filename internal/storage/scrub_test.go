@@ -9,66 +9,8 @@ import (
 )
 
 // openKVR opens the kvStore test harness with previous-generation
-// retention on and a sectioned-checkpoint loader.
-func openKVR(t *testing.T, dir string) *kvStore {
-	t.Helper()
-	s := &kvStore{m: make(map[string]string)}
-	j, err := OpenJournal(dir, "kv", JournalCallbacks{
-		RetainPrev: true,
-		LoadSections: func(f *SectionFile) error {
-			defer f.Close()
-			p, err := f.Section(1)
-			if err != nil {
-				return err
-			}
-			d := NewDecoder(p)
-			n, err := d.Uvarint()
-			if err != nil {
-				return err
-			}
-			for i := uint64(0); i < n; i++ {
-				k, err := d.String()
-				if err != nil {
-					return err
-				}
-				v, err := d.String()
-				if err != nil {
-					return err
-				}
-				s.m[k] = v
-			}
-			return nil
-		},
-		Replay: func(p []byte) error { return s.apply(p) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.j = j
-	return s
-}
-
-// checkpointSectioned runs the background checkpoint protocol
-// synchronously: fence, write one section holding the whole map, commit.
-func (s *kvStore) checkpointSectioned() error {
-	ticket, err := s.j.BeginCheckpoint()
-	if err != nil {
-		return err
-	}
-	if err := ticket.WriteSections(func(w *SectionWriter) error {
-		return w.WriteSection(1, func(e *Encoder) error {
-			e.Uvarint(uint64(len(s.m)))
-			for k, v := range s.m {
-				e.String(k)
-				e.String(v)
-			}
-			return nil
-		})
-	}); err != nil {
-		return err
-	}
-	return s.j.CommitCheckpoint(ticket)
-}
+// retention on.
+func openKVR(t *testing.T, dir string) *kvStore { return openKVJournal(t, dir, true) }
 
 func (s *kvStore) mustSetRange(t *testing.T, lo, hi int) {
 	t.Helper()
@@ -136,15 +78,15 @@ func TestJournalRetainPrevKeepsFallbackFiles(t *testing.T) {
 	dir := t.TempDir()
 	s := openKVR(t, dir)
 	s.mustSetRange(t, 0, 50)
-	if err := s.checkpointSectioned(); err != nil { // gen 1
+	if err := s.checkpoint(); err != nil { // gen 1
 		t.Fatal(err)
 	}
 	s.mustSetRange(t, 50, 100)
-	if err := s.checkpointSectioned(); err != nil { // gen 2; gen 1 retained
+	if err := s.checkpoint(); err != nil { // gen 2; gen 1 retained
 		t.Fatal(err)
 	}
 	s.mustSetRange(t, 100, 120)
-	if err := s.checkpointSectioned(); err != nil { // gen 3; gen 2 retained, gen 1 gone
+	if err := s.checkpoint(); err != nil { // gen 3; gen 2 retained, gen 1 gone
 		t.Fatal(err)
 	}
 	if err := s.j.Close(); err != nil {
@@ -173,11 +115,11 @@ func TestRepairJournalFallsBackToPrevGeneration(t *testing.T) {
 		dir := t.TempDir()
 		s := openKVR(t, dir)
 		s.mustSetRange(t, 0, 60)
-		if err := s.checkpointSectioned(); err != nil { // gen 1
+		if err := s.checkpoint(); err != nil { // gen 1
 			t.Fatal(err)
 		}
 		s.mustSetRange(t, 60, 90)
-		if err := s.checkpointSectioned(); err != nil { // gen 2, gen 1 retained
+		if err := s.checkpoint(); err != nil { // gen 2, gen 1 retained
 			t.Fatal(err)
 		}
 		s.mustSetRange(t, 90, 100) // live WAL tail past gen 2's fence
@@ -217,7 +159,7 @@ func TestRepairJournalGenesisFallback(t *testing.T) {
 	dir := t.TempDir()
 	s := openKVR(t, dir)
 	s.mustSetRange(t, 0, 40)
-	if err := s.checkpointSectioned(); err != nil {
+	if err := s.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	s.mustSetRange(t, 40, 55)
@@ -247,7 +189,7 @@ func TestRepairJournalUnrepairableWithoutRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.checkpointSectioned(); err != nil {
+	if err := s.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.j.Close(); err != nil {

@@ -29,10 +29,9 @@ import (
 // names it, after a full fsync, so a torn section file is unreachable
 // garbage, not a recovery hazard.
 
-// sectionMagic identifies sectioned checkpoint files. Distinct from
-// fileHeaderMagic so the journal can sniff which snapshot format it is
-// opening; a heap file starts with a page CRC, which cannot collide
-// with magic+version both matching.
+// sectionMagic identifies sectioned checkpoint files. A file without
+// it (a heap file starts with a page CRC) fails to open with both
+// ErrNotSectioned and ErrBadVersion.
 const sectionMagic = uint32(0x53C7F11E)
 
 // sectionVersion is the container version this package reads and
@@ -66,6 +65,8 @@ const sectionFrameHeader = 16
 // Section errors.
 var (
 	// ErrNotSectioned indicates a file that is not a sectioned checkpoint.
+	// OpenSectionFile wraps it together with ErrBadVersion: to the
+	// journal, a snapshot in another format is one it does not read.
 	ErrNotSectioned = errors.New("storage: not a sectioned checkpoint file")
 	// ErrSectionCorrupt indicates a sectioned checkpoint with a bad
 	// frame or checksum.
@@ -176,23 +177,4 @@ func (w *SectionWriter) Close() error {
 		return err
 	}
 	return w.f.Close()
-}
-
-// IsSectionFile reports whether the file at path carries the
-// sectioned-checkpoint magic. It deliberately ignores the version
-// byte: a sectioned file of an older or newer container version must
-// still route to the sectioned loader, whose ErrBadVersion names the
-// version it found — not to the heap-file loader, which would
-// misreport it as corruption.
-func IsSectionFile(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var hdr [4]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return false
-	}
-	return binary.LittleEndian.Uint32(hdr[0:]) == sectionMagic
 }

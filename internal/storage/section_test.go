@@ -71,9 +71,6 @@ func TestSectionRoundTrip(t *testing.T) {
 	if fi.Size() != size {
 		t.Fatalf("Size() = %d, file is %d", size, fi.Size())
 	}
-	if !IsSectionFile(path) {
-		t.Fatal("IsSectionFile = false for a sectioned file")
-	}
 	got, err := readSections(path)
 	if err != nil {
 		t.Fatal(err)
@@ -127,32 +124,31 @@ func TestSectionSniffRejectsOtherFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Append([]byte("v1 record")); err != nil {
+	if err := h.Append([]byte("v1 record")); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if IsSectionFile(heap) {
-		t.Fatal("heap file sniffed as sectioned")
-	}
-	if _, err := OpenSectionFile(heap, false); !errors.Is(err, ErrNotSectioned) {
-		t.Fatalf("OpenSectionFile on a heap file: err = %v, want ErrNotSectioned", err)
+	for _, mapped := range []bool{false, true} {
+		_, err := OpenSectionFile(heap, mapped)
+		if !errors.Is(err, ErrNotSectioned) || !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("OpenSectionFile on a heap file, mapped %v: err = %v, want ErrNotSectioned and ErrBadVersion", mapped, err)
+		}
 	}
 	short := filepath.Join(dir, "short")
 	if err := os.WriteFile(short, []byte{1, 2}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if IsSectionFile(short) {
-		t.Fatal("2-byte file sniffed as sectioned")
+	if _, err := OpenSectionFile(short, false); !errors.Is(err, ErrNotSectioned) {
+		t.Fatalf("OpenSectionFile on a 2-byte file: err = %v, want ErrNotSectioned", err)
 	}
 }
 
 // TestSectionFutureVersionRouting: a sectioned file of any other
 // container version — an older one (2, 3) or an unknown newer one —
-// must still sniff as sectioned, so the journal routes it to the
-// sectioned loader and the operator sees "unsupported version", not a
-// bogus heap-file corruption error.
+// fails to open and to verify with ErrBadVersion, so the operator sees
+// "unsupported version", not a corruption error.
 func TestSectionFutureVersionRouting(t *testing.T) {
 	for _, v := range []byte{2, 3, 99} {
 		path := filepath.Join(t.TempDir(), "other.sec")
@@ -164,9 +160,6 @@ func TestSectionFutureVersionRouting(t *testing.T) {
 		data[4] = v
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
-		}
-		if !IsSectionFile(path) {
-			t.Fatalf("version-%d sectioned file not sniffed as sectioned", v)
 		}
 		for _, mapped := range []bool{false, true} {
 			if _, err := OpenSectionFile(path, mapped); !errors.Is(err, ErrBadVersion) {
