@@ -24,6 +24,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -192,6 +193,12 @@ func TestTortureKillRecover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A kill inside a checkpoint can leave the next generation's
+			// file created but empty; it holds no byte to rot.
+			snaps = slices.DeleteFunc(snaps, func(p string) bool {
+				fi, err := os.Stat(p)
+				return err == nil && fi.Size() == 0
+			})
 			if len(snaps) >= 2 {
 				sort.Strings(snaps)
 				off, err := faultfs.BitRot(snaps[len(snaps)-1], rng)

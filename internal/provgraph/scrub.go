@@ -1,33 +1,27 @@
 package provgraph
 
 // Online integrity scrubbing: a background sweep that re-verifies the
-// live checkpoint's section CRCs and the WAL's frame CRCs in bounded
+// current checkpoint's section CRCs and the WAL's frame CRCs in bounded
 // time slices, so silent on-disk corruption (bit rot, a misdirected
 // write) is detected while the store is serving instead of at the next
 // unlucky open.
 //
-// The checkpoint half rides the lazy per-section CRC machinery: a
-// mapped (MAP_SHARED) checkpoint's payload bytes come straight off the
-// file, so re-checksumming a section through SectionFile.VerifyTag
-// observes current disk content at page-cache cost — no locks, no
-// read-path stalls, queries on other sections proceed untouched. When
-// the current checkpoint is not the mapped one (NoMmap, or a checkpoint
-// written since the last open) there is no mapping to re-checksum, so
-// the sweep re-reads the checkpoint file by path instead. The WAL half
-// re-reads the log file through its own descriptor (ScrubWALFile), which
-// is safe against concurrent appends, trims and rename swaps.
+// The checkpoint half has one path for every store, whether it loaded
+// its checkpoint mapped, loaded it with NoMmap, or wrote it live: the
+// scrub cursor maps the current checkpoint file itself and
+// re-checksums one section at a time through SectionFile.VerifyTag. A
+// MAP_SHARED mapping observes current disk content at page-cache cost,
+// with no locks and no copy of the file. The WAL half re-reads the log
+// file through its own descriptor (ScrubWALFile), which is safe against
+// concurrent appends, trims and rename swaps.
 
 import (
-	"os"
+	"errors"
+	"io/fs"
 	"time"
 
 	"browserprov/internal/storage"
 )
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
 
 // ScrubStatus is the cumulative record of a store's integrity sweeps
 // (JSON-tagged for the daemon's /stats).
@@ -37,8 +31,8 @@ type ScrubStatus struct {
 	LastScrub time.Time `json:"last_scrub"`
 	// Sweeps counts completed full sweeps.
 	Sweeps uint64 `json:"sweeps"`
-	// SectionsVerified counts section re-verifications across all
-	// sweeps (whole-snapshot re-reads of unmapped stores count one).
+	// SectionsVerified counts checkpoint sections re-verified across
+	// all sweeps, one per section.
 	SectionsVerified uint64 `json:"sections_verified"`
 	// FramesVerified counts WAL frames re-verified across all sweeps.
 	FramesVerified uint64 `json:"wal_frames_verified"`
@@ -49,13 +43,41 @@ type ScrubStatus struct {
 }
 
 // scrubCursor tracks a sweep's position so each ScrubStep does a
-// bounded slice of work and the sweep resumes where it left off. The
-// sect pointer is only ever compared for identity (a new checkpoint
-// view restarts the sweep), never dereferenced after its pin lapses.
+// bounded slice of work and the sweep resumes where it left off. It
+// owns its own view of the current checkpoint file, opened mapped and
+// released when the checkpoint path changes and when the store closes.
 type scrubCursor struct {
 	sect *storage.SectionFile
 	tags []uint32
 	next int
+}
+
+// track points the cursor at the checkpoint at path ("" for none),
+// opening a view of it and restarting the sweep when the path changed.
+// A view that could not be mapped is a copy read at open, so it is
+// re-read at the start of each sweep to see the file's current bytes.
+func (c *scrubCursor) track(path string) error {
+	if c.sect != nil && c.sect.Path() == path && (c.sect.Mapped() || c.next > 0) {
+		return nil
+	}
+	c.release()
+	if path == "" {
+		return nil
+	}
+	sf, err := storage.OpenSectionFile(path, true)
+	if err != nil {
+		return err
+	}
+	c.sect, c.tags = sf, sf.Tags()
+	return nil
+}
+
+// release drops the cursor's checkpoint view and resets the sweep.
+func (c *scrubCursor) release() {
+	if c.sect != nil {
+		c.sect.Close()
+	}
+	*c = scrubCursor{}
 }
 
 // ScrubStep runs one bounded slice of the integrity sweep: it verifies
@@ -75,44 +97,39 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 	defer release()
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()
+	if s.closed.Load() {
+		return false, ErrClosed // Close has released the cursor's view
+	}
 
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
 
-	// Section phase, only while the mapped load-time view is still the
-	// current checkpoint: s.sect is set when a checkpoint is loaded, so
-	// after a live Checkpoint it maps a superseded file, and rot in the
-	// current one would go unseen. Anything else (an unmapped view, or a
-	// newer checkpoint) is re-read from disk by path below. The pin taken
-	// above keeps s.sect alive and stable for the whole step.
-	sect := s.sect
-	path := s.snapshotPathLocked()
-	if sect != nil && sect.Mapped() && sect.Path() == path {
-		if s.scrubCur.sect != sect {
-			s.scrubCur = scrubCursor{sect: sect, tags: sect.Tags()}
+	// Section phase: one section at a time through the cursor's view of
+	// the current checkpoint.
+	c := &s.scrubCur
+	if err := c.track(s.snapshotPathLocked()); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			// A checkpoint committed after the path was read and removed
+			// the file: not corruption. The next step starts over on the
+			// new checkpoint.
+			return false, nil
 		}
-		for s.scrubCur.next < len(s.scrubCur.tags) {
-			tag := s.scrubCur.tags[s.scrubCur.next]
-			s.scrubCur.next++
-			s.scrubStat.SectionsVerified++
-			if err := sect.VerifyTag(tag); err != nil {
-				s.scrubFailLocked(err)
-				return false, err
-			}
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				return false, nil // budget spent; resume next step
-			}
+		s.scrubFailLocked(err)
+		return false, err
+	}
+	for c.next < len(c.tags) {
+		tag := c.tags[c.next]
+		c.next++
+		s.scrubStat.SectionsVerified++
+		if err := c.sect.VerifyTag(tag); err != nil {
+			s.scrubFailLocked(err)
+			c.next = 0
+			return false, err
 		}
-	} else {
-		s.scrubCur = scrubCursor{}
-		if path != "" {
-			if err := verifySnapshotIgnoringSupersede(path); err != nil {
-				s.scrubFailLocked(err)
-				return false, err
-			}
-			s.scrubStat.SectionsVerified++
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return false, nil // budget spent; resume next step
 		}
 	}
 
@@ -120,12 +137,11 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 	// under retention) — small enough to take as a single slice.
 	frames, err := ScrubWALFile(s)
 	s.scrubStat.FramesVerified += uint64(frames)
+	c.next = 0
 	if err != nil {
 		s.scrubFailLocked(err)
-		s.scrubCur = scrubCursor{}
 		return false, err
 	}
-	s.scrubCur = scrubCursor{}
 	s.scrubStat.Sweeps++
 	s.scrubStat.LastScrub = time.Now()
 	return true, nil
@@ -136,18 +152,6 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 // scrub the log without sweeping the checkpoint.
 func ScrubWALFile(s *Store) (frames int, err error) {
 	return storage.ScrubWALFile(s.j.WALPath())
-}
-
-// verifySnapshotIgnoringSupersede fully verifies the snapshot at path,
-// treating a vanished file as clean: a checkpoint that committed while
-// the sweep was queued removes the superseded snapshot, which is not
-// corruption.
-func verifySnapshotIgnoringSupersede(path string) error {
-	err := storage.VerifySnapshotFile(path)
-	if err != nil && !fileExists(path) {
-		return nil
-	}
-	return err
 }
 
 // scrubFailLocked records an integrity failure. Caller holds scrubMu.

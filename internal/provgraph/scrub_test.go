@@ -322,3 +322,47 @@ func TestRepairStoreFallsBackAfterBitRot(t *testing.T) {
 		t.Fatalf("scrub after repair: %v", err)
 	}
 }
+
+// TestScrubStepsThroughLiveCheckpointBySection: a store created empty
+// that checkpoints while running has no checkpoint it loaded, yet its
+// scrub still verifies the checkpoint one section per step under a tiny
+// budget, and reports done only once every section and the WAL are
+// covered.
+func TestScrubStepsThroughLiveCheckpointBySection(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	defer s.Close()
+	fillStore(t, s, 200)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := storage.OpenSectionFile(storage.SnapshotFilePath(dir, "provgraph", 1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := len(sf.Tags())
+	sf.Close()
+	if sections < 3 {
+		t.Fatalf("fixture: checkpoint has %d sections, want several", sections)
+	}
+
+	for step := 1; step <= sections; step++ {
+		done, err := s.ScrubStep(time.Nanosecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			t.Fatalf("step %d of %d sections: sweep reported done", step, sections)
+		}
+		if got := s.ScrubStatus().SectionsVerified; got != uint64(step) {
+			t.Fatalf("after step %d: %d sections verified, want %d", step, got, step)
+		}
+	}
+	done, err := s.ScrubStep(time.Nanosecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.ScrubStatus(); !done || st.Sweeps != 1 || st.SectionsVerified != uint64(sections) {
+		t.Fatalf("after the WAL step: done=%v, status %+v; want one sweep over %d sections", done, st, sections)
+	}
+}
