@@ -366,3 +366,48 @@ func TestScrubStepsThroughLiveCheckpointBySection(t *testing.T) {
 		t.Fatalf("after the WAL step: done=%v, status %+v; want one sweep over %d sections", done, st, sections)
 	}
 }
+
+// TestScrubRacingClose: scrub steps racing Close either finish against
+// the open store or fail with ErrClosed, and Close releases the
+// cursor's checkpoint view whichever side wins.
+func TestScrubRacingClose(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	fillStore(t, s, 100)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	errs, stepped := make(chan error, 2), make(chan struct{}, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			for i := 0; ; i++ {
+				_, err := s.ScrubStep(time.Microsecond)
+				if i == 0 {
+					stepped <- struct{}{}
+				}
+				if err != nil {
+					if errors.Is(err, ErrClosed) {
+						err = nil
+					}
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	<-stepped
+	<-stepped
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("scrub racing Close: %v", err)
+		}
+	}
+	s.scrubMu.Lock()
+	defer s.scrubMu.Unlock()
+	if s.scrubCur.sect != nil {
+		t.Fatal("Close left the scrub cursor's checkpoint view open")
+	}
+}
