@@ -44,8 +44,12 @@ type ScrubStatus struct {
 
 // scrubCursor tracks a sweep's position so each ScrubStep does a
 // bounded slice of work and the sweep resumes where it left off. It
-// owns its own view of the current checkpoint file, opened mapped and
-// released when the checkpoint path changes and when the store closes.
+// owns its own view of the current checkpoint file for the length of
+// one sweep: opened mapped when the sweep starts or the checkpoint path
+// changes, and released when the sweep ends, when it finds corruption,
+// when the path changes and when the store closes. Holding no view
+// between sweeps keeps the checkpoint's pages out of the process's
+// resident set while the store is not being scrubbed.
 type scrubCursor struct {
 	sect *storage.SectionFile
 	tags []uint32
@@ -53,11 +57,10 @@ type scrubCursor struct {
 }
 
 // track points the cursor at the checkpoint at path ("" for none),
-// opening a view of it and restarting the sweep when the path changed.
-// A view that could not be mapped is a copy read at open, so it is
-// re-read at the start of each sweep to see the file's current bytes.
+// opening a view of it and restarting the sweep unless it already
+// holds one of that path.
 func (c *scrubCursor) track(path string) error {
-	if c.sect != nil && c.sect.Path() == path && (c.sect.Mapped() || c.next > 0) {
+	if c.sect != nil && c.sect.Path() == path {
 		return nil
 	}
 	c.release()
@@ -125,7 +128,7 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 		s.scrubStat.SectionsVerified++
 		if err := c.sect.VerifyTag(tag); err != nil {
 			s.scrubFailLocked(err)
-			c.next = 0
+			c.release()
 			return false, err
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
@@ -137,7 +140,7 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 	// under retention) — small enough to take as a single slice.
 	frames, err := ScrubWALFile(s)
 	s.scrubStat.FramesVerified += uint64(frames)
-	c.next = 0
+	c.release()
 	if err != nil {
 		s.scrubFailLocked(err)
 		return false, err
