@@ -325,9 +325,8 @@ type Store struct {
 	// events they key and the checkpoint's dedup section.
 	dedup dedupWindow
 
-	// Online scrub state (see scrub.go): the sweep cursor, with its own
-	// view of the current checkpoint, and cumulative counters, both
-	// guarded by scrubMu (one scrub step at a time).
+	// Online scrub state (see scrub.go): the sweep cursor and cumulative
+	// counters, both guarded by scrubMu (one scrub step at a time).
 	scrubMu   sync.Mutex
 	scrubCur  scrubCursor
 	scrubStat ScrubStatus
@@ -408,9 +407,6 @@ func (s *Store) Close() error {
 	err := s.j.Close()
 	s.mu.Unlock()
 	s.ckptMu.Unlock()
-	s.scrubMu.Lock()
-	s.scrubCur.release()
-	s.scrubMu.Unlock()
 	s.WaitReseal()
 	// Drop the store's own liveness pin. If no reads are in flight this
 	// releases the checkpoint view (unmapping it) right here; otherwise

@@ -7,11 +7,11 @@ package provgraph
 // unlucky open.
 //
 // The checkpoint half has one path for every store, whether it loaded
-// its checkpoint mapped, loaded it with NoMmap, or wrote it live: the
-// scrub cursor maps the current checkpoint file itself and
-// re-checksums one section at a time through SectionFile.VerifyTag. A
-// MAP_SHARED mapping observes current disk content at page-cache cost,
-// with no locks and no copy of the file. The WAL half re-reads the log
+// its checkpoint mapped, loaded it with NoMmap, or wrote it live: each
+// step maps the current checkpoint file itself and re-checksums
+// sections one at a time through SectionFile.VerifyTag, resuming where
+// the last step stopped. A MAP_SHARED mapping observes current disk
+// content at page-cache cost, with no locks and no copy of the file. The WAL half re-reads the log
 // file through its own descriptor (ScrubWALFile), which is safe against
 // concurrent appends, trims and rename swaps.
 
@@ -43,44 +43,13 @@ type ScrubStatus struct {
 }
 
 // scrubCursor tracks a sweep's position so each ScrubStep does a
-// bounded slice of work and the sweep resumes where it left off. It
-// owns its own view of the current checkpoint file for the length of
-// one sweep: opened mapped when the sweep starts or the checkpoint path
-// changes, and released when the sweep ends, when it finds corruption,
-// when the path changes and when the store closes. Holding no view
-// between sweeps keeps the checkpoint's pages out of the process's
-// resident set while the store is not being scrubbed.
+// bounded slice of work and the sweep resumes where it left off: the
+// checkpoint the sweep is on, its section tags (nil until first read)
+// and the next one to verify. A new checkpoint path restarts the sweep.
 type scrubCursor struct {
-	sect *storage.SectionFile
+	path string
 	tags []uint32
 	next int
-}
-
-// track points the cursor at the checkpoint at path ("" for none),
-// opening a view of it and restarting the sweep unless it already
-// holds one of that path.
-func (c *scrubCursor) track(path string) error {
-	if c.sect != nil && c.sect.Path() == path {
-		return nil
-	}
-	c.release()
-	if path == "" {
-		return nil
-	}
-	sf, err := storage.OpenSectionFile(path, true)
-	if err != nil {
-		return err
-	}
-	c.sect, c.tags = sf, sf.Tags()
-	return nil
-}
-
-// release drops the cursor's checkpoint view and resets the sweep.
-func (c *scrubCursor) release() {
-	if c.sect != nil {
-		c.sect.Close()
-	}
-	*c = scrubCursor{}
 }
 
 // ScrubStep runs one bounded slice of the integrity sweep: it verifies
@@ -100,39 +69,19 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 	defer release()
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()
-	if s.closed.Load() {
-		return false, ErrClosed // Close has released the cursor's view
-	}
 
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
 
-	// Section phase: one section at a time through the cursor's view of
-	// the current checkpoint.
 	c := &s.scrubCur
-	if err := c.track(s.snapshotPathLocked()); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			// A checkpoint committed after the path was read and removed
-			// the file: not corruption. The next step starts over on the
-			// new checkpoint.
-			return false, nil
-		}
-		s.scrubFailLocked(err)
-		return false, err
+	if path := s.snapshotPathLocked(); path != c.path {
+		*c = scrubCursor{path: path}
 	}
-	for c.next < len(c.tags) {
-		tag := c.tags[c.next]
-		c.next++
-		s.scrubStat.SectionsVerified++
-		if err := c.sect.VerifyTag(tag); err != nil {
-			s.scrubFailLocked(err)
-			c.release()
+	if c.path != "" && (c.tags == nil || c.next < len(c.tags)) {
+		if more, err := s.scrubSectionsLocked(deadline); more || err != nil {
 			return false, err
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return false, nil // budget spent; resume next step
 		}
 	}
 
@@ -140,7 +89,7 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 	// under retention) — small enough to take as a single slice.
 	frames, err := ScrubWALFile(s)
 	s.scrubStat.FramesVerified += uint64(frames)
-	c.release()
+	c.tags, c.next = nil, 0
 	if err != nil {
 		s.scrubFailLocked(err)
 		return false, err
@@ -148,6 +97,47 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 	s.scrubStat.Sweeps++
 	s.scrubStat.LastScrub = time.Now()
 	return true, nil
+}
+
+// scrubSectionsLocked verifies the cursor's checkpoint sections from
+// the cursor on, one at a time, until deadline passes (zero: until all
+// are done). It maps the file for this call only: pages a step touched
+// leave the resident set when it returns, so a sweep never holds the
+// whole checkpoint in memory. more reports that the step's budget is
+// spent or the sweep must restart, so the WAL phase waits for a later
+// step. Caller holds scrubMu.
+func (s *Store) scrubSectionsLocked(deadline time.Time) (more bool, err error) {
+	c := &s.scrubCur
+	sf, err := storage.OpenSectionFile(c.path, true)
+	if err != nil {
+		c.tags, c.next = nil, 0
+		if errors.Is(err, fs.ErrNotExist) {
+			// A checkpoint committed after the path was read and removed
+			// the file: not corruption. The next step starts over on the
+			// new checkpoint.
+			return true, nil
+		}
+		s.scrubFailLocked(err)
+		return false, err
+	}
+	defer sf.Close()
+	if c.tags == nil {
+		c.tags = sf.Tags()
+	}
+	for c.next < len(c.tags) {
+		tag := c.tags[c.next]
+		c.next++
+		s.scrubStat.SectionsVerified++
+		if err := sf.VerifyTag(tag); err != nil {
+			s.scrubFailLocked(err)
+			c.next = 0
+			return false, err
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return true, nil // budget spent; resume next step
+		}
+	}
+	return false, nil
 }
 
 // ScrubWALFile re-verifies every frame CRC of the store's live WAL file
