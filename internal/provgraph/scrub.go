@@ -7,11 +7,12 @@ package provgraph
 // unlucky open.
 //
 // The checkpoint half has one path for every store, whether it loaded
-// its checkpoint mapped, loaded it with NoMmap, or wrote it live: each
-// step maps the current checkpoint file itself and re-checksums
-// sections one at a time through SectionFile.VerifyTag, resuming where
-// the last step stopped. A MAP_SHARED mapping observes current disk
-// content at page-cache cost, with no locks and no copy of the file. The WAL half re-reads the log
+// its checkpoint mapped, loaded it with NoMmap, or wrote it live: the
+// sweep maps the current checkpoint file itself, once per section, and
+// re-checksums the section through SectionFile.VerifyTag, resuming
+// where the last step stopped. A MAP_SHARED mapping observes current
+// disk content at page-cache cost, with no locks and no copy of the
+// file. (Where mmap is unavailable each open reads the whole file.) The WAL half re-reads the log
 // file through its own descriptor (ScrubWALFile), which is safe against
 // concurrent appends, trims and rename swaps.
 
@@ -101,34 +102,38 @@ func (s *Store) ScrubStep(budget time.Duration) (done bool, err error) {
 
 // scrubSectionsLocked verifies the cursor's checkpoint sections from
 // the cursor on, one at a time, until deadline passes (zero: until all
-// are done). It maps the file for this call only: pages a step touched
-// leave the resident set when it returns, so a sweep never holds the
-// whole checkpoint in memory. more reports that the step's budget is
-// spent or the sweep must restart, so the WAL phase waits for a later
-// step. Caller holds scrubMu.
+// are done). Each section is verified through a mapping of the file
+// opened for it alone, so the scrub never holds more than one section
+// of the checkpoint in the resident set; a step's budget covers tens of
+// megabytes of CRC, which a mapping held for the whole step would keep
+// resident. more reports that the step's budget is spent or the sweep
+// must restart, so the WAL phase waits for a later step. Caller holds
+// scrubMu.
 func (s *Store) scrubSectionsLocked(deadline time.Time) (more bool, err error) {
 	c := &s.scrubCur
-	sf, err := storage.OpenSectionFile(c.path, true)
-	if err != nil {
-		c.tags, c.next = nil, 0
-		if errors.Is(err, fs.ErrNotExist) {
-			// A checkpoint committed after the path was read and removed
-			// the file: not corruption. The next step starts over on the
-			// new checkpoint.
-			return true, nil
+	for c.tags == nil || c.next < len(c.tags) {
+		sf, err := storage.OpenSectionFile(c.path, true)
+		if err != nil {
+			c.tags, c.next = nil, 0
+			if errors.Is(err, fs.ErrNotExist) {
+				// A checkpoint committed after the path was read and
+				// removed the file: not corruption. The next step starts
+				// over on the new checkpoint.
+				return true, nil
+			}
+			s.scrubFailLocked(err)
+			return false, err
 		}
-		s.scrubFailLocked(err)
-		return false, err
-	}
-	defer sf.Close()
-	if c.tags == nil {
-		c.tags = sf.Tags()
-	}
-	for c.next < len(c.tags) {
-		tag := c.tags[c.next]
-		c.next++
-		s.scrubStat.SectionsVerified++
-		if err := sf.VerifyTag(tag); err != nil {
+		if c.tags == nil {
+			c.tags = sf.Tags()
+		}
+		if c.next < len(c.tags) {
+			s.scrubStat.SectionsVerified++
+			err = sf.VerifyTag(c.tags[c.next])
+			c.next++
+		}
+		sf.Close()
+		if err != nil {
 			s.scrubFailLocked(err)
 			c.next = 0
 			return false, err
