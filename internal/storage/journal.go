@@ -64,17 +64,16 @@ type Journal struct {
 // JournalCallbacks supplies the store-specific halves of recovery.
 type JournalCallbacks struct {
 	// LoadSections is called with the open snapshot file. Section
-	// payloads are
-	// checksummed lazily on first access; the loader owns deciding which
-	// sections to touch. The callback takes ownership of the file's
-	// reference: a loader that keeps aliases into section payloads must
-	// keep the SectionFile and Close it when those aliases die (the
-	// journal itself never closes it). Opening a journal that has a
-	// snapshot fails when it is nil.
+	// payloads are checksummed lazily on first access; the loader owns
+	// deciding which sections to touch. The callback takes ownership of
+	// the file's reference: a loader that keeps aliases into section
+	// payloads must keep the SectionFile and Close it when those aliases
+	// die (the journal itself never closes it). Opening a journal that
+	// has a snapshot fails when it is nil.
 	LoadSections func(f *SectionFile) error
 	// MapSnapshot asks for the snapshot to be memory-mapped instead of
-	// read onto the heap (best effort; platforms without
-	// mmap fall back to the heap read).
+	// read onto the heap (best effort; platforms without mmap fall back
+	// to the heap read).
 	MapSnapshot bool
 	// Replay applies one logged mutation during recovery.
 	Replay func(payload []byte) error
