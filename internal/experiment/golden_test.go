@@ -11,6 +11,7 @@ import (
 
 	"browserprov/internal/provgraph"
 	"browserprov/internal/query"
+	"browserprov/internal/textindex"
 )
 
 var update = flag.Bool("update", false, "rewrite the goldens under testdata/")
@@ -150,6 +151,74 @@ func paperQueries(t *testing.T, store *provgraph.Store, tr Truth) []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// TestContextualSaturationGolden pins contextual search where its seeds
+// fill the expansion cap. Each paper query runs twice on one fixture: at
+// the default options, and with MaxNodes set to the query's full seed
+// count, the largest cap that seed set saturates. Each run records the
+// nodes expanded, the hit count, the hits with no text score (pages
+// reached only through provenance) and the top ranked URLs, those pages
+// marked "(provenance)"; never a score or a timing.
+func TestContextualSaturationGolden(t *testing.T) {
+	w := buildSmall(t, 6, 41)
+	ctx := context.Background()
+	v := query.NewEngine(w.Prov, query.Options{Budget: -1}).View()
+	terms := append([]string{w.Truth.RosebudQuery, w.Truth.WineQuery}, v.Engine().Index().Terms(4)...)
+	var buf bytes.Buffer
+	for _, q := range terms {
+		seeds := fullSeedCount(v, q)
+		for _, run := range []struct {
+			name string
+			opts []query.Option
+		}{
+			{"default", nil},
+			{fmt.Sprintf("max_nodes %d", seeds), []query.Option{query.WithMaxNodes(seeds)}},
+		} {
+			hits, meta, err := v.Search(ctx, q, 0, run.opts...)
+			if err != nil {
+				t.Fatalf("search %q %s: %v", q, run.name, err)
+			}
+			if meta.Truncated {
+				t.Fatalf("search %q %s: truncated under an unlimited budget", q, run.name)
+			}
+			provOnly := 0
+			for _, h := range hits {
+				if h.TextScore == 0 {
+					provOnly++
+				}
+			}
+			fmt.Fprintf(&buf, "search %q %s expanded %d hits %d provenance_only %d\n",
+				q, run.name, meta.Expanded, len(hits), provOnly)
+			for i, h := range hits[:min(len(hits), goldenSearchK)] {
+				mark := ""
+				if h.TextScore == 0 {
+					mark = " (provenance)"
+				}
+				fmt.Fprintf(&buf, "  %2d %s%s\n", i+1, h.URL, mark)
+			}
+		}
+	}
+	checkGolden(t, "contextual_saturation.golden", buf.Bytes())
+}
+
+// fullSeedCount is the number of seeds contextual search would load for
+// q without a bound: every visit of each page among its top 200 text
+// hits, plus one seed per other text hit.
+func fullSeedCount(v *query.View, q string) int {
+	sn := v.Snapshot()
+	seeds := 0
+	for _, h := range v.Engine().Index().SearchUnder(q, 200, textindex.DocID(sn.MaxNodeID())) {
+		n, ok := sn.NodeByID(provgraph.NodeID(h.Doc))
+		switch {
+		case !ok:
+		case n.Kind == provgraph.KindPage:
+			seeds += len(sn.VisitsOfPage(n.ID))
+		default:
+			seeds++
+		}
+	}
+	return seeds
 }
 
 // TestStorageScaleGoldens pins E1's durable footprints and E3's graph
