@@ -346,3 +346,71 @@ func TestSnapshotVersionEdgesMode(t *testing.T) {
 		t.Fatalf("mode = %v", sn.Mode())
 	}
 }
+
+// TestVisitsOfPageCreationOrder pins the order contextual search's seed
+// bound relies on to keep a page's most recent visits: VisitsOfPage
+// lists the visits in creation order (ascending ID, VisitSeq 1..n) from
+// the tail, from a sealed epoch, from a tail row over a sealed one, and
+// from a reopened mapped checkpoint.
+func TestVisitsOfPageCreationOrder(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	defer func() { s.Close() }()
+	const page = "http://often.example/"
+	at := t0
+	visits := 0
+	feed := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			at = at.Add(time.Minute)
+			mustApply(t, s, visit(1, fmt.Sprintf("http://other%d.example/", visits), "Other", "", event.TransTyped, at))
+			at = at.Add(time.Minute)
+			mustApply(t, s, visit(1+i%2, page, "Often", "", event.TransTyped, at))
+			visits++
+		}
+	}
+	check := func(label string) {
+		t.Helper()
+		sn := s.Snapshot()
+		p, ok := sn.PageByURL(page)
+		if !ok {
+			t.Fatalf("%s: page missing", label)
+		}
+		vs := sn.VisitsOfPage(p.ID)
+		if len(vs) != visits {
+			t.Fatalf("%s: %d visits, want %d", label, len(vs), visits)
+		}
+		for i, v := range vs {
+			n, ok := sn.NodeByID(v)
+			if !ok || n.VisitSeq != i+1 || n.Page != p.ID || (i > 0 && v <= vs[i-1]) {
+				t.Fatalf("%s: visit %d is %d (%+v), not in creation order", label, i, v, n)
+			}
+		}
+	}
+
+	feed(20)
+	if s.sealedMaxNow() != 0 {
+		t.Fatal("store sealed before the test asked it to")
+	}
+	check("tail")
+	s.ForceReseal()
+	s.WaitReseal()
+	sn := s.Snapshot()
+	if p, _ := sn.PageByURL(page); s.sealedMaxNow() < sn.VisitsOfPage(p.ID)[visits-1] {
+		t.Fatal("reseal did not seal the page's visits")
+	}
+	check("sealed")
+	feed(5)
+	check("tail over sealed")
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openStore(t, dir)
+	if mi := s.MappedInfo(); mi.MappedBytes == 0 {
+		t.Fatalf("reopened store is not served from a mapped checkpoint: %+v", mi)
+	}
+	check("mapped checkpoint")
+}

@@ -6,6 +6,7 @@ import (
 
 	"browserprov/internal/graph"
 	"browserprov/internal/provgraph"
+	"browserprov/internal/textindex"
 	"browserprov/internal/topk"
 )
 
@@ -51,6 +52,17 @@ func (v *View) Search(ctx context.Context, q string, k int, opts ...Option) ([]P
 // contextualSearch is the §2.1 core, shared with Personalize so its
 // multi-stage evaluation keeps a single Run (one snapshot, one budget).
 //
+// The seeds count toward the expansion's maxNodes cap, and a seed set
+// that fills the cap leaves the expansion no room to admit a single
+// provenance neighbour: the search would only move weight between its
+// own text hits, which is not the reordering §2.1 is about. On a long
+// history one text-hit page can have thousands of visits, so stage 1
+// seeds every visit only while the full seed set stays below maxNodes.
+// Otherwise each text-hit page seeds just its max(1, maxNodes/2/pages)
+// most recent visits, pages being the number of page hits; term,
+// download and form hits (and edge-mode page identities) seed as
+// before. See seedQuota.
+//
 // Every per-query working set — seeds, expansion scores, text scores,
 // the page fold — lives in the Run's dense scratch arena instead of
 // hash maps: node IDs are dense integers, so each "map" is a flat slab
@@ -68,32 +80,8 @@ func (r *Run) contextualSearch(q string, k int) []PageHit {
 	// Stage 1: textual search over all indexed nodes (pages, terms,
 	// downloads, forms), bounded to the pinned epoch's corpus. Matches
 	// seed the expansion; page text scores park in a slab for stage 3.
-	textHits := r.searchIndex(q, 200)
-	a.ResetExpand(nCap)
+	r.seed(r.searchIndex(q, 200))
 	textScore := &a.PageA
-	textScore.Reset(nCap)
-	for _, h := range textHits {
-		id := provgraph.NodeID(h.Doc)
-		kind, _, ok := sn.KindPage(id)
-		if !ok {
-			continue
-		}
-		switch kind {
-		case provgraph.KindPage:
-			textScore.Set(id, h.Score)
-			// Seed the page's visit instances: provenance lives on the
-			// instance level (§3.1).
-			for _, v := range sn.VisitsOfPage(id) {
-				a.SeedExpand(v, h.Score)
-			}
-			if sn.Mode() == provgraph.VersionEdges {
-				a.SeedExpand(id, h.Score)
-			}
-		default:
-			// Term/download/form nodes participate directly.
-			a.SeedExpand(id, h.Score)
-		}
-	}
 
 	// Stage 2: neighborhood expansion through the personalisation lens.
 	g := r.graphView()
@@ -162,6 +150,71 @@ func (r *Run) contextualSearch(q string, k int) []PageHit {
 		hits[i].URL, hits[i].Title = n.URL, n.Title
 	}
 	return hits
+}
+
+// seed loads stage 1 of contextual search into the run's arena: the
+// expansion's seeds, and each page hit's text score in a.PageA.
+func (r *Run) seed(textHits []textindex.Result) {
+	sn := r.Snapshot()
+	a := r.arena
+	nCap := a.NodeCap()
+	a.ResetExpand(nCap)
+	a.PageA.Reset(nCap)
+	quota := seedQuota(sn, textHits, r.opts.maxNodes())
+	for _, h := range textHits {
+		id := provgraph.NodeID(h.Doc)
+		kind, _, ok := sn.KindPage(id)
+		if !ok {
+			continue
+		}
+		switch kind {
+		case provgraph.KindPage:
+			a.PageA.Set(id, h.Score)
+			// Seed the page's visit instances: provenance lives on the
+			// instance level (§3.1). Visits are in creation order, so
+			// the quota keeps the most recent ones.
+			vs := sn.VisitsOfPage(id)
+			if quota > 0 && len(vs) > quota {
+				vs = vs[len(vs)-quota:]
+			}
+			for _, v := range vs {
+				a.SeedExpand(v, h.Score)
+			}
+			if sn.Mode() == provgraph.VersionEdges {
+				a.SeedExpand(id, h.Score)
+			}
+		default:
+			// Term/download/form nodes participate directly.
+			a.SeedExpand(id, h.Score)
+		}
+	}
+}
+
+// seedQuota returns how many of its most recent visits each text-hit
+// page seeds: 0 (all of them) while the full seed set stays below
+// maxNodes, else max(1, maxNodes/2/pages) for pages page hits, so
+// that page seeds take at most about half the cap.
+func seedQuota(sn *provgraph.Snapshot, textHits []textindex.Result, maxNodes int) int {
+	seeds, pages := 0, 0
+	for _, h := range textHits {
+		id := provgraph.NodeID(h.Doc)
+		kind, _, ok := sn.KindPage(id)
+		switch {
+		case !ok:
+		case kind == provgraph.KindPage:
+			pages++
+			seeds += len(sn.VisitsOfPage(id))
+			if sn.Mode() == provgraph.VersionEdges {
+				seeds++
+			}
+		default:
+			seeds++
+		}
+	}
+	if seeds < maxNodes || pages == 0 {
+		return 0
+	}
+	return max(1, maxNodes/2/pages)
 }
 
 // topHits ranks hits by descending score (page ID as the stable

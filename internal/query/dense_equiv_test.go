@@ -96,14 +96,36 @@ func refHITS(g graph.Graph, nodes []graph.NodeID, iters int, tol float64) (hubs,
 	return hubs, auths
 }
 
-// referenceContextualSearch is the §2.1 pipeline exactly as it ran
-// before the dense-arena rewrite.
+// referenceContextualSearch is the §2.1 pipeline as it ran before the
+// dense-arena rewrite, with the saturation bound on page seeds restated
+// over its maps: when the full seed set would reach maxNodes, each page
+// seeds only its max(1, maxNodes/2/pages) most recent visits.
 func referenceContextualSearch(r *Run, q string, k int) []PageHit {
 	if r.Stop() {
 		return nil
 	}
 	sn := r.Snapshot()
 	textHits := r.searchIndex(q, 200)
+	full, pages := 0, 0
+	for _, h := range textHits {
+		n, ok := sn.NodeByID(provgraph.NodeID(h.Doc))
+		if !ok {
+			continue
+		}
+		if n.Kind != provgraph.KindPage {
+			full++
+			continue
+		}
+		pages++
+		full += len(sn.VisitsOfPage(n.ID))
+		if sn.Mode() == provgraph.VersionEdges {
+			full++
+		}
+	}
+	quota := math.MaxInt
+	if full >= r.opts.maxNodes() && pages > 0 {
+		quota = max(1, r.opts.maxNodes()/2/pages)
+	}
 	seeds := make(map[graph.NodeID]float64, len(textHits)*2)
 	textScore := make(map[provgraph.NodeID]float64, len(textHits))
 	for _, h := range textHits {
@@ -115,7 +137,8 @@ func referenceContextualSearch(r *Run, q string, k int) []PageHit {
 		switch n.Kind {
 		case provgraph.KindPage:
 			textScore[id] = h.Score
-			for _, v := range sn.VisitsOfPage(id) {
+			vs := sn.VisitsOfPage(id)
+			for _, v := range vs[max(0, len(vs)-quota):] {
 				seeds[v] = h.Score
 			}
 			if sn.Mode() == provgraph.VersionEdges {
@@ -332,7 +355,8 @@ func comparePageHits(t *testing.T, label string, got, want []PageHit) {
 // TestDenseSearchMatchesReference: the arena pipeline must rank
 // identically to the map reference — same hits, same order, scores
 // within fp accumulation noise — across randomized workloads, with and
-// without HITS.
+// without HITS, at the default cap and at one every query's seeds
+// saturate.
 func TestDenseSearchMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		f := newFixture(t)
@@ -341,10 +365,17 @@ func TestDenseSearchMatchesReference(t *testing.T) {
 		v := e.View()
 		ctx := context.Background()
 		for _, q := range []string{"wine", "garden flower", "ticket paris", "cheese"} {
-			for _, hits := range []bool{false, true} {
+			for _, tc := range []struct {
+				hits     bool
+				maxNodes int
+			}{{false, 0}, {true, 0}, {false, saturatedCap}, {true, saturatedCap}} {
+				hits := tc.hits
 				// k=0 compares the complete rankings; a k cut could split
 				// an fp-tied group differently between the two pipelines.
-				opts := []Option{WithHITS(hits), WithBudget(-1)}
+				opts := []Option{WithHITS(hits), WithBudget(-1), WithMaxNodes(tc.maxNodes)}
+				if tc.maxNodes > 0 && boundedSeeds(t, v, q, tc.maxNodes) < tc.maxNodes {
+					t.Fatalf("q=%q: bounded seeds leave room under maxNodes %d", q, tc.maxNodes)
+				}
 				got, _, err := v.Search(ctx, q, 0, opts...)
 				if err != nil {
 					t.Fatal(err)
@@ -355,7 +386,7 @@ func TestDenseSearchMatchesReference(t *testing.T) {
 				}
 				want := referenceContextualSearch(r, q, 0)
 				r.Finish()
-				comparePageHits(t, fmt.Sprintf("seed %d q=%q hits=%v", seed, q, hits), got, want)
+				comparePageHits(t, fmt.Sprintf("seed %d q=%q hits=%v maxNodes=%d", seed, q, hits, tc.maxNodes), got, want)
 
 				// The k cut must be exactly the prefix of the full ranking
 				// (dense vs dense: bounded-heap selection vs full sort).
@@ -377,6 +408,65 @@ func TestDenseSearchMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// saturatedCap is a MaxNodes every randomized-history query's seed set
+// saturates even after the bound, so the expansion admits no node and
+// the map reference's iteration order cannot change which nodes it
+// scores.
+const saturatedCap = 16
+
+// boundedSeeds fails t unless q's full seed set reaches maxNodes, so the
+// search takes the bounded seeding path, and returns how many seeds that
+// path loads.
+func boundedSeeds(t *testing.T, v *View, q string, maxNodes int) int {
+	t.Helper()
+	r, err := v.Begin(context.Background(), WithBudget(-1), WithMaxNodes(maxNodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Finish()
+	hits := r.searchIndex(q, 200)
+	if seedQuota(r.Snapshot(), hits, maxNodes) == 0 {
+		t.Fatalf("q=%q: seeds do not saturate maxNodes %d", q, maxNodes)
+	}
+	r.seed(hits)
+	return r.arena.Scores.Len()
+}
+
+// TestDenseSearchMatchesReferenceBoundedSeeds: where the bound keeps
+// several visits per page and the bounded expansion fits under the cap,
+// the arena pipeline and the map reference still agree.
+func TestDenseSearchMatchesReferenceBoundedSeeds(t *testing.T) {
+	f := newFixture(t)
+	buildRevisitHistory(t, f)
+	v := NewEngine(f.s, Options{}).View()
+	ctx := context.Background()
+	const maxNodes = revisitCap
+	boundedSeeds(t, v, "wine", maxNodes)
+	for _, hits := range []bool{false, true} {
+		opts := []Option{WithHITS(hits), WithBudget(-1), WithMaxNodes(maxNodes), WithDepth(1)}
+		got, meta, err := v.Search(ctx, "wine", 0, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The kernel refuses a node once scored plus frontier nodes reach
+		// the cap, and the frontier may repeat scored nodes, so a deeper
+		// expansion can refuse nodes and still end below the cap. In one
+		// round it cannot: ending below the cap proves no node was
+		// refused, so the map reference's iteration order cannot pick
+		// different nodes.
+		if meta.Expanded >= maxNodes {
+			t.Fatalf("hits=%v: expanded %d, want below the cap %d", hits, meta.Expanded, maxNodes)
+		}
+		r, err := v.Begin(ctx, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceContextualSearch(r, "wine", 0)
+		r.Finish()
+		comparePageHits(t, fmt.Sprintf("bounded hits=%v", hits), got, want)
 	}
 }
 

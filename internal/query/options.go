@@ -59,6 +59,11 @@ type Options struct {
 	// MaxDepth bounds expansion depth. 0 means 3.
 	MaxDepth int
 	// MaxNodes bounds the expanded neighborhood size. 0 means 5000.
+	// Seeds count toward it. When contextual search's full seed set
+	// (every visit of each text-hit page, plus one seed per other text
+	// hit) would reach it, each text-hit page seeds only its
+	// max(1, MaxNodes/2/pages) most recent visits, so the expansion keeps
+	// room for provenance neighbors.
 	MaxNodes int
 	// UseHITS additionally runs HITS over the expanded neighborhood and
 	// blends authority scores into the ranking.
@@ -127,7 +132,8 @@ func WithDecay(d float64) Option { return func(o *Options) { o.Decay = d } }
 // WithDepth bounds neighborhood-expansion depth for this call.
 func WithDepth(depth int) Option { return func(o *Options) { o.MaxDepth = depth } }
 
-// WithMaxNodes bounds the expanded neighborhood size for this call.
+// WithMaxNodes bounds the expanded neighborhood size for this call,
+// seeds included (see Options.MaxNodes).
 func WithMaxNodes(n int) Option { return func(o *Options) { o.MaxNodes = n } }
 
 // WithHITS toggles the HITS authority blend over the expanded
