@@ -37,7 +37,8 @@ func Eval(ctx context.Context, v *query.View, src string, opts ...query.Option) 
 // Run executes a parsed query on the View. The whole evaluation runs
 // against the View's pinned snapshot, so traversal and predicates see a
 // consistent point-in-time graph and take no locks; budget and
-// cancellation are checked between BFS visits and surfaced in Meta.
+// cancellation are checked on the first BFS visit and every pollEvery
+// visits after it, and surfaced in Meta.
 func Run(ctx context.Context, v *query.View, q *Query, opts ...query.Option) (Result, query.Meta, error) {
 	r, err := v.Begin(ctx, opts...)
 	if err != nil {
@@ -61,8 +62,9 @@ func Run(ctx context.Context, v *query.View, q *Query, opts ...query.Option) (Re
 			startSet[st] = true
 		}
 		var out []provgraph.Node
+		stop := pollStop(r)
 		graph.BFS(s, starts, dir, func(n graph.NodeID, depth int) bool {
-			if r.Stop() {
+			if stop() {
 				return false
 			}
 			if startSet[n] {
@@ -93,8 +95,9 @@ func Run(ctx context.Context, v *query.View, q *Query, opts ...query.Option) (Re
 		// Path queries take the first start node (sources resolving to a
 		// single object are the common case).
 		aborted := false
+		stop := pollStop(r)
 		path, found := graph.FindFirst(s, starts[0], dir, false, func(n graph.NodeID) bool {
-			if r.Stop() {
+			if stop() {
 				aborted = true
 				return true // abort traversal by "finding" the current node
 			}
@@ -113,6 +116,22 @@ func Run(ctx context.Context, v *query.View, q *Query, opts ...query.Option) (Re
 		return res, r.Finish(), nil
 	default:
 		return Result{}, r.Finish(), fmt.Errorf("%w: unknown op %d", query.ErrBadQuery, q.Op)
+	}
+}
+
+// pollEvery is how many BFS visits pass between two budget polls. A
+// poll reads the clock, and reading it on every visit cost a few
+// percent of a whole query loop.
+const pollEvery = 256
+
+// pollStop returns a stop check for a traversal's visit callback: it
+// polls r.Stop on the first visit, so an expired budget or a canceled
+// context stops at once, and then on every pollEvery-th visit.
+func pollStop(r *query.Run) func() bool {
+	visits := 0
+	return func() bool {
+		visits++
+		return visits%pollEvery == 1 && r.Stop()
 	}
 }
 

@@ -262,3 +262,25 @@ func TestEvalReportsGeneration(t *testing.T) {
 		t.Fatalf("meta.Generation = %d, view = %d", meta.Generation, v.Generation())
 	}
 }
+
+// TestCanceledStopsAtFirstVisit: the traversals poll the budget only
+// every pollEvery visits, but the first poll is on the first visit, so a
+// query begun with a canceled context finds nothing.
+func TestCanceledStopsAtFirstVisit(t *testing.T) {
+	_, e := buildStore(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, src := range []string{
+		`ancestors(download("/home/u/codec.exe"))`,
+		`first ancestor of download("/home/u/codec.exe") where kind = search-term`,
+	} {
+		res, meta, err := Eval(ctx, e.View(), src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		// A path query still reports the path to the visit it stopped at.
+		if !meta.Canceled || res.Found || (!res.IsPath && len(res.Nodes) != 0) {
+			t.Fatalf("%s: canceled query returned %+v, meta %+v", src, res, meta)
+		}
+	}
+}
