@@ -15,7 +15,6 @@ package pql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind discriminates lexer output.
@@ -88,8 +87,8 @@ func errf(pos int, format string, args ...any) error {
 	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// lex splits src into tokens. Identifiers may contain '-' so edge and
-// node kind names ("search-term") lex as single tokens.
+// lex splits src into tokens. Identifiers are ASCII and may contain '-'
+// so edge and node kind names ("search-term") lex as single tokens.
 func lex(src string) ([]token, error) {
 	var toks []token
 	i := 0
@@ -153,15 +152,10 @@ func lex(src string) ([]token, error) {
 			}
 			toks = append(toks, token{tokNumber, src[i:j], i})
 			i = j
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case isLetter(c) || c == '_':
 			j := i
-			for j < len(src) {
-				r := rune(src[j])
-				if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' {
-					j++
-					continue
-				}
-				break
+			for j < len(src) && (isLetter(src[j]) || src[j] >= '0' && src[j] <= '9' || src[j] == '_' || src[j] == '-') {
+				j++
 			}
 			toks = append(toks, token{tokIdent, strings.ToLower(src[i:j]), i})
 			i = j
@@ -171,4 +165,11 @@ func lex(src string) ([]token, error) {
 	}
 	toks = append(toks, token{tokEOF, "", len(src)})
 	return toks, nil
+}
+
+// isLetter reports whether c is an ASCII letter. A byte of multi-byte
+// UTF-8 is not a character on its own, so it never starts or extends an
+// identifier.
+func isLetter(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
