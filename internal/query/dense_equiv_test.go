@@ -369,10 +369,9 @@ func TestDenseSearchMatchesReference(t *testing.T) {
 				hits     bool
 				maxNodes int
 			}{{false, 0}, {true, 0}, {false, saturatedCap}, {true, saturatedCap}} {
-				hits := tc.hits
 				// k=0 compares the complete rankings; a k cut could split
 				// an fp-tied group differently between the two pipelines.
-				opts := []Option{WithHITS(hits), WithBudget(-1), WithMaxNodes(tc.maxNodes)}
+				opts := []Option{WithHITS(tc.hits), WithBudget(-1), WithMaxNodes(tc.maxNodes)}
 				if tc.maxNodes > 0 && boundedSeeds(t, v, q, tc.maxNodes) < tc.maxNodes {
 					t.Fatalf("q=%q: bounded seeds leave room under maxNodes %d", q, tc.maxNodes)
 				}
@@ -386,7 +385,7 @@ func TestDenseSearchMatchesReference(t *testing.T) {
 				}
 				want := referenceContextualSearch(r, q, 0)
 				r.Finish()
-				comparePageHits(t, fmt.Sprintf("seed %d q=%q hits=%v maxNodes=%d", seed, q, hits, tc.maxNodes), got, want)
+				comparePageHits(t, fmt.Sprintf("seed %d q=%q hits=%v maxNodes=%d", seed, q, tc.hits, tc.maxNodes), got, want)
 
 				// The k cut must be exactly the prefix of the full ranking
 				// (dense vs dense: bounded-heap selection vs full sort).
