@@ -12,9 +12,16 @@ package provgraph
 // re-checksums the section through SectionFile.VerifyTag, resuming
 // where the last step stopped. A MAP_SHARED mapping observes current
 // disk content at page-cache cost, with no locks and no copy of the
-// file. (Where mmap is unavailable each open reads the whole file.) The WAL half re-reads the log
-// file through its own descriptor (ScrubWALFile), which is safe against
-// concurrent appends, trims and rename swaps.
+// file. (Where mmap is unavailable each open reads the whole file.)
+//
+// The WAL half (storage.ScrubWALFile) re-reads the whole log through
+// its own descriptor at the end of each sweep, which is safe against
+// concurrent appends, trims and rename swaps. It reads through one
+// window that grows to 256 KiB, and checks each frame with
+// storage.ParseWALFrame, the decoder replay and replication use. It
+// does not resume from where the last sweep ended: a frame verified
+// once would then never be verified again, and rot that lands in it
+// later would go unseen until replay cut the log there.
 
 import (
 	"errors"

@@ -28,7 +28,10 @@ func encodeEventInto(e *storage.Encoder, ev *event.Event) {
 
 // decodeWALRecord decodes one journal payload: either a bare event
 // (first uvarint is the event type, 0..6) or a dedup-keyed ingest
-// record (walRecDedup discriminator, then the ID, then the event).
+// record (walRecDedup discriminator, then the ID, then the event). A
+// keyed record always carries an ID: one without would re-encode as a
+// bare event, which reads as a different record when its event type is
+// walRecDedup.
 func decodeWALRecord(payload []byte) (id string, ev *event.Event, err error) {
 	d := storage.NewDecoder(payload)
 	first, err := d.Uvarint()
@@ -41,6 +44,9 @@ func decodeWALRecord(payload []byte) (id string, ev *event.Event, err error) {
 	}
 	if id, err = d.String(); err != nil {
 		return "", nil, err
+	}
+	if id == "" {
+		return "", nil, ErrBadEventID
 	}
 	ev, err = decodeEvent(payload[len(payload)-d.Remaining():])
 	return id, ev, err

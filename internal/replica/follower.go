@@ -315,7 +315,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	body, readErr := io.ReadAll(resp.Body)
 	_ = readErr // a torn read surfaces as a torn frame below
 	for len(body) > 0 {
-		lsn, payload, n, err := parseFrame(body)
+		lsn, payload, n, err := storage.ParseWALFrame(body)
 		if err != nil {
 			// Torn or mangled in transit either way: apply nothing more
 			// from this response; the next poll re-requests from the

@@ -48,13 +48,6 @@
 // re-bootstrap instead of risking silent divergence.
 package replica
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-)
-
 // Endpoint paths on the leader.
 const (
 	PathMeta       = "/replica/meta"
@@ -86,47 +79,4 @@ type Meta struct {
 	// Generation is the leader store's in-memory generation counter
 	// (the one Views pin); informational.
 	Generation uint64 `json:"generation"`
-}
-
-// frameHeader is the WAL frame header size:
-// [crc32c u32][length u32][lsn u64].
-const frameHeader = 16
-
-// maxFramePayload bounds a single frame's payload on the wire, matching
-// the storage layer's record bound.
-const maxFramePayload = 1 << 26
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// errTornFrame reports a frame cut short in transit — retry territory,
-// not corruption.
-var errTornFrame = errors.New("replica: torn wal frame")
-
-// parseFrame reads one WAL frame from the front of b. It returns the
-// frame's LSN, its payload (aliasing b), and the total frame size.
-// errTornFrame means b ends mid-frame (ship what preceded it and
-// re-request); a CRC or bound failure is a real error.
-func parseFrame(b []byte) (lsn uint64, payload []byte, n int, err error) {
-	if len(b) < frameHeader {
-		return 0, nil, 0, errTornFrame
-	}
-	wantCRC := binary.LittleEndian.Uint32(b[0:])
-	length := binary.LittleEndian.Uint32(b[4:])
-	lsn = binary.LittleEndian.Uint64(b[8:])
-	if length > maxFramePayload {
-		return 0, nil, 0, fmt.Errorf("replica: frame length %d out of bounds", length)
-	}
-	total := frameHeader + int(length)
-	if len(b) < total {
-		return 0, nil, 0, errTornFrame
-	}
-	if crc32.Checksum(b[4:total], castagnoli) != wantCRC {
-		return 0, nil, 0, fmt.Errorf("replica: frame crc mismatch at lsn %d", lsn)
-	}
-	return lsn, b[frameHeader:total], total, nil
-}
-
-// frameCRC returns the CRC field of a whole frame (its first 4 bytes).
-func frameCRC(frame []byte) uint32 {
-	return binary.LittleEndian.Uint32(frame[0:])
 }

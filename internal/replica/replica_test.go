@@ -15,6 +15,7 @@ import (
 	"browserprov/internal/event"
 	"browserprov/internal/faultfs"
 	"browserprov/internal/provgraph"
+	"browserprov/internal/storage"
 )
 
 // The replication fault matrix: each test drives a leader/follower pair
@@ -101,7 +102,7 @@ func (l *leaderHarness) ripTail(loseFrames int) {
 	}
 	var bounds []int
 	for off := 0; off < len(b); {
-		_, _, n, err := parseFrame(b[off:])
+		_, _, n, err := storage.ParseWALFrame(b[off:])
 		if err != nil {
 			l.t.Fatalf("leader wal parse at %d: %v", off, err)
 		}

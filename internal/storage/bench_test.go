@@ -120,3 +120,68 @@ func BenchmarkJournalLogApply(b *testing.B) {
 		}
 	}
 }
+
+// benchWALSizes are the logs the WAL read benchmarks scan: a long log
+// (a busy store's checkpoint interval) and a short one (a small
+// tenant's).
+var benchWALSizes = []int{200_000, 20}
+
+// writeBenchWAL writes a log of frames 100-byte entries and returns its
+// path.
+func writeBenchWAL(b *testing.B, frames int) string {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "bench.wal")
+	w, err := CreateWAL(path, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 100)
+	for i := 0; i < frames; i++ {
+		if _, err := w.Append(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
+func BenchmarkWALReplay(b *testing.B) {
+	for _, frames := range benchWALSizes {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
+			path := writeBenchWAL(b, frames)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				w, err := OpenWAL(path, 0, func(uint64, []byte) error {
+					n++
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				w.Close()
+				if n != frames {
+					b.Fatalf("replayed %d frames, want %d", n, frames)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkScrubWALFile(b *testing.B) {
+	for _, frames := range benchWALSizes {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
+			path := writeBenchWAL(b, frames)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n, err := ScrubWALFile(path); err != nil || n != frames {
+					b.Fatalf("scrubbed %d frames (%v), want %d", n, err, frames)
+				}
+			}
+		})
+	}
+}

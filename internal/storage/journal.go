@@ -75,7 +75,8 @@ type JournalCallbacks struct {
 	// read onto the heap (best effort; platforms without mmap fall back
 	// to the heap read).
 	MapSnapshot bool
-	// Replay applies one logged mutation during recovery.
+	// Replay applies one logged mutation during recovery. The payload
+	// is valid only during the call (see OpenWAL).
 	Replay func(payload []byte) error
 	// FS, when set, interposes on the journal's commit path (WAL and
 	// metadata files): internal/faultfs uses it to inject ENOSPC, fsync

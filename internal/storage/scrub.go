@@ -8,11 +8,8 @@ package storage
 // failed to open.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -44,121 +41,44 @@ func ScrubWALFile(path string) (frames int, err error) {
 		return 0, err
 	}
 	defer f.Close()
-	var (
-		off    int64
-		header [walFrameHeader]byte
-	)
+	sc := walScanner{r: f}
 	for {
-		ok, length, err := readWALFrameAt(f, off, header[:], nil)
+		lsn, _, n, err := sc.frame()
+		if err == nil {
+			frames++
+			sc.advance(n)
+			continue
+		}
+		if !errors.Is(err, ErrTornWALFrame) && !errors.Is(err, ErrWALReaderCorrupt) {
+			return frames, err
+		}
+		if len(sc.window()) == 0 {
+			return frames, nil // clean end
+		}
+		// CRC-bad or torn at off. A CRC-valid frame after it means
+		// mid-file corruption; otherwise this is the torn tail and the
+		// scrub is clean.
+		st, err := f.Stat()
 		if err != nil {
 			return frames, err
 		}
-		if !ok {
-			// CRC-bad or torn at off. A CRC-valid frame after it means
-			// mid-file corruption; otherwise this is the torn tail and
-			// the scrub is clean.
-			nextOff, found, err := walSuccessor(f, off, length)
-			if err != nil {
-				return frames, err
-			}
-			if !found {
-				return frames, nil
-			}
-			// Re-check the failing frame before crying corruption: on a
-			// live log the first read can catch a frame mid-flush that
-			// the writer completed (and followed) before the successor
-			// probe. Appends are sequential, so once a valid successor
-			// exists this frame's bytes are final.
-			if okRe, lenRe, errRe := readWALFrameAt(f, off, header[:], nil); errRe == nil && okRe {
-				frames++
-				off += int64(walFrameHeader) + int64(lenRe)
-				continue
-			}
-			lsn := binary.LittleEndian.Uint64(header[8:])
-			return frames, fmt.Errorf("%w: lsn %d at offset %d (valid successor at %d)",
-				ErrWALReaderCorrupt, lsn, off, nextOff)
+		next, found, err := sc.successor(n, st.Size())
+		if err != nil || !found {
+			return frames, err
 		}
-		frames++
-		off += int64(walFrameHeader) + int64(length)
-	}
-}
-
-// walSuccessor looks for a CRC-valid frame after the bad frame at off
-// whose header claims length: first at the boundary that length gives,
-// then at every later offset, since rot in the length field itself
-// moves the boundary. It returns where the frame starts. The scan reads
-// the file in windows and CRC-checks only headers whose payload fits in
-// the file, so a torn tail costs one read.
-func walSuccessor(f *os.File, off int64, length uint32) (int64, bool, error) {
-	var h [walFrameHeader]byte
-	if length <= maxFieldLen {
-		next := off + walFrameHeader + int64(length)
-		if ok, _, err := readWALFrameAt(f, next, h[:], nil); err != nil || ok {
-			return next, ok, err
+		// Re-check the failing frame before crying corruption: on a live
+		// log the first read can catch a frame mid-flush that the writer
+		// completed (and followed) before the successor probe. Appends
+		// are sequential, so once a valid successor exists this frame's
+		// bytes are final.
+		if _, _, n, err := sc.frame(); err == nil {
+			frames++
+			sc.advance(n)
+			continue
 		}
+		return frames, fmt.Errorf("%w: lsn %d at offset %d (valid successor at %d)",
+			ErrWALReaderCorrupt, lsn, sc.off, next)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return 0, false, err
-	}
-	const window = 64 << 10
-	buf := make([]byte, window+walFrameHeader)
-	for base := off + 1; base+walFrameHeader <= st.Size(); base += window {
-		n, err := f.ReadAt(buf, base)
-		if err != nil && err != io.EOF {
-			return 0, false, err
-		}
-		for i := 0; i < window && i+walFrameHeader <= n; i++ {
-			p := base + int64(i)
-			if p+walFrameHeader+int64(binary.LittleEndian.Uint32(buf[i+4:])) > st.Size() {
-				continue
-			}
-			if ok, _, err := readWALFrameAt(f, p, h[:], nil); err != nil || ok {
-				return p, ok, err
-			}
-		}
-	}
-	return 0, false, nil
-}
-
-// readWALFrameAt reads and CRC-checks the frame at off. ok reports a
-// complete, CRC-valid frame; when false, length still carries the
-// header's claimed payload length if the header itself was readable
-// (maxFieldLen+1 otherwise). payload, when non-nil, receives the frame
-// payload on success (resliced from the given buffer).
-func readWALFrameAt(f *os.File, off int64, header []byte, payload *[]byte) (ok bool, length uint32, err error) {
-	n, rerr := f.ReadAt(header, off)
-	if rerr != nil && rerr != io.EOF {
-		return false, maxFieldLen + 1, rerr
-	}
-	if n < walFrameHeader {
-		return false, maxFieldLen + 1, nil // clean or torn EOF
-	}
-	wantCRC := binary.LittleEndian.Uint32(header[0:])
-	length = binary.LittleEndian.Uint32(header[4:])
-	if length > maxFieldLen {
-		return false, length, nil
-	}
-	buf := make([]byte, length)
-	if payload != nil && cap(*payload) >= int(length) {
-		buf = (*payload)[:length]
-	}
-	n, rerr = f.ReadAt(buf, off+walFrameHeader)
-	if rerr != nil && rerr != io.EOF {
-		return false, length, rerr
-	}
-	if n < int(length) {
-		return false, length, nil // torn payload
-	}
-	crc := crc32.Checksum(header[4:], castagnoli)
-	crc = crc32.Update(crc, castagnoli, buf)
-	if crc != wantCRC {
-		return false, length, nil
-	}
-	if payload != nil {
-		*payload = buf
-	}
-	return true, length, nil
 }
 
 // VerifySnapshotFile fully verifies the sectioned checkpoint at path:

@@ -11,15 +11,18 @@ import (
 )
 
 // WAL is a write-ahead log of opaque, checksummed entries. Stores log
-// every mutation to the WAL before applying it to their in-memory state;
-// a checkpoint writes a heap-file snapshot and resets the log. On open,
-// the store loads the latest snapshot and replays the log over it.
+// every mutation to the WAL before applying it to their in-memory state.
+// A checkpoint (see Journal) writes the state to a sectioned snapshot
+// file, then drops the log prefix the snapshot covers with
+// ResetKeepTail, keeping the entries logged while it was written. On
+// open, the store loads the latest snapshot and replays the log over it.
 //
 // Entry frame layout:
 //
 //	[crc32c u32][length u32][lsn u64][payload ...]
 //
-// The CRC covers length, LSN and payload. A torn or corrupt tail entry
+// The CRC covers length, LSN and payload. Append is the one encoder and
+// ParseWALFrame the one decoder. A torn or corrupt tail entry
 // terminates replay cleanly: the file is truncated at the last valid
 // entry boundary, which is the standard recovery contract for a log.
 type WAL struct {
@@ -50,8 +53,6 @@ type WAL struct {
 	fenceOff int64
 }
 
-const walFrameHeader = 16
-
 // ErrWALClosed indicates use of a closed WAL.
 var ErrWALClosed = errors.New("storage: wal is closed")
 
@@ -74,7 +75,8 @@ func CreateWALFS(fs VFS, path string, startLSN uint64) (*WAL, error) {
 // any corrupt tail, and leaves the log positioned for appending.
 //
 // Entries with lsn < fromLSN are skipped: they precede the snapshot the
-// caller already loaded.
+// caller already loaded. The payload passed to apply is valid only
+// during the call: apply must copy what it keeps.
 func OpenWAL(path string, fromLSN uint64, apply func(lsn uint64, payload []byte) error) (*WAL, error) {
 	return OpenWALFS(OSFS, path, fromLSN, apply)
 }
@@ -120,41 +122,24 @@ func (w *WAL) FenceOff() int64 { return w.fenceOff }
 // lsn >= fromLSN. It returns the offset just past the last valid entry,
 // the highest LSN seen, and whether any valid entry was seen at all.
 func (w *WAL) replay(fromLSN uint64, apply func(lsn uint64, payload []byte) error) (int64, uint64, bool, error) {
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, false, err
-	}
-	r := bufio.NewReaderSize(w.f, 256<<10)
+	sc := walScanner{r: w.f}
 	var (
-		off     int64
-		lastLSN uint64
-		seen    bool
-		header  [walFrameHeader]byte
+		lastLSN   uint64
+		seen      bool
+		fenceSeen bool
 	)
-	fenceSeen := false
 	for {
-		if _, err := io.ReadFull(r, header[:]); err != nil {
-			// io.EOF: clean end. ErrUnexpectedEOF: torn header; stop.
-			return off, lastLSN, seen, nil
+		lsn, payload, n, err := sc.frame()
+		if errors.Is(err, ErrTornWALFrame) || errors.Is(err, ErrWALReaderCorrupt) {
+			return sc.off, lastLSN, seen, nil // a torn or corrupt entry ends the log
 		}
-		wantCRC := binary.LittleEndian.Uint32(header[0:])
-		length := binary.LittleEndian.Uint32(header[4:])
-		lsn := binary.LittleEndian.Uint64(header[8:])
-		if length > maxFieldLen {
-			return off, lastLSN, seen, nil // corrupt length; treat as torn tail
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, lastLSN, seen, nil // torn payload
-		}
-		crc := crc32.Checksum(header[4:], castagnoli)
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != wantCRC {
-			return off, lastLSN, seen, nil // corrupt entry terminates replay
+		if err != nil {
+			return 0, 0, false, fmt.Errorf("storage: read wal %s: %w", w.path, err)
 		}
 		if lsn >= fromLSN {
 			if !fenceSeen {
 				fenceSeen = true
-				w.fenceOff = off
+				w.fenceOff = sc.off
 			}
 			if apply != nil {
 				if err := apply(lsn, payload); err != nil {
@@ -166,8 +151,8 @@ func (w *WAL) replay(fromLSN uint64, apply func(lsn uint64, payload []byte) erro
 			lastLSN = lsn
 		}
 		seen = true
-		w.lastCRC, w.haveLast = wantCRC, true
-		off += int64(walFrameHeader) + int64(length)
+		w.lastCRC, w.haveLast = WALFrameCRC(sc.window()), true
+		sc.advance(n)
 	}
 }
 

@@ -1,11 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -37,25 +34,15 @@ import (
 type WALReader struct {
 	path string
 	f    *os.File
-	off  int64
-	next uint64 // next LSN to deliver; smaller frames are skipped
+	sc   walScanner // reads f from the reader's offset
+	next uint64     // next LSN to deliver; smaller frames are skipped
 
 	// prevCRC is the frame CRC of the newest skipped frame with
 	// lsn == next-1, captured during the initial skip-scan so a resuming
 	// stream can verify its follower's last applied record matches.
-	prevCRC  uint32
-	prevOK   bool
-	hdr      [walFrameHeader]byte
-	frameBuf []byte
-	// size is the file's size when last read. Appended bytes are final,
-	// so a frame ending below it is wholly present unless the file has
-	// since been truncated or swapped, which reset it.
-	size int64
+	prevCRC uint32
+	prevOK  bool
 }
-
-// maxKeptFrameBuf bounds the frame buffer a reader keeps between small
-// frames.
-const maxKeptFrameBuf = 1 << 20
 
 // ErrWALTrimmed reports that the WAL no longer contains the requested
 // LSN: a checkpoint compacted it away. The reader is positioned nowhere
@@ -74,15 +61,10 @@ var ErrWALReaderCorrupt = errors.New("storage: corrupt wal frame under reader")
 // appears.
 func OpenWALReader(path string, from uint64) (*WALReader, error) {
 	r := &WALReader{path: path, next: from}
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return r, nil // file appears on the writer's first append
-		}
+	if err := r.reopen(); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	r.f = f
-	return r, nil
+	return r, nil // a missing file appears on the writer's first append
 }
 
 // NextLSN returns the LSN of the next frame the reader will deliver.
@@ -100,14 +82,11 @@ func (r *WALReader) PrevFrameCRC() (uint32, bool) { return r.prevCRC, r.prevOK }
 // The returned slice is reused by the next ReadFrame call.
 func (r *WALReader) ReadFrame() (frame []byte, lsn uint64, err error) {
 	for {
-		if r.f == nil && !r.reopen() {
+		if r.f == nil && r.reopen() != nil {
 			return nil, 0, nil
 		}
-		n, err := r.f.ReadAt(r.hdr[:], r.off)
-		if err != nil && err != io.EOF {
-			return nil, 0, err
-		}
-		if n < walFrameHeader {
+		lsn, _, n, err := r.sc.frame()
+		if errors.Is(err, ErrTornWALFrame) && len(r.sc.window()) < walFrameHeader {
 			// Torn or clean tail — or a file that shrank (in-place Reset)
 			// or was swapped (ResetKeepTail) under us.
 			if swapped, err := r.refresh(); err != nil {
@@ -117,64 +96,34 @@ func (r *WALReader) ReadFrame() (frame []byte, lsn uint64, err error) {
 			}
 			return nil, 0, nil
 		}
-		wantCRC := binary.LittleEndian.Uint32(r.hdr[0:])
-		length := binary.LittleEndian.Uint32(r.hdr[4:])
-		lsn := binary.LittleEndian.Uint64(r.hdr[8:])
-		if length > maxFieldLen {
-			return nil, 0, fmt.Errorf("%w: frame length %d at offset %d", ErrWALReaderCorrupt, length, r.off)
-		}
-		total := walFrameHeader + int(length)
-		// Check the claimed length against the bytes the file holds
-		// before allocating for it: a rotted or torn header must not cost
-		// up to 64 MiB.
-		end := r.off + int64(total)
-		if end > r.size {
-			if err := r.statSize(); err != nil {
-				return nil, 0, err
-			}
-		}
-		if end > r.size {
+		if errors.Is(err, ErrTornWALFrame) {
 			// A short frame is the writer's unfinished tail unless a
 			// CRC-valid frame follows it: then rot in the length field
 			// moved the boundary past EOF, and waiting would stall forever.
 			// Look again before calling it corruption, as ScrubWALFile does.
-			if _, found, err := walSuccessor(r.f, r.off, length); err != nil {
-				return nil, 0, err
-			} else if !found {
-				return nil, 0, nil // torn tail: the writer will finish it
-			}
-			if err := r.statSize(); err != nil {
+			fi, err := r.f.Stat()
+			if err != nil {
 				return nil, 0, err
 			}
-			if end > r.size {
-				return nil, 0, fmt.Errorf("%w: lsn %d at offset %d: frame overruns a valid successor", ErrWALReaderCorrupt, lsn, r.off)
+			if _, found, err := r.sc.successor(n, fi.Size()); err != nil || !found {
+				return nil, 0, err // torn tail: the writer will finish it
+			}
+			if lsn, _, n, err = r.sc.frame(); errors.Is(err, ErrTornWALFrame) {
+				return nil, 0, fmt.Errorf("%w: lsn %d at offset %d: frame overruns a valid successor", ErrWALReaderCorrupt, lsn, r.sc.off)
 			}
 		}
-		// Keep the buffer for the next frame, but not one sized for a
-		// rare large frame once frames are small again.
-		if cap(r.frameBuf) < total || cap(r.frameBuf) > maxKeptFrameBuf && total <= maxKeptFrameBuf {
-			r.frameBuf = make([]byte, total)
+		if errors.Is(err, ErrWALReaderCorrupt) {
+			return nil, 0, fmt.Errorf("%w: lsn %d at offset %d", err, lsn, r.sc.off)
 		}
-		buf := r.frameBuf[:total]
-		copy(buf, r.hdr[:])
-		if n, err := r.f.ReadAt(buf[walFrameHeader:], r.off+walFrameHeader); n < int(length) {
-			// Truncated in place since its size was read; the next call
-			// rescans.
-			r.size = 0
-			if err == io.EOF {
-				err = nil
-			}
+		if err != nil {
 			return nil, 0, err
 		}
-		crc := crc32.Checksum(buf[4:], castagnoli)
-		if crc != wantCRC {
-			return nil, 0, fmt.Errorf("%w: lsn %d at offset %d", ErrWALReaderCorrupt, lsn, r.off)
-		}
+		frame = r.sc.window()[:n]
+		r.sc.advance(n)
 		if lsn < r.next {
 			if lsn == r.next-1 {
-				r.prevCRC, r.prevOK = wantCRC, true
+				r.prevCRC, r.prevOK = WALFrameCRC(frame), true
 			}
-			r.off += int64(total)
 			continue
 		}
 		if lsn > r.next {
@@ -182,20 +131,9 @@ func (r *WALReader) ReadFrame() (frame []byte, lsn uint64, err error) {
 			// whose prefix was compacted away.
 			return nil, 0, fmt.Errorf("%w: want lsn %d, log starts at %d", ErrWALTrimmed, r.next, lsn)
 		}
-		r.off += int64(total)
 		r.next = lsn + 1
-		return buf, lsn, nil
+		return frame, lsn, nil
 	}
-}
-
-// statSize records the size of the file under the reader.
-func (r *WALReader) statSize() error {
-	fi, err := r.f.Stat()
-	if err != nil {
-		return err
-	}
-	r.size = fi.Size()
-	return nil
 }
 
 // refresh decides whether the file under the reader changed identity
@@ -214,35 +152,32 @@ func (r *WALReader) refresh() (bool, error) {
 		return false, err
 	}
 	if os.SameFile(fi, cur) {
-		if r.off > fi.Size() {
+		if r.sc.off > fi.Size() {
 			// In-place truncate (synchronous checkpoint Reset): everything
 			// we had read is checkpoint-covered now. Rescan from the top;
 			// the skip logic finds our LSN or reports ErrWALTrimmed.
-			r.off, r.size = 0, 0
+			r.sc.seek(0)
 			return true, nil
 		}
 		return false, nil // genuinely nothing new
 	}
-	f, err := os.Open(r.path)
-	if err != nil {
+	old := r.f
+	if err := r.reopen(); err != nil {
 		return false, err
 	}
-	r.f.Close()
-	r.f = f
-	r.off, r.size = 0, 0
+	old.Close()
 	return true, nil
 }
 
-// reopen attempts to open a file that did not exist when the reader was
-// created. Returns true if the file is now open.
-func (r *WALReader) reopen() bool {
+// reopen opens the file at the reader's path, to scan it from the start.
+func (r *WALReader) reopen() error {
 	f, err := os.Open(r.path)
 	if err != nil {
-		return false
+		return err
 	}
-	r.f = f
-	r.off = 0
-	return true
+	r.f, r.sc.r = f, f
+	r.sc.seek(0)
+	return nil
 }
 
 // Close releases the reader's file handle. Close is idempotent.

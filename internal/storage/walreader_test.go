@@ -643,29 +643,54 @@ func TestScrubWALFileDuringResetKeepTail(t *testing.T) {
 }
 
 func TestWALReaderOversizeHeaderAllocatesNothing(t *testing.T) {
-	// A 116-byte file whose one header claims a 60 MiB payload: the
-	// reader must see that the file cannot hold it and report a torn tail
-	// without sizing a buffer for the claim.
+	// A 116-byte file whose one header claims a 60 MiB payload: every
+	// reader of the log must see that the file cannot hold it and treat
+	// it as a torn tail without sizing a buffer for the claim.
 	data := make([]byte, 116)
 	binary.LittleEndian.PutUint32(data[4:], 60<<20)
-	path := filepath.Join(t.TempDir(), "o.wal")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenWALReader(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	frame, _, err := r.ReadFrame()
-	runtime.ReadMemStats(&after)
-	if frame != nil || err != nil {
-		t.Fatalf("frame=%v err=%v, want nothing yet and no error", frame != nil, err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("ReadFrame allocated %d bytes for a 116-byte file, want < 1 MiB", got)
+	for _, tc := range []struct {
+		name string
+		read func(t *testing.T, path string)
+	}{
+		{"ReadFrame", func(t *testing.T, path string) {
+			r, err := OpenWALReader(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if frame, _, err := r.ReadFrame(); frame != nil || err != nil {
+				t.Fatalf("frame=%v err=%v, want nothing yet and no error", frame != nil, err)
+			}
+		}},
+		{"OpenWAL", func(t *testing.T, path string) {
+			w, err := OpenWAL(path, 0, func(uint64, []byte) error {
+				t.Fatal("replayed a frame of a torn log")
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+		}},
+		{"ScrubWALFile", func(t *testing.T, path string) {
+			if frames, err := ScrubWALFile(path); frames != 0 || err != nil {
+				t.Fatalf("frames=%d err=%v, want a clean scrub of no frames", frames, err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "o.wal")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tc.read(t, path)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("%s allocated %d bytes for a 116-byte file, want < 1 MiB", tc.name, got)
+			}
+		})
 	}
 }
 
@@ -690,7 +715,7 @@ func TestWALReaderDropsOversizeBuffer(t *testing.T) {
 			t.Fatalf("frame %d: got lsn %d, frame=%v err=%v", want, lsn, frame != nil, err)
 		}
 	}
-	if c := cap(r.frameBuf); c > maxKeptFrameBuf {
+	if c := cap(r.sc.buf); c > maxKeptFrameBuf {
 		t.Fatalf("reader keeps a %d-byte buffer after a small frame", c)
 	}
 }
